@@ -68,7 +68,7 @@ pub mod sync;
 pub mod threaded;
 
 pub use cdc::Cdc;
-pub use omc::{ObjectRecord, Omc, OmcError, TranslateStats};
+pub use omc::{FastU64Map, ObjectRecord, Omc, OmcError, TranslateStats, U64Hasher};
 pub use sample::{RateController, SampleStats, Sampler, SamplingPolicy};
 pub use session::{ResumeError, ResumeLedger, Session, SessionSink, SessionStats};
 pub use sharded::{PipelineError, PipelineStats, ShardStats, ShardableSink, ShardedCdc};

@@ -25,13 +25,14 @@ const MAX_INDEXED_PAGES: u64 = 256;
 /// simply skip memoization.
 const MRU_LIMIT: usize = 1 << 16;
 
-/// A minimal multiplicative hasher for `u64` keys (page numbers).
+/// A minimal multiplicative hasher for `u64` keys (page numbers,
+/// routing and sampling keys, LEAP stream keys).
 ///
 /// The std `SipHash` default costs more than the whole page lookup it
-/// guards; page numbers need no DoS resistance, so a single multiply by
+/// guards; these keys need no DoS resistance, so a single multiply by
 /// a 64-bit odd constant (Fibonacci hashing) is enough.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct U64Hasher(u64);
+pub struct U64Hasher(u64);
 
 impl std::hash::Hasher for U64Hasher {
     fn finish(&self) -> u64 {
@@ -60,7 +61,7 @@ impl std::hash::Hasher for U64Hasher {
 }
 
 /// A `HashMap` keyed by `u64` using [`U64Hasher`].
-pub(crate) type FastU64Map<V> = HashMap<u64, V, BuildHasherDefault<U64Hasher>>;
+pub type FastU64Map<V> = HashMap<u64, V, BuildHasherDefault<U64Hasher>>;
 
 /// One resolved object in the fast-path structures: everything a
 /// translation needs, denormalized so a hit touches no other map.

@@ -67,6 +67,7 @@ pub use durable::{
 pub use error::FormatError;
 pub use hello::{Hello, HELLO_PROTOCOL_VERSION, MAX_TENANT_LEN};
 pub use varint::{
-    read_i64_le, read_u32_le, read_u64_le, read_varint, read_zigzag, varint_len, write_i64_le,
-    write_u32_le, write_u64_le, write_varint, write_zigzag, zigzag_decode, zigzag_encode,
+    read_i64_le, read_u32_le, read_u64_le, read_varint, read_zigzag, u32_from_le, u64_from_le,
+    varint_len, write_i64_le, write_u32_le, write_u64_le, write_varint, write_zigzag,
+    zigzag_decode, zigzag_encode,
 };

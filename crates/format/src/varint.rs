@@ -154,6 +154,23 @@ pub fn read_u32_le(r: &mut impl Read) -> io::Result<u32> {
     Ok(u32::from_le_bytes(buf))
 }
 
+/// Decodes a fixed-width little-endian `u32` from its bytes: the
+/// slice-parsing counterpart of [`read_u32_le`], for decoders that
+/// split whole fixed-width records off a buffer.
+#[must_use]
+#[inline]
+pub fn u32_from_le(bytes: [u8; 4]) -> u32 {
+    u32::from_le_bytes(bytes)
+}
+
+/// Decodes a fixed-width little-endian `u64` from its bytes (see
+/// [`u32_from_le`]).
+#[must_use]
+#[inline]
+pub fn u64_from_le(bytes: [u8; 8]) -> u64 {
+    u64::from_le_bytes(bytes)
+}
+
 /// Writes a zigzag-mapped signed varint.
 ///
 /// # Errors

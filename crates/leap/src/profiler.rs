@@ -1,10 +1,10 @@
 //! The online LEAP profiler: vertical decomposition into bounded
 //! linear compressors.
 
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
-use orp_core::{GroupId, OrSink, OrTuple, SessionSink};
+use orp_core::sharded::instr_group_key;
+use orp_core::{FastU64Map, GroupId, OrSink, OrTuple, SessionSink};
 use orp_format::{read_varint, write_varint};
 use orp_lmad::LinearCompressor;
 use orp_trace::{AccessKind, InstrId};
@@ -15,16 +15,49 @@ fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// One instruction's bookkeeping: its static access kind (the first
+/// tuple's) and its exact execution count.
+#[derive(Debug, Clone, Copy)]
+struct InstrSlot {
+    instr: InstrId,
+    kind: AccessKind,
+    execs: u64,
+}
+
+/// One `(instruction, group)` stream plus the index of its
+/// instruction's [`InstrSlot`].
+#[derive(Debug, Clone)]
+struct StreamSlot {
+    key: u64,
+    instr: usize,
+    stream: LeapStream,
+}
+
+/// Splits an [`instr_group_key`] back into its pair. The key's `u64`
+/// order is the `(InstrId, GroupId)` order, so sorting by key sorts by
+/// pair.
+fn split_key(key: u64) -> (InstrId, GroupId) {
+    (InstrId((key >> 32) as u32), GroupId(key as u32))
+}
+
 /// The LEAP profiler: an [`OrSink`] that demultiplexes the
 /// object-relative stream by `(instruction, group)` and feeds each
 /// sub-stream's `(object, offset, time)` points to bounded linear
 /// compressors.
+///
+/// The hot path is one [`FastU64Map`] lookup per tuple: the
+/// [`instr_group_key`] maps to a stream slot, and the slot carries its
+/// instruction's slot index. Slots stay in first-seen order; every
+/// published form (profile, checkpoint, state keys) is sorted when it
+/// is produced.
 #[derive(Debug, Clone)]
 pub struct LeapProfiler {
     budget: usize,
-    streams: BTreeMap<(InstrId, GroupId), LeapStream>,
-    execs: BTreeMap<InstrId, u64>,
-    kinds: BTreeMap<InstrId, AccessKind>,
+    stream_index: FastU64Map<usize>,
+    streams: Vec<StreamSlot>,
+    /// Consulted only when a stream opens.
+    instr_index: FastU64Map<usize>,
+    instrs: Vec<InstrSlot>,
 }
 
 impl LeapProfiler {
@@ -46,9 +79,10 @@ impl LeapProfiler {
         assert!(budget > 0, "LMAD budget must be positive");
         LeapProfiler {
             budget,
-            streams: BTreeMap::new(),
-            execs: BTreeMap::new(),
-            kinds: BTreeMap::new(),
+            stream_index: FastU64Map::default(),
+            streams: Vec::new(),
+            instr_index: FastU64Map::default(),
+            instrs: Vec::new(),
         }
     }
 
@@ -67,13 +101,59 @@ impl LeapProfiler {
     /// Publishes the profiler's growth counters onto `rec`.
     pub fn record_metrics(&self, rec: &mut dyn orp_obs::Recorder) {
         rec.counter("leap.streams", self.streams.len() as u64);
-        rec.counter("leap.instructions", self.kinds.len() as u64);
+        rec.counter("leap.instructions", self.instrs.len() as u64);
     }
 
     /// Finalizes into an immutable [`LeapProfile`].
     #[must_use]
     pub fn into_profile(self) -> LeapProfile {
-        LeapProfile::from_parts(self.streams, self.execs, self.kinds)
+        let execs = self.instrs.iter().map(|s| (s.instr, s.execs)).collect();
+        let kinds = self.instrs.iter().map(|s| (s.instr, s.kind)).collect();
+        let streams = self
+            .streams
+            .into_iter()
+            .map(|s| (split_key(s.key), s.stream))
+            .collect();
+        LeapProfile::from_parts(streams, execs, kinds)
+    }
+
+    /// The instruction's slot index, opening the slot (with `kind`) on
+    /// first sight.
+    fn instr_slot(&mut self, instr: InstrId, kind: AccessKind) -> usize {
+        *self
+            .instr_index
+            .entry(u64::from(instr.0))
+            .or_insert_with(|| {
+                self.instrs.push(InstrSlot {
+                    instr,
+                    kind,
+                    execs: 0,
+                });
+                self.instrs.len() - 1
+            })
+    }
+
+    /// Appends a stream slot; the caller guarantees `key` is new.
+    fn open_stream(&mut self, key: u64, instr: usize, stream: LeapStream) -> usize {
+        let slot = self.streams.len();
+        self.streams.push(StreamSlot { key, instr, stream });
+        let clash = self.stream_index.insert(key, slot);
+        debug_assert!(clash.is_none(), "stream {key:#x} opened twice");
+        slot
+    }
+
+    /// The instruction slots in ascending instruction order.
+    fn sorted_instrs(&self) -> Vec<&InstrSlot> {
+        let mut instrs: Vec<&InstrSlot> = self.instrs.iter().collect();
+        instrs.sort_unstable_by_key(|s| s.instr);
+        instrs
+    }
+
+    /// The stream slots in ascending `(instruction, group)` order.
+    fn sorted_streams(&self) -> Vec<&StreamSlot> {
+        let mut streams: Vec<&StreamSlot> = self.streams.iter().collect();
+        streams.sort_unstable_by_key(|s| s.key);
+        streams
     }
 }
 
@@ -85,12 +165,16 @@ impl Default for LeapProfiler {
 
 impl OrSink for LeapProfiler {
     fn tuple(&mut self, t: &OrTuple) {
-        *self.execs.entry(t.instr).or_default() += 1;
-        self.kinds.entry(t.instr).or_insert(t.kind);
-        let stream = self
-            .streams
-            .entry((t.instr, t.group))
-            .or_insert_with(|| LeapStream::new(self.budget));
+        let key = instr_group_key(t.instr, t.group);
+        let slot = match self.stream_index.get(&key) {
+            Some(&slot) => slot,
+            None => {
+                let instr = self.instr_slot(t.instr, t.kind);
+                self.open_stream(key, instr, LeapStream::new(self.budget))
+            }
+        };
+        let StreamSlot { instr, stream, .. } = &mut self.streams[slot];
+        self.instrs[*instr].execs += 1;
         stream.push(
             i64::try_from(t.object.0).expect("object serial fits i64"),
             i64::try_from(t.offset).expect("offset fits i64"),
@@ -104,19 +188,19 @@ impl SessionSink for LeapProfiler {
 
     fn save_state(&self, w: &mut impl Write) -> io::Result<()> {
         write_varint(w, self.budget as u64)?;
-        write_varint(w, self.execs.len() as u64)?;
-        for (&instr, &execs) in &self.execs {
-            let kind = self.kinds.get(&instr).expect("kind recorded with execs");
-            write_varint(w, u64::from(instr.0))?;
-            w.write_all(&[u8::from(kind.is_store())])?;
-            write_varint(w, execs)?;
+        write_varint(w, self.instrs.len() as u64)?;
+        for slot in self.sorted_instrs() {
+            write_varint(w, u64::from(slot.instr.0))?;
+            w.write_all(&[u8::from(slot.kind.is_store())])?;
+            write_varint(w, slot.execs)?;
         }
         write_varint(w, self.streams.len() as u64)?;
-        for (&(instr, group), stream) in &self.streams {
+        for slot in self.sorted_streams() {
+            let (instr, group) = split_key(slot.key);
             write_varint(w, u64::from(instr.0))?;
             write_varint(w, u64::from(group.0))?;
-            stream.full.write_to(w)?;
-            stream.loc.write_to(w)?;
+            slot.stream.full.write_to(w)?;
+            slot.stream.loc.write_to(w)?;
         }
         Ok(())
     }
@@ -127,9 +211,8 @@ impl SessionSink for LeapProfiler {
         if budget == 0 {
             return Err(bad_data("LMAD budget must be positive"));
         }
+        let mut profiler = LeapProfiler::with_budget(budget);
         let instr_count = read_varint(r)?;
-        let mut execs = BTreeMap::new();
-        let mut kinds = BTreeMap::new();
         let mut prev: Option<u32> = None;
         for _ in 0..instr_count {
             let instr = u32::try_from(read_varint(r)?)
@@ -146,11 +229,10 @@ impl SessionSink for LeapProfiler {
                 _ => return Err(bad_data("bad access kind")),
             };
             let count = read_varint(r)?;
-            kinds.insert(InstrId(instr), kind);
-            execs.insert(InstrId(instr), count);
+            let slot = profiler.instr_slot(InstrId(instr), kind);
+            profiler.instrs[slot].execs = count;
         }
         let stream_count = read_varint(r)?;
-        let mut streams = BTreeMap::new();
         let mut prev: Option<(u32, u32)> = None;
         for _ in 0..stream_count {
             let instr = u32::try_from(read_varint(r)?)
@@ -161,9 +243,9 @@ impl SessionSink for LeapProfiler {
                 return Err(bad_data("stream table not strictly sorted"));
             }
             prev = Some((instr, group));
-            if !kinds.contains_key(&InstrId(instr)) {
+            let Some(&instr_slot) = profiler.instr_index.get(&u64::from(instr)) else {
                 return Err(bad_data("stream references unknown instruction"));
-            }
+            };
             let full = LinearCompressor::read_from(r)?;
             let loc = LinearCompressor::read_from(r)?;
             if full.dims() != 3 || loc.dims() != 2 {
@@ -172,23 +254,18 @@ impl SessionSink for LeapProfiler {
             if full.budget() != budget || loc.budget() != budget {
                 return Err(bad_data("stream budget disagrees with profiler budget"));
             }
-            streams.insert((InstrId(instr), GroupId(group)), LeapStream { full, loc });
+            let key = instr_group_key(InstrId(instr), GroupId(group));
+            profiler.open_stream(key, instr_slot, LeapStream { full, loc });
         }
-        Ok(LeapProfiler {
-            budget,
-            streams,
-            execs,
-            kinds,
-        })
+        Ok(profiler)
     }
 
-    /// The per-stream partition keys, matching
+    /// The per-stream partition keys in ascending order, matching
     /// [`ShardableSink::shard_key`](orp_core::ShardableSink::shard_key).
     fn state_keys(&self) -> Vec<u64> {
-        self.streams
-            .keys()
-            .map(|&(instr, group)| orp_core::sharded::instr_group_key(instr, group))
-            .collect()
+        let mut keys: Vec<u64> = self.streams.iter().map(|s| s.key).collect();
+        keys.sort_unstable();
+        keys
     }
 
     fn finalize_profile(self, w: &mut impl Write) -> io::Result<()> {
@@ -200,14 +277,13 @@ impl orp_core::ShardableSink for LeapProfiler {
     /// LEAP's vertical-decomposition key: compressor state is per
     /// `(instruction, group)` stream.
     fn shard_key(t: &OrTuple) -> u64 {
-        orp_core::sharded::instr_group_key(t.instr, t.group)
+        instr_group_key(t.instr, t.group)
     }
 
-    /// Union of the disjoint stream maps. The per-instruction `execs`
-    /// and `kinds` maps *can* span shards (one instruction touching two
-    /// groups); executions merge by sum, and the access kind is a
-    /// static property of the instruction so any shard's value is the
-    /// value.
+    /// Union of the disjoint stream sets. The per-instruction slots
+    /// *can* span shards (one instruction touching two groups);
+    /// executions merge by sum, and the access kind is a static
+    /// property of the instruction so any shard's value is the value.
     fn merge(parts: Vec<Self>) -> Self {
         let mut merged = match parts.first() {
             Some(first) => LeapProfiler::with_budget(first.budget),
@@ -215,16 +291,19 @@ impl orp_core::ShardableSink for LeapProfiler {
         };
         for part in parts {
             debug_assert_eq!(part.budget, merged.budget, "shards must share one budget");
-            for ((instr, group), stream) in part.streams {
-                let clash = merged.streams.insert((instr, group), stream);
-                debug_assert!(clash.is_none(), "stream ({instr}, {group}) on two shards");
+            let mut remap = Vec::with_capacity(part.instrs.len());
+            for slot in &part.instrs {
+                let at = merged.instr_slot(slot.instr, slot.kind);
+                let into = &mut merged.instrs[at];
+                debug_assert_eq!(
+                    into.kind, slot.kind,
+                    "access kind is static per instruction"
+                );
+                into.execs += slot.execs;
+                remap.push(at);
             }
-            for (instr, execs) in part.execs {
-                *merged.execs.entry(instr).or_default() += execs;
-            }
-            for (instr, kind) in part.kinds {
-                let prev = merged.kinds.entry(instr).or_insert(kind);
-                debug_assert_eq!(*prev, kind, "access kind is static per instruction");
+            for slot in part.streams {
+                merged.open_stream(slot.key, remap[slot.instr], slot.stream);
             }
         }
         merged
@@ -233,8 +312,11 @@ impl orp_core::ShardableSink for LeapProfiler {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use orp_core::{ObjectSerial, Timestamp};
+    use proptest::prelude::*;
 
     fn tuple(instr: u32, group: u32, object: u64, offset: u64, time: u64) -> OrTuple {
         OrTuple {
@@ -322,6 +404,157 @@ mod tests {
             }
         }
         events
+    }
+
+    /// The `BTreeMap` profiler the one-lookup demux replaced, kept as
+    /// the differential reference for every published form.
+    #[derive(Debug)]
+    struct Reference {
+        budget: usize,
+        streams: BTreeMap<(InstrId, GroupId), LeapStream>,
+        execs: BTreeMap<InstrId, u64>,
+        kinds: BTreeMap<InstrId, AccessKind>,
+    }
+
+    impl Reference {
+        fn new(budget: usize) -> Self {
+            Reference {
+                budget,
+                streams: BTreeMap::new(),
+                execs: BTreeMap::new(),
+                kinds: BTreeMap::new(),
+            }
+        }
+
+        fn tuple(&mut self, t: &OrTuple) {
+            *self.execs.entry(t.instr).or_default() += 1;
+            self.kinds.entry(t.instr).or_insert(t.kind);
+            self.streams
+                .entry((t.instr, t.group))
+                .or_insert_with(|| LeapStream::new(self.budget))
+                .push(t.object.0 as i64, t.offset as i64, t.time.0 as i64);
+        }
+
+        fn state(&self) -> Vec<u8> {
+            let mut w = Vec::new();
+            write_varint(&mut w, self.budget as u64).unwrap();
+            write_varint(&mut w, self.execs.len() as u64).unwrap();
+            for (&instr, &execs) in &self.execs {
+                write_varint(&mut w, u64::from(instr.0)).unwrap();
+                w.push(u8::from(self.kinds[&instr].is_store()));
+                write_varint(&mut w, execs).unwrap();
+            }
+            write_varint(&mut w, self.streams.len() as u64).unwrap();
+            for (&(instr, group), stream) in &self.streams {
+                write_varint(&mut w, u64::from(instr.0)).unwrap();
+                write_varint(&mut w, u64::from(group.0)).unwrap();
+                stream.full.write_to(&mut w).unwrap();
+                stream.loc.write_to(&mut w).unwrap();
+            }
+            w
+        }
+
+        fn keys(&self) -> Vec<u64> {
+            self.streams
+                .keys()
+                .map(|&(instr, group)| instr_group_key(instr, group))
+                .collect()
+        }
+
+        fn merge(parts: Vec<Self>) -> Self {
+            let mut merged = Reference::new(parts[0].budget);
+            for part in parts {
+                merged.streams.extend(part.streams);
+                for (instr, execs) in part.execs {
+                    *merged.execs.entry(instr).or_default() += execs;
+                }
+                for (instr, kind) in part.kinds {
+                    merged.kinds.entry(instr).or_insert(kind);
+                }
+            }
+            merged
+        }
+
+        fn profile(self) -> Vec<u8> {
+            let mut w = Vec::new();
+            LeapProfile::from_parts(self.streams, self.execs, self.kinds)
+                .write_to(&mut w)
+                .unwrap();
+            w
+        }
+    }
+
+    fn state_of(p: &LeapProfiler) -> Vec<u8> {
+        let mut w = Vec::new();
+        p.save_state(&mut w).unwrap();
+        w
+    }
+
+    fn profile_of(p: LeapProfiler) -> Vec<u8> {
+        let mut w = Vec::new();
+        p.into_profile().write_to(&mut w).unwrap();
+        w
+    }
+
+    fn arb_tuples() -> impl Strategy<Value = Vec<OrTuple>> {
+        let access = (0u32..7, 0u32..4, 0u64..6, 0u64..8, 0u64..3);
+        proptest::collection::vec(access, 0..300).prop_map(|raw| {
+            let mut time = 0;
+            raw.into_iter()
+                .map(|(instr, group, object, field, dt)| {
+                    time += dt;
+                    tuple(instr, group, object, 8 * field, time)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn one_lookup_demux_publishes_the_btreemap_bytes(
+            tuples in arb_tuples(),
+            budget in 1usize..6,
+            cut in 0usize..300,
+            shards in 1u64..4,
+        ) {
+            let cut = cut.min(tuples.len());
+            let mut p = LeapProfiler::with_budget(budget);
+            let mut reference = Reference::new(budget);
+            for t in &tuples[..cut] {
+                p.tuple(t);
+                reference.tuple(t);
+            }
+            prop_assert_eq!(state_of(&p), reference.state());
+            prop_assert_eq!(p.state_keys(), reference.keys());
+
+            // Restore mid-stream and keep feeding.
+            let mut p = LeapProfiler::restore_state(&mut reference.state().as_slice()).unwrap();
+            for t in &tuples[cut..] {
+                p.tuple(t);
+                reference.tuple(t);
+            }
+            prop_assert_eq!(state_of(&p), reference.state());
+            prop_assert_eq!(p.state_keys(), reference.keys());
+
+            // Shard by stream key and merge back.
+            let mut parts: Vec<LeapProfiler> =
+                (0..shards).map(|_| LeapProfiler::with_budget(budget)).collect();
+            let mut reference_parts: Vec<Reference> =
+                (0..shards).map(|_| Reference::new(budget)).collect();
+            for t in &tuples {
+                let shard = (<LeapProfiler as orp_core::ShardableSink>::shard_key(t) % shards) as usize;
+                parts[shard].tuple(t);
+                reference_parts[shard].tuple(t);
+            }
+            let merged = <LeapProfiler as orp_core::ShardableSink>::merge(parts);
+            let reference_merged = Reference::merge(reference_parts);
+            prop_assert_eq!(state_of(&merged), reference_merged.state());
+            prop_assert_eq!(state_of(&merged), state_of(&p));
+            prop_assert_eq!(profile_of(merged), reference_merged.profile());
+            prop_assert_eq!(profile_of(p), reference.profile());
+        }
     }
 
     #[test]

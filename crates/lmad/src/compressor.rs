@@ -33,16 +33,25 @@ impl OverflowSummary {
 
     fn absorb(&mut self, point: &[i64]) {
         self.discarded += 1;
-        for (d, &p) in point.iter().enumerate() {
-            if p < self.min[d] {
+        let dims = self
+            .min
+            .iter_mut()
+            .zip(&mut self.max)
+            .zip(&mut self.granularity);
+        for (((min, max), g), &p) in dims.zip(point) {
+            // A granularity of 1 is final (every gcd with 1 is 1), so
+            // only the bounds still move.
+            if p < *min {
                 // Re-anchor the granularity on the new minimum.
-                let shift = (self.min[d] - p).unsigned_abs();
-                self.granularity[d] = gcd(self.granularity[d], shift);
-                self.min[d] = p;
+                if *g != 1 {
+                    *g = gcd(*g, (*min - p).unsigned_abs());
+                }
+                *min = p;
             }
-            self.max[d] = self.max[d].max(p);
-            let delta = (p - self.min[d]).unsigned_abs();
-            self.granularity[d] = gcd(self.granularity[d], delta);
+            *max = (*max).max(p);
+            if *g != 1 {
+                *g = gcd(*g, (p - *min).unsigned_abs());
+            }
         }
     }
 
@@ -51,6 +60,23 @@ impl OverflowSummary {
     #[must_use]
     pub fn encoded_bytes(&self) -> u64 {
         (self.min.len() as u64) * 24 + 8
+    }
+}
+
+/// The point `lmad` would absorb next: `start + stride * count`, with
+/// the same wrapping arithmetic as [`Lmad::element`] in release builds.
+fn continuation(lmad: &Lmad) -> impl Iterator<Item = i64> + '_ {
+    let count = lmad.count as i64;
+    lmad.start
+        .iter()
+        .zip(&lmad.stride)
+        .map(move |(&s, &d)| s.wrapping_add(d.wrapping_mul(count)))
+}
+
+/// Advances a cached continuation by one stride.
+fn step(next: &mut [i64], stride: &[i64]) {
+    for (n, &d) in next.iter_mut().zip(stride) {
+        *n = n.wrapping_add(d);
     }
 }
 
@@ -78,6 +104,12 @@ pub struct LinearCompressor {
     dims: usize,
     budget: usize,
     lmads: Vec<Lmad>,
+    /// Continuation cache, `dims` entries per descriptor: the point
+    /// `start + stride * count` each descriptor would absorb next, so
+    /// [`LinearCompressor::push`] compares slices instead of
+    /// materializing every descriptor's last element. Derived from
+    /// `lmads` alone (rebuilt on load, never serialized).
+    next: Vec<i64>,
     overflow: Option<OverflowSummary>,
     seen: u64,
 }
@@ -97,6 +129,7 @@ impl LinearCompressor {
             dims,
             budget,
             lmads: Vec::new(),
+            next: Vec::new(),
             overflow: None,
             seen: 0,
         }
@@ -123,10 +156,12 @@ impl LinearCompressor {
         overflow: Option<OverflowSummary>,
         seen: u64,
     ) -> Self {
+        let next = lmads.iter().flat_map(continuation).collect();
         LinearCompressor {
             dims,
             budget,
             lmads,
+            next,
             overflow,
             seen,
         }
@@ -155,9 +190,14 @@ impl LinearCompressor {
             return;
         }
         // Committed descriptors first, most recent first.
-        for lmad in self.lmads.iter_mut().rev() {
-            if lmad.count >= 2 && lmad.continues_with(point) {
-                lmad.extend_with(point);
+        let cached = self
+            .lmads
+            .iter_mut()
+            .zip(self.next.chunks_exact_mut(self.dims));
+        for (lmad, next) in cached.rev() {
+            if lmad.count >= 2 && *next == *point {
+                lmad.count += 1;
+                step(next, &lmad.stride);
                 return;
             }
         }
@@ -165,6 +205,10 @@ impl LinearCompressor {
         if let Some(cur) = self.lmads.last_mut() {
             if cur.count == 1 {
                 cur.extend_with(point);
+                let last = self.next.len() - self.dims;
+                for (n, c) in self.next[last..].iter_mut().zip(continuation(cur)) {
+                    *n = c;
+                }
                 return;
             }
         }
@@ -172,6 +216,7 @@ impl LinearCompressor {
             self.overflow = Some(OverflowSummary::new(point));
         } else {
             self.lmads.push(Lmad::singleton(point));
+            self.next.extend_from_slice(point);
         }
     }
 
@@ -232,6 +277,146 @@ impl LinearCompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The allocating algorithm the continuation cache replaced, kept as
+    /// the differential reference: every push materializes each
+    /// descriptor's last element through [`Lmad::continues_with`], and
+    /// every overflow point runs both gcds.
+    #[derive(Debug)]
+    struct Reference {
+        budget: usize,
+        lmads: Vec<Lmad>,
+        overflow: Option<OverflowSummary>,
+        seen: u64,
+    }
+
+    impl Reference {
+        fn new(budget: usize) -> Self {
+            Reference {
+                budget,
+                lmads: Vec::new(),
+                overflow: None,
+                seen: 0,
+            }
+        }
+
+        fn absorb(summary: &mut OverflowSummary, point: &[i64]) {
+            summary.discarded += 1;
+            for (d, &p) in point.iter().enumerate() {
+                if p < summary.min[d] {
+                    let shift = (summary.min[d] - p).unsigned_abs();
+                    summary.granularity[d] = gcd(summary.granularity[d], shift);
+                    summary.min[d] = p;
+                }
+                summary.max[d] = summary.max[d].max(p);
+                let delta = (p - summary.min[d]).unsigned_abs();
+                summary.granularity[d] = gcd(summary.granularity[d], delta);
+            }
+        }
+
+        fn push(&mut self, point: &[i64]) {
+            self.seen += 1;
+            if let Some(summary) = &mut self.overflow {
+                Self::absorb(summary, point);
+                return;
+            }
+            for lmad in self.lmads.iter_mut().rev() {
+                if lmad.count >= 2 && lmad.continues_with(point) {
+                    lmad.extend_with(point);
+                    return;
+                }
+            }
+            if let Some(cur) = self.lmads.last_mut() {
+                if cur.count == 1 {
+                    cur.extend_with(point);
+                    return;
+                }
+            }
+            if self.lmads.len() == self.budget {
+                self.overflow = Some(OverflowSummary::new(point));
+            } else {
+                self.lmads.push(Lmad::singleton(point));
+            }
+        }
+
+        fn assert_matches(&self, c: &LinearCompressor) {
+            assert_eq!(c.lmads(), self.lmads.as_slice());
+            assert_eq!(c.overflow(), self.overflow.as_ref());
+            assert_eq!(c.seen(), self.seen);
+        }
+    }
+
+    /// Point streams that reach every compressor path: linear runs
+    /// (which extend), interleaved runs (which extend an older
+    /// descriptor), and repeats and jumps (which open descriptors and
+    /// eventually overflow).
+    fn arb_stream(dims: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
+        let run = (
+            proptest::collection::vec(-40i64..40, dims),
+            proptest::collection::vec(-4i64..4, dims),
+            1u64..12,
+            any::<bool>(),
+        );
+        proptest::collection::vec(run, 0..12).prop_map(|runs| {
+            let mut pts: Vec<Vec<i64>> = Vec::new();
+            for (start, stride, count, interleave) in runs {
+                let at = |k: u64| -> Vec<i64> {
+                    start
+                        .iter()
+                        .zip(&stride)
+                        .map(|(&s, &d)| s + d * k as i64)
+                        .collect()
+                };
+                if interleave && pts.len() >= 2 {
+                    // Weave this run between the points already there.
+                    let mut woven = Vec::new();
+                    for (k, p) in pts.drain(..).enumerate() {
+                        woven.push(p);
+                        if (k as u64) < count {
+                            woven.push(at(k as u64));
+                        }
+                    }
+                    pts = woven;
+                } else {
+                    pts.extend((0..count).map(at));
+                }
+            }
+            pts
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cached_continuations_match_the_allocating_reference(
+            dims in 1usize..=3,
+            budget in 1usize..8,
+            seed_stream in arb_stream(3),
+            cut in 0usize..64,
+        ) {
+            let pts: Vec<Vec<i64>> = seed_stream.iter().map(|p| p[..dims].to_vec()).collect();
+            let mut c = LinearCompressor::new(dims, budget);
+            let mut reference = Reference::new(budget);
+            let cut = cut.min(pts.len());
+            for p in &pts[..cut] {
+                c.push(p);
+                reference.push(p);
+            }
+            reference.assert_matches(&c);
+            // Checkpoint mid-stream: the reloaded compressor rebuilds its
+            // cache from the descriptors and keeps agreeing.
+            let mut bytes = Vec::new();
+            c.write_to(&mut bytes).unwrap();
+            let mut c = LinearCompressor::read_from(&mut bytes.as_slice()).unwrap();
+            for p in &pts[cut..] {
+                c.push(p);
+                reference.push(p);
+                reference.assert_matches(&c);
+            }
+        }
+    }
 
     #[test]
     fn paper_offset_stream_example() {

@@ -109,11 +109,9 @@ impl Lmad {
     pub fn extend_with(&mut self, point: &[i64]) {
         debug_assert!(self.continues_with(point));
         if self.count == 1 {
-            self.stride = point
-                .iter()
-                .zip(&self.start)
-                .map(|(&p, &s)| p - s)
-                .collect();
+            for ((d, &p), &s) in self.stride.iter_mut().zip(point).zip(&self.start) {
+                *d = p - s;
+            }
         }
         self.count += 1;
     }

@@ -75,6 +75,10 @@ struct Shared {
     /// tenant is refused (`STATUS_BUSY`) so two writers can never race
     /// on one profile.
     active: Mutex<BTreeSet<String>>,
+    /// Handles of connection threads not yet joined. The accept loop
+    /// reaps finished ones on every accept: an exited thread that is
+    /// never joined keeps its stack, so without reaping daemon memory
+    /// would grow with every session ever served.
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -186,9 +190,19 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) -> io::Result<()> 
             let shared = Arc::clone(shared);
             move || serve_connection(stream, &shared)
         });
-        lock(&shared.conns).push(handle);
+        let mut conns = lock(&shared.conns);
+        reap_finished(&mut conns);
+        conns.push(handle);
     }
     Ok(())
+}
+
+/// Joins (and drops) every connection thread that has already exited,
+/// so retained handles are bounded by the live connections.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    for finished in conns.extract_if(.., |h| h.is_finished()) {
+        let _ = finished.join();
+    }
 }
 
 fn write_ack(out: &mut UnixStream, status: u64, resumed: u64, credits: u64) -> io::Result<()> {
@@ -228,15 +242,39 @@ fn serve_connection(stream: UnixStream, shared: &Arc<Shared>) {
         let _ = UnixStream::connect(&shared.config.socket);
         return;
     }
-    if !lock(&shared.active).insert(hello.tenant.clone()) {
+    let Some(claim) = TenantClaim::acquire(shared, &hello.tenant) else {
         OrpdStats::add(&shared.stats.sessions_rejected, 1);
         let _ = write_ack(&mut out, STATUS_BUSY, 0, 0);
         return;
-    }
-    let result = serve_tenant(&mut container, &mut out, &hello, shared);
-    lock(&shared.active).remove(&hello.tenant);
-    if result.is_err() {
+    };
+    if serve_tenant(&mut container, &mut out, &hello, claim, shared).is_err() {
         disconnected();
+    }
+}
+
+/// A tenant's slot in [`Shared::active`], released on drop.
+struct TenantClaim<'a> {
+    shared: &'a Shared,
+    tenant: &'a str,
+}
+
+impl<'a> TenantClaim<'a> {
+    /// Claims `tenant`, or `None` when another connection holds it.
+    fn acquire(shared: &'a Shared, tenant: &'a str) -> Option<Self> {
+        let claimed = lock(&shared.active).insert(tenant.to_owned());
+        // Build the guard only on success: dropping an unclaimed one
+        // would release the other connection's slot.
+        if claimed {
+            Some(TenantClaim { shared, tenant })
+        } else {
+            None
+        }
+    }
+}
+
+impl Drop for TenantClaim<'_> {
+    fn drop(&mut self) {
+        lock(&self.shared.active).remove(self.tenant);
     }
 }
 
@@ -255,6 +293,7 @@ fn serve_tenant(
     container: &mut ContainerReader<BufReader<UnixStream>>,
     out: &mut UnixStream,
     hello: &Hello,
+    claim: TenantClaim<'_>,
     shared: &Arc<Shared>,
 ) -> Result<(), FormatError> {
     let path = shared.config.dir.join(format!("{}.orp", hello.tenant));
@@ -325,6 +364,11 @@ fn serve_tenant(
         events: 0,
         salvaged: 0,
     });
+    // Release the tenant only now: its worker (and with it every
+    // checkpoint and the final profile) is done, so no second writer
+    // can race on its artifact. Releasing before DONE means a client
+    // that reconnects as soon as it reads DONE is never refused BUSY.
+    drop(claim);
     streamed.and_then(|()| {
         let status = if report.degraded {
             OrpdStats::add(&shared.stats.sessions_degraded, 1);
@@ -447,4 +491,46 @@ fn finalize_tenant(session: Session<LeapProfiler>, path: &Path) -> io::Result<()
     let mut af = AtomicFile::create(path)?;
     session.finalize(&mut af)?;
     af.commit()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{TenantClient, DONE_CLEAN};
+    use orp_trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, RawAddress};
+
+    #[test]
+    fn retained_connection_handles_stay_bounded_across_sessions() {
+        let dir = std::env::temp_dir().join(format!("orpd-unit-{}-reap", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let socket = dir.join("orpd.sock");
+        let daemon = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("daemon starts");
+        let hello = Hello::new("churn").expect("tenant name");
+        let events = [
+            ProbeEvent::Alloc(AllocEvent {
+                site: AllocSiteId(0),
+                base: RawAddress(0x1000),
+                size: 64,
+            }),
+            ProbeEvent::Access(AccessEvent::load(InstrId(1), RawAddress(0x1008), 8)),
+        ];
+        let mut most = 0;
+        for _ in 0..300 {
+            let mut client = TenantClient::connect(&socket, &hello).expect("session accepted");
+            for &ev in &events {
+                client.event(ev).expect("event");
+            }
+            assert_eq!(client.finish().expect("session ends").status, DONE_CLEAN);
+            most = most.max(lock(&daemon.shared.conns).len());
+        }
+        // Sessions run one at a time, so only the connection being
+        // served and one still exiting can be unjoined; without reaping
+        // this would be 300.
+        assert!(
+            most <= 3,
+            "{most} connection handles retained across 300 sequential sessions"
+        );
+        daemon.stop().expect("daemon drains");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -138,6 +138,45 @@ fn a_second_connection_for_a_live_tenant_is_refused() {
 }
 
 #[test]
+fn a_tenant_reconnecting_right_after_done_is_never_refused() {
+    let dir = tmp("reconnect");
+    let _ = std::fs::remove_dir_all(&dir);
+    let socket = dir.join("orpd.sock");
+    let daemon = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("daemon starts");
+
+    // The daemon releases a tenant before it sends DONE, so the next
+    // session of the same tenant, opened the moment DONE arrives, finds
+    // the slot free. Two tenants churn side by side so the daemon's
+    // threads compete for the CPU, as they do under real load.
+    let events = workload_events(8, 1);
+    let churners: Vec<_> = ["again-a", "again-b"]
+        .into_iter()
+        .map(|tenant| {
+            let socket = socket.clone();
+            let events = events.clone();
+            std::thread::spawn(move || {
+                for round in 0..200 {
+                    match stream_tenant(&socket, tenant, &events) {
+                        Ok(done) => assert_eq!(done.status, DONE_CLEAN, "{tenant} round {round}"),
+                        Err(e) => {
+                            panic!("{tenant} round {round}: reconnect refused or failed: {e}")
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for churner in churners {
+        churner.join().expect("every reconnect accepted");
+    }
+    let stats = daemon.stats();
+    assert_eq!(OrpdStats::get(&stats.sessions_rejected), 0);
+    assert_eq!(OrpdStats::get(&stats.sessions_finished), 400);
+    daemon.stop().expect("daemon drains");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_dying_worker_degrades_only_its_own_tenant() {
     let dir = tmp("poison");
     let _ = std::fs::remove_dir_all(&dir);

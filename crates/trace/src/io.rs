@@ -24,7 +24,7 @@
 use std::io::{self, Read, Write};
 
 use orp_format::{
-    read_u32_le, read_u64_le, read_varint, write_u32_le, write_u64_le, write_varint, ChunkTag,
+    read_varint, u32_from_le, u64_from_le, write_u32_le, write_u64_le, write_varint, ChunkTag,
     ContainerReader, ContainerWriter, FormatError, IoStats, ProfileKind,
 };
 
@@ -36,6 +36,11 @@ use crate::{
 const TAG_ACCESS: u8 = 1;
 const TAG_ALLOC: u8 = 2;
 const TAG_FREE: u8 = 3;
+
+/// Record widths after the tag byte (see the module docs).
+const ACCESS_LEN: usize = 14;
+const ALLOC_LEN: usize = 20;
+const FREE_LEN: usize = 8;
 
 /// Events per `TRCE` chunk.
 const BATCH_EVENTS: u64 = 4096;
@@ -225,47 +230,72 @@ pub fn decode_batch(payload: &[u8], sink: &mut dyn ProbeSink) -> Result<u64, For
     let mut r = payload;
     let count = read_varint(&mut r)?;
     for _ in 0..count {
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let [tag] = tag;
-        match tag {
+        let Some((&tag, rest)) = r.split_first() else {
+            return Err(FormatError::Truncated);
+        };
+        r = match tag {
             TAG_ACCESS => {
-                let instr = InstrId(read_u32_le(&mut r)?);
-                let mut meta = [0u8; 2];
-                r.read_exact(&mut meta)?;
-                let [kind_byte, size] = meta;
-                let kind = match kind_byte {
-                    0 => AccessKind::Load,
-                    1 => AccessKind::Store,
-                    _ => return Err(FormatError::Malformed("bad access kind")),
+                let Some((&[i0, i1, i2, i3, kind, size, addr @ ..], rest)) =
+                    rest.split_first_chunk::<ACCESS_LEN>()
+                else {
+                    return Err(short_access(rest));
                 };
-                let addr = RawAddress(read_u64_le(&mut r)?);
                 sink.access(AccessEvent {
-                    instr,
-                    kind,
-                    addr,
+                    instr: InstrId(u32_from_le([i0, i1, i2, i3])),
+                    kind: access_kind(kind)?,
+                    addr: RawAddress(u64_from_le(addr)),
                     size,
                 });
+                rest
             }
             TAG_ALLOC => {
+                let Some((&[s0, s1, s2, s3, base @ .., z0, z1, z2, z3, z4, z5, z6, z7], rest)) =
+                    rest.split_first_chunk::<ALLOC_LEN>()
+                else {
+                    return Err(FormatError::Truncated);
+                };
                 sink.alloc(AllocEvent {
-                    site: AllocSiteId(read_u32_le(&mut r)?),
-                    base: RawAddress(read_u64_le(&mut r)?),
-                    size: read_u64_le(&mut r)?,
+                    site: AllocSiteId(u32_from_le([s0, s1, s2, s3])),
+                    base: RawAddress(u64_from_le(base)),
+                    size: u64_from_le([z0, z1, z2, z3, z4, z5, z6, z7]),
                 });
+                rest
             }
             TAG_FREE => {
+                let Some((&base, rest)) = rest.split_first_chunk::<FREE_LEN>() else {
+                    return Err(FormatError::Truncated);
+                };
                 sink.free(FreeEvent {
-                    base: RawAddress(read_u64_le(&mut r)?),
+                    base: RawAddress(u64_from_le(base)),
                 });
+                rest
             }
             _ => return Err(FormatError::Malformed("unknown trace record tag")),
-        }
+        };
     }
     if !r.is_empty() {
         return Err(FormatError::Malformed("trailing bytes in trace batch"));
     }
     Ok(count)
+}
+
+fn access_kind(byte: u8) -> Result<AccessKind, FormatError> {
+    match byte {
+        0 => Ok(AccessKind::Load),
+        1 => Ok(AccessKind::Store),
+        _ => Err(FormatError::Malformed("bad access kind")),
+    }
+}
+
+/// The error for an access record cut short. The kind byte is judged
+/// as soon as the instruction and kind/size bytes are present, so a bad
+/// kind outranks a missing address, exactly as a field-by-field reader
+/// reports it.
+fn short_access(rest: &[u8]) -> FormatError {
+    match rest.get(4..6) {
+        Some(&[kind, _]) => access_kind(kind).err().unwrap_or(FormatError::Truncated),
+        _ => FormatError::Truncated,
+    }
 }
 
 /// Replays a trace container into any probe sink, returning the number
@@ -332,6 +362,133 @@ pub fn to_bytes(events: &[ProbeEvent]) -> io::Result<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::VecSink;
+    use orp_format::{read_u32_le, read_u64_le};
+
+    /// The field-by-field `read_exact` decoder the slice parser
+    /// replaced, kept as the error-parity reference.
+    fn decode_batch_reference(
+        payload: &[u8],
+        sink: &mut dyn ProbeSink,
+    ) -> Result<u64, FormatError> {
+        let mut r = payload;
+        let count = read_varint(&mut r)?;
+        for _ in 0..count {
+            let mut tag = [0u8; 1];
+            r.read_exact(&mut tag)?;
+            match tag[0] {
+                TAG_ACCESS => {
+                    let instr = InstrId(read_u32_le(&mut r)?);
+                    let mut meta = [0u8; 2];
+                    r.read_exact(&mut meta)?;
+                    let [kind_byte, size] = meta;
+                    let kind = match kind_byte {
+                        0 => AccessKind::Load,
+                        1 => AccessKind::Store,
+                        _ => return Err(FormatError::Malformed("bad access kind")),
+                    };
+                    let addr = RawAddress(read_u64_le(&mut r)?);
+                    sink.access(AccessEvent {
+                        instr,
+                        kind,
+                        addr,
+                        size,
+                    });
+                }
+                TAG_ALLOC => {
+                    sink.alloc(AllocEvent {
+                        site: AllocSiteId(read_u32_le(&mut r)?),
+                        base: RawAddress(read_u64_le(&mut r)?),
+                        size: read_u64_le(&mut r)?,
+                    });
+                }
+                TAG_FREE => {
+                    sink.free(FreeEvent {
+                        base: RawAddress(read_u64_le(&mut r)?),
+                    });
+                }
+                _ => return Err(FormatError::Malformed("unknown trace record tag")),
+            }
+        }
+        if !r.is_empty() {
+            return Err(FormatError::Malformed("trailing bytes in trace batch"));
+        }
+        Ok(count)
+    }
+
+    /// Decodes `payload` with both decoders and requires the same
+    /// outcome: the same result or error variant (compared through
+    /// `Debug`, which spells out the variant and its message) and the
+    /// same events delivered before it.
+    fn assert_parity(payload: &[u8], what: &str) {
+        let mut got_sink = VecSink::new();
+        let got = decode_batch(payload, &mut got_sink);
+        let mut want_sink = VecSink::new();
+        let want = decode_batch_reference(payload, &mut want_sink);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        assert_eq!(got_sink.events(), want_sink.events(), "{what}");
+    }
+
+    #[test]
+    fn decode_errors_match_the_field_by_field_reader() {
+        let events = sample_events();
+        let payload = encode_batch(&events).unwrap();
+        assert_parity(&payload, "clean batch");
+        for len in 0..payload.len() {
+            assert_parity(&payload[..len], &format!("truncated to {len} bytes"));
+        }
+        // Every byte through every tag, kind and boundary value, whole
+        // and cut short after it: bad kinds, unknown tags and count
+        // varints that disagree with the records.
+        for pos in 0..payload.len() {
+            for value in [0u8, 1, 2, 3, 0x7F, 0x80, 0xFF] {
+                let mut damaged = payload.clone();
+                damaged[pos] = value;
+                assert_parity(&damaged, &format!("byte {pos} set to {value:#x}"));
+                for len in pos + 1..damaged.len() {
+                    assert_parity(
+                        &damaged[..len],
+                        &format!("byte {pos} = {value:#x}, cut at {len}"),
+                    );
+                }
+            }
+        }
+        let mut trailing = payload.clone();
+        trailing.extend_from_slice(&[TAG_FREE, 0, 0]);
+        assert_parity(&trailing, "trailing bytes");
+        assert!(matches!(
+            decode_batch(&trailing, &mut VecSink::new()),
+            Err(FormatError::Malformed("trailing bytes in trace batch"))
+        ));
+    }
+
+    #[test]
+    fn decode_error_variants_are_typed() {
+        let payload = encode_batch(&sample_events()).unwrap();
+        // sample_events: alloc (1+20), load (1+14), store (1+14), free (1+8).
+        let load = 1 + 21;
+        let decode = |bytes: &[u8]| decode_batch(bytes, &mut VecSink::new());
+        assert!(matches!(
+            decode(&payload[..load + 3]),
+            Err(FormatError::Truncated)
+        ));
+        let mut bad_kind = payload.clone();
+        bad_kind[load + 5] = 9;
+        assert!(matches!(
+            decode(&bad_kind),
+            Err(FormatError::Malformed("bad access kind"))
+        ));
+        // The kind byte is judged before the missing address.
+        assert!(matches!(
+            decode(&bad_kind[..load + 7]),
+            Err(FormatError::Malformed("bad access kind"))
+        ));
+        let mut bad_tag = payload.clone();
+        bad_tag[load] = 0x42;
+        assert!(matches!(
+            decode(&bad_tag),
+            Err(FormatError::Malformed("unknown trace record tag"))
+        ));
+    }
 
     fn sample_events() -> Vec<ProbeEvent> {
         vec![

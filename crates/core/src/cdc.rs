@@ -117,6 +117,20 @@ impl<S: OrSink> Cdc<S> {
         &mut self.sink
     }
 
+    /// Swaps the profiler for `f(profiler)`, keeping the OMC, the
+    /// sampler and the counters.
+    #[must_use]
+    pub fn map_sink<T>(self, f: impl FnOnce(S) -> T) -> Cdc<T> {
+        Cdc {
+            omc: self.omc,
+            sink: f(self.sink),
+            sampler: self.sampler,
+            time: self.time,
+            untracked: self.untracked,
+            probe_anomalies: self.probe_anomalies,
+        }
+    }
+
     /// Consumes the CDC, returning the OMC and the profiler.
     #[must_use]
     pub fn into_parts(self) -> (Omc, S) {

@@ -65,6 +65,13 @@ pub trait SessionSink: OrSink + Sized {
     /// Propagates writer errors.
     fn save_state(&self, w: &mut impl Write) -> io::Result<()>;
 
+    /// Brings the in-progress state to rest before
+    /// [`SessionSink::save_state`]: a sink that buffers input for
+    /// worker threads ships what it holds, so the state it then saves
+    /// covers every tuple received. [`Session::checkpoint`] calls it;
+    /// the default does nothing.
+    fn quiesce(&mut self) {}
+
     /// Rebuilds a profiler from state written by
     /// [`SessionSink::save_state`].
     ///
@@ -179,6 +186,20 @@ impl<S: SessionSink> Session<S> {
         &mut self.cdc
     }
 
+    /// Swaps the profiler behind the session for `f(profiler)`,
+    /// keeping the translator, sampler and every counter — e.g. to
+    /// continue a restored profiler on grammar workers. The new sink
+    /// must hold the same profiler state, or a later checkpoint would
+    /// not match the stream it claims to cover.
+    #[must_use]
+    pub fn map_sink<T: SessionSink>(self, f: impl FnOnce(S) -> T) -> Session<T> {
+        Session {
+            cdc: self.cdc.map_sink(f),
+            events: self.events,
+            stats: self.stats,
+        }
+    }
+
     /// Consumes the session, returning the CDC.
     #[must_use]
     pub fn into_cdc(self) -> Cdc<S> {
@@ -234,6 +255,7 @@ impl<S: SessionSink> Session<S> {
         let mut snks = Vec::new();
         write_varint(&mut snks, S::STATE_NAME.len() as u64)?;
         snks.extend_from_slice(S::STATE_NAME.as_bytes());
+        self.cdc.sink_mut().quiesce();
         self.cdc.sink().save_state(&mut snks)?;
         container.chunk(ChunkTag::SINK_STATE, &snks)?;
         container.finish()?;

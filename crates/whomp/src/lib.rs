@@ -115,11 +115,15 @@ impl WhompProfiler {
     /// Finalizes the profile into an [`Omsg`].
     #[must_use]
     pub fn into_omsg(self) -> Omsg {
+        // Drop each compressor as soon as its grammar is built:
+        // holding all four beside all four grammars would set a WHOMP
+        // replay's peak RSS.
+        let finish = |seq: Sequitur| seq.grammar();
         Omsg {
-            instr: self.instr.grammar(),
-            group: self.group.grammar(),
-            object: self.object.grammar(),
-            offset: self.offset.grammar(),
+            instr: finish(self.instr),
+            group: finish(self.group),
+            object: finish(self.object),
+            offset: finish(self.offset),
             tuples: self.tuples,
         }
     }

@@ -26,6 +26,27 @@
 //! worker, in collection order, whatever the batch size — so batch
 //! boundaries and thread scheduling are unobservable in the output.
 //!
+//! # In-flight memory
+//!
+//! A lane's buffers are the ones queued (at most [`QUEUE_BATCHES`]),
+//! the one its worker is applying, and one pending batch per stream
+//! routed to it; a recycled buffer is one of those parked on the
+//! return channel, and a fresh one is allocated only when that channel
+//! is empty *after* a send. So a one-stream lane never holds more than
+//! [`LANE_BUFFERS`] buffers of [`SYMBOL_BATCH`] symbols: 4 × 2048 × 8 B
+//! = 64 KiB per dimension, 256 KiB for the four WHOMP lanes (DESIGN.md
+//! §13 has the measurements behind the constants).
+//!
+//! # Checkpoint barrier
+//!
+//! [`PipelinedWhomp`] is a [`SessionSink`](orp_core::SessionSink):
+//! `quiesce` flushes the pending batches, then `save_state` sends each
+//! lane a snapshot request *behind* those batches. A worker answers
+//! only after applying everything queued before the request, so the
+//! serialized grammars are exactly the sequential profiler's at the
+//! same tuple — the checkpoint bytes are identical to
+//! [`WhompProfiler`]'s.
+//!
 //! # Determinism argument
 //!
 //! Sequitur is a deterministic function of its input stream. Each
@@ -44,8 +65,11 @@
 //! accepting (and dropping) symbols after a worker dies — no deadlock,
 //! no cascading panic mid-collection — and the failure surfaces as a
 //! [`PipelineError`] naming the worker at join, exactly like
-//! [`ShardedCdc::try_join`](orp_core::ShardedCdc::try_join).
+//! [`ShardedCdc::try_join`](orp_core::ShardedCdc::try_join). A
+//! checkpoint taken after the death fails with an [`io::Error`] instead
+//! of writing a grammar with a hole in it.
 
+use std::io;
 use std::time::Instant;
 
 use orp_core::sharded::panic_message;
@@ -58,23 +82,40 @@ use orp_trace::{AccessEvent, ProbeSink};
 
 use crate::{fuse, HybridProfiler, RasgProfiler, WhompProfiler};
 
-/// Symbols per batch shipped to a grammar worker.
+/// Symbols per batch shipped to a grammar worker. On the seven-trace
+/// WHOMP replay (DESIGN.md §13) 2048 matched 4096 in throughput at
+/// ~0.3 MiB less peak RSS; 1024 started to lose throughput to
+/// per-batch hand-offs without saving more memory.
 #[cfg(not(loom))]
-const SYMBOL_BATCH: usize = 8192;
+const SYMBOL_BATCH: usize = 2048;
 /// Model-checking build: tiny batches so a handful of symbols crosses
 /// several channel transitions without exploding the schedule space.
 #[cfg(loom)]
 const SYMBOL_BATCH: usize = 2;
 
 /// Bounded queue depth, in batches, of every grammar-worker channel.
+/// Two batches cover a worker's scheduling jitter (depth 1 lost ~5%
+/// throughput); deeper queues only hold more memory — depth 32 with
+/// 8192-symbol batches nearly doubled the replay's peak RSS.
 #[cfg(not(loom))]
-const QUEUE_BATCHES: usize = 32;
+const QUEUE_BATCHES: usize = 2;
 /// Model-checking build: depth 1 makes back-pressure reachable.
 #[cfg(loom)]
 const QUEUE_BATCHES: usize = 1;
 
+/// The most buffers a lane serving one stream ever holds: the
+/// [`QUEUE_BATCHES`] queued, one inside the worker, one pending on the
+/// feed side (each further stream on the lane adds its pending buffer).
+/// Written out rather than derived, so that raising the queue depth
+/// fails the lane-budget test instead of showing up only as RSS.
+#[cfg(not(loom))]
+const LANE_BUFFERS: usize = 4;
+#[cfg(loom)]
+const LANE_BUFFERS: usize = QUEUE_BATCHES + 2;
+const _: () = assert!(QUEUE_BATCHES + 2 <= LANE_BUFFERS);
+
 /// The OMSG dimension names, in stream order.
-const DIMS: [&str; 4] = ["instruction", "group", "object", "offset"];
+pub(crate) const DIMS: [&str; 4] = ["instruction", "group", "object", "offset"];
 
 /// One symbol stream's feed-side totals, counted on the collection
 /// thread; plain integers bumped inline, published only at join.
@@ -173,54 +214,115 @@ struct WorkerStream {
     busy_ns: u64,
 }
 
-/// One worker's inbound lane: its symbol channel, the buffer-recycling
-/// return channel, and the hung-up flag.
+/// The serialized grammars a worker hands back for a snapshot request,
+/// one `(stream, Sequitur state)` pair per stream it owns.
+type SnapshotReply = io::Result<Vec<(u8, Vec<u8>)>>;
+
+/// What travels down a grammar lane.
+#[derive(Debug)]
+enum LaneMsg {
+    /// Symbols for one stream, in collection order.
+    Batch(u8, Vec<u64>),
+    /// The checkpoint barrier: serialize every owned grammar once all
+    /// batches queued ahead of this request have been applied.
+    Snapshot(SyncSender<SnapshotReply>),
+}
+
+/// Sends `msg` on a bounded lane, counting it in `batches` — or in
+/// `stalls` too when the queue was full and the send had to block
+/// (collection out-ran grammar construction). A hung-up worker clears
+/// `tx`; the message is dropped and the panic surfaces at join.
+fn send_counted<T>(tx: &mut Option<SyncSender<T>>, msg: T, batches: &mut u64, stalls: &mut u64) {
+    let Some(sender) = tx else {
+        return;
+    };
+    // Non-blocking first, so a full queue is observable as a stall
+    // before the blocking send parks this thread.
+    let delivered = match sender.try_send(msg) {
+        Ok(()) => true,
+        Err(TrySendError::Full(msg)) => {
+            *stalls += 1;
+            sender.send(msg).is_ok()
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    };
+    if delivered {
+        *batches += 1;
+    } else {
+        *tx = None;
+    }
+}
+
+/// The replacement buffer after a send: a recycled one when the return
+/// channel has any, else a fresh allocation counted in `allocated`.
+/// Called only *after* the send, so a full queue has already been
+/// waited out and the lane holds at most [`LANE_BUFFERS`] buffers.
+fn recycle_or_alloc<T>(recycled: &Receiver<Vec<T>>, allocated: &mut usize) -> Vec<T> {
+    recycled.try_recv().unwrap_or_else(|_| {
+        *allocated += 1;
+        Vec::with_capacity(SYMBOL_BATCH)
+    })
+}
+
+/// One worker's inbound lane: its message channel (`None` once the
+/// worker hung up), the buffer-recycling return channel, and how many
+/// buffers the lane has allocated.
 #[derive(Debug)]
 struct SymbolLane {
-    tx: Option<SyncSender<(u8, Vec<u64>)>>,
+    tx: Option<SyncSender<LaneMsg>>,
     recycled: Receiver<Vec<u64>>,
+    allocated: usize,
 }
 
 impl SymbolLane {
-    /// Ships `batch` for stream `stream`, returning a fresh (recycled
-    /// or new) buffer. Stall and batch totals land in `stats`; a dead
+    /// Ships `batch` for stream `stream`, returning an empty buffer for
+    /// the next one. Stall and batch totals land in `stats`; a dead
     /// worker marks the lane and the batch is dropped — the panic
     /// surfaces at join.
     fn ship(&mut self, stream: u8, batch: Vec<u64>, stats: &mut GrammarStreamStats) -> Vec<u64> {
-        let fresh = self
-            .recycled
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(SYMBOL_BATCH));
-        let Some(tx) = &self.tx else {
-            return fresh;
-        };
-        // Non-blocking first, so a full queue — the worker
-        // back-pressuring collection — is observable as a stall before
-        // the blocking send parks this thread.
-        match tx.try_send((stream, batch)) {
-            Ok(()) => stats.batches += 1,
-            Err(TrySendError::Full(batch)) => {
-                stats.stalls += 1;
-                match tx.send(batch) {
-                    Ok(()) => stats.batches += 1,
-                    Err(mpsc::SendError(_)) => self.tx = None,
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => self.tx = None,
-        }
-        fresh
+        let msg = LaneMsg::Batch(stream, batch);
+        send_counted(&mut self.tx, msg, &mut stats.batches, &mut stats.stalls);
+        recycle_or_alloc(&self.recycled, &mut self.allocated)
     }
+
+    /// Queues a snapshot request behind every batch already shipped,
+    /// returning the channel the worker will answer on.
+    fn request_snapshot(&self, index: usize) -> io::Result<Receiver<SnapshotReply>> {
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+        let sent = self
+            .tx
+            .as_ref()
+            .is_some_and(|tx| tx.send(LaneMsg::Snapshot(reply_tx)).is_ok());
+        if sent {
+            Ok(reply_rx)
+        } else {
+            Err(dead_worker(index))
+        }
+    }
+}
+
+/// The checkpoint error for a grammar worker that is gone: its grammar
+/// died with its thread, so no coherent state can be written.
+fn dead_worker(index: usize) -> io::Error {
+    io::Error::other(format!(
+        "grammar worker {index} died; its grammar state is lost"
+    ))
 }
 
 /// Spawns one grammar worker owning the given `(stream, Sequitur)`
 /// pairs; it drains its lane, feeds each batch to the right grammar
-/// with [`Sequitur::push_batch`], and returns the streams at shutdown.
+/// with [`Sequitur::push_batch`], answers snapshot requests in lane
+/// order, and returns the streams at shutdown.
 fn spawn_grammar_worker(
     index: usize,
     streams: Vec<(u8, Sequitur)>,
 ) -> (SymbolLane, JoinHandle<Vec<WorkerStream>>) {
-    let (tx, rx) = mpsc::sync_channel::<(u8, Vec<u64>)>(QUEUE_BATCHES);
-    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<u64>>(QUEUE_BATCHES);
+    let (tx, rx) = mpsc::sync_channel::<LaneMsg>(QUEUE_BATCHES);
+    // Mid-ship the feed side holds no buffer for the stream it is
+    // shipping, so all of that stream's buffers but the worker's own can
+    // be parked here: two slots more than the queue, and recycling never
+    // drops (and later reallocates) one.
+    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<u64>>(QUEUE_BATCHES + 2);
     let handle = thread::Builder::new()
         .name(format!("orp-grammar-{index}"))
         .spawn(move || {
@@ -232,17 +334,32 @@ fn spawn_grammar_worker(
                     busy_ns: 0,
                 })
                 .collect();
-            while let Ok((stream, batch)) = rx.recv() {
-                let slot = streams
-                    .iter_mut()
-                    .find(|s| s.stream == stream)
-                    .expect("batch routed to a worker that does not own its stream");
-                let start = Instant::now();
-                slot.seq.push_batch(&batch);
-                slot.busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let mut spent = batch;
-                spent.clear();
-                let _ = recycle_tx.try_send(spent);
+            while let Ok(msg) = rx.recv() {
+                match msg {
+                    LaneMsg::Batch(stream, batch) => {
+                        let slot = streams
+                            .iter_mut()
+                            .find(|s| s.stream == stream)
+                            .expect("batch routed to a worker that does not own its stream");
+                        let start = Instant::now();
+                        slot.seq.push_batch(&batch);
+                        slot.busy_ns +=
+                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        let mut spent = batch;
+                        spent.clear();
+                        let _ = recycle_tx.try_send(spent);
+                    }
+                    LaneMsg::Snapshot(reply) => {
+                        let states = streams
+                            .iter()
+                            .map(|s| {
+                                let mut state = Vec::new();
+                                s.seq.save_state(&mut state).map(|()| (s.stream, state))
+                            })
+                            .collect();
+                        let _ = reply.send(states);
+                    }
+                }
             }
             streams
         })
@@ -251,6 +368,7 @@ fn spawn_grammar_worker(
         SymbolLane {
             tx: Some(tx),
             recycled: recycle_rx,
+            allocated: 0,
         },
         handle,
     )
@@ -287,8 +405,11 @@ fn join_grammar_workers(
 ///
 /// Output is byte-identical to the sequential profiler (see the
 /// [module docs](self)); [`PipelinedWhomp::try_join`] hands the
-/// reassembled [`WhompProfiler`] back, so checkpointing and
-/// finalization reuse the sequential paths unchanged.
+/// reassembled [`WhompProfiler`] back, so finalization reuses the
+/// sequential path unchanged. As a [`SessionSink`](orp_core::SessionSink)
+/// it checkpoints mid-run through a barrier on every lane, writing the
+/// same state bytes as [`WhompProfiler`] under the same state name, so
+/// a checkpoint from either resumes on either.
 ///
 /// # Examples
 ///
@@ -320,6 +441,20 @@ pub struct PipelinedWhomp {
 }
 
 impl PipelinedWhomp {
+    /// The grammar-worker count a WHOMP run uses when none is pinned:
+    /// one per dimension when the host has at least two CPUs to overlap
+    /// them on, and `0` — inline construction — on a one-CPU host,
+    /// where worker threads would only add hand-off cost.
+    #[must_use]
+    pub fn default_workers() -> usize {
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        if cpus >= 2 {
+            DIMS.len()
+        } else {
+            0
+        }
+    }
+
     /// Spawns an empty pipelined profiler with `workers` grammar
     /// workers (clamped to the four dimensions; at least one).
     ///
@@ -332,9 +467,8 @@ impl PipelinedWhomp {
     }
 
     /// Continues a (possibly restored) [`WhompProfiler`] on `workers`
-    /// grammar workers — the resume half of checkpointing through a
-    /// grammar-worker boundary. Dimension `d` routes to worker
-    /// `d % workers`, which owns that dimension's Sequitur.
+    /// grammar workers. Dimension `d` routes to worker `d % workers`,
+    /// which owns that dimension's Sequitur.
     ///
     /// # Panics
     ///
@@ -383,7 +517,9 @@ impl PipelinedWhomp {
         self.tuples
     }
 
-    fn flush(&mut self) {
+    /// Ships every non-empty pending batch to its lane — the feed half
+    /// of the checkpoint barrier, and the last flush before join.
+    pub(crate) fn flush(&mut self) {
         for dim in 0..4 {
             if self.pending[dim].is_empty() {
                 continue;
@@ -392,6 +528,41 @@ impl PipelinedWhomp {
             self.pending[dim] =
                 self.lanes[self.route[dim]].ship(dim as u8, batch, &mut self.stats[dim]);
         }
+    }
+
+    /// Serializes the profiler state — byte-identical to
+    /// [`WhompProfiler`]'s `save_state` at the same tuple — by asking
+    /// every worker for its grammars behind the batches already
+    /// shipped. Every lane is asked before any answer is awaited, so
+    /// the workers serialize concurrently.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a batch is still pending (flush first), or if a worker
+    /// has died — its grammar is gone, so there is no state to write.
+    pub(crate) fn write_state(&self, w: &mut impl io::Write) -> io::Result<()> {
+        if self.pending.iter().any(|p| !p.is_empty()) {
+            return Err(io::Error::other(
+                "pipelined WHOMP state saved with batches still pending",
+            ));
+        }
+        let replies: Vec<_> = self
+            .lanes
+            .iter()
+            .enumerate()
+            .map(|(i, lane)| lane.request_snapshot(i))
+            .collect::<io::Result<_>>()?;
+        let mut dims: [Vec<u8>; 4] = Default::default();
+        for (i, reply) in replies.into_iter().enumerate() {
+            for (stream, state) in reply.recv().map_err(|_| dead_worker(i))?? {
+                dims[stream as usize] = state;
+            }
+        }
+        orp_format::write_varint(w, self.tuples)?;
+        for state in &dims {
+            w.write_all(state)?;
+        }
+        Ok(())
     }
 
     /// Flushes remaining symbols, shuts the workers down and
@@ -565,6 +736,7 @@ impl Drop for PipelinedRasg {
 struct TupleLane {
     tx: Option<SyncSender<Vec<OrTuple>>>,
     recycled: Receiver<Vec<OrTuple>>,
+    allocated: usize,
     pending: Vec<OrTuple>,
     batches: u64,
     stalls: u64,
@@ -597,7 +769,7 @@ impl PipelinedHybrid {
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let (tx, rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
-            let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
+            let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES + 2);
             let handle = thread::Builder::new()
                 .name(format!("orp-grammar-{i}"))
                 .spawn(move || {
@@ -617,6 +789,7 @@ impl PipelinedHybrid {
             lanes.push(TupleLane {
                 tx: Some(tx),
                 recycled: recycle_rx,
+                allocated: 0,
                 pending: Vec::with_capacity(SYMBOL_BATCH),
                 batches: 0,
                 stalls: 0,
@@ -634,25 +807,9 @@ impl PipelinedHybrid {
         if lane.pending.is_empty() {
             return;
         }
-        let fresh = lane
-            .recycled
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(SYMBOL_BATCH));
-        let batch = std::mem::replace(&mut lane.pending, fresh);
-        let Some(tx) = &lane.tx else {
-            return;
-        };
-        match tx.try_send(batch) {
-            Ok(()) => lane.batches += 1,
-            Err(TrySendError::Full(batch)) => {
-                lane.stalls += 1;
-                match tx.send(batch) {
-                    Ok(()) => lane.batches += 1,
-                    Err(mpsc::SendError(_)) => lane.tx = None,
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => lane.tx = None,
-        }
+        let batch = std::mem::take(&mut lane.pending);
+        send_counted(&mut lane.tx, batch, &mut lane.batches, &mut lane.stalls);
+        lane.pending = recycle_or_alloc(&lane.recycled, &mut lane.allocated);
     }
 
     /// Flushes remaining tuples, shuts the workers down and merges the
@@ -801,5 +958,113 @@ mod tests {
         let mut want = Vec::new();
         reference.save_state(&mut want).unwrap();
         assert_eq!(got, want);
+    }
+
+    /// A tuple stream with little repetition, so Sequitur works hard
+    /// per symbol and the feed side keeps running into full queues.
+    fn churning_tuples(n: u64) -> Vec<OrTuple> {
+        (0..n)
+            .map(|t| {
+                let mixed = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                OrTuple {
+                    instr: orp_trace::InstrId((mixed % 61) as u32),
+                    kind: orp_trace::AccessKind::Load,
+                    group: orp_core::GroupId((mixed % 5) as u32),
+                    object: orp_core::ObjectSerial(mixed % 997),
+                    offset: (mixed % 89) * 8,
+                    time: orp_core::Timestamp(t),
+                    size: 8,
+                }
+            })
+            .collect()
+    }
+
+    /// The in-flight memory bound (module docs, "In-flight memory"): a
+    /// lane's live buffers — queued, recycled, inside the worker and
+    /// pending — never exceed [`LANE_BUFFERS`], plus one pending buffer
+    /// per further stream the lane serves. Recycling never drops a
+    /// buffer, so the buffers a lane ever allocated are its peak live
+    /// set. The byte budget is pinned here on purpose: a bigger batch or
+    /// a deeper queue must come with new measurements (DESIGN.md §13),
+    /// not only with higher RSS.
+    #[test]
+    fn lane_buffers_stay_within_the_documented_budget() {
+        assert_eq!(
+            LANE_BUFFERS * SYMBOL_BATCH * std::mem::size_of::<u64>(),
+            64 * 1024,
+            "per-dimension in-flight budget changed"
+        );
+        let tuples = churning_tuples(24 * SYMBOL_BATCH as u64 + 77);
+        for workers in 1..=4 {
+            let mut pipe = PipelinedWhomp::spawn(workers);
+            for (i, t) in tuples.iter().enumerate() {
+                pipe.tuple(t);
+                if i == tuples.len() / 2 {
+                    // A checkpoint barrier mid-stream ships partial
+                    // batches; it must not grow the live set either.
+                    pipe.flush();
+                    pipe.write_state(&mut Vec::new()).expect("healthy workers");
+                }
+            }
+            pipe.finish();
+            for (lane, l) in pipe.lanes.iter().enumerate() {
+                let streams = pipe.route.iter().filter(|&&r| r == lane).count();
+                let live = streams + l.allocated;
+                assert!(
+                    live < LANE_BUFFERS + streams,
+                    "{workers} workers, lane {lane}: {live} buffers for {streams} streams"
+                );
+            }
+            pipe.try_join().expect("healthy workers");
+
+            let mut hybrid = PipelinedHybrid::spawn(workers);
+            for t in &tuples {
+                hybrid.tuple(t);
+            }
+            hybrid.finish();
+            for (lane, l) in hybrid.lanes.iter().enumerate() {
+                let live = 1 + l.allocated;
+                assert!(live <= LANE_BUFFERS, "hybrid lane {lane}: {live} buffers");
+            }
+            hybrid.try_join().expect("healthy workers");
+        }
+    }
+
+    /// A checkpoint after a grammar worker died must fail with an
+    /// `io::Error` naming the worker — promptly, not by waiting forever
+    /// on an answer the dead worker will never send.
+    #[test]
+    fn checkpoint_with_a_dead_worker_fails_instead_of_hanging() {
+        use orp_core::{Cdc, Omc, Session};
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let driver = std::thread::spawn(move || {
+            let mut pipe = PipelinedWhomp::spawn(4);
+            for t in &churning_tuples(3 * SYMBOL_BATCH as u64) {
+                pipe.tuple(t);
+            }
+            // Stream 9 belongs to no worker: lane 2's worker panics on it.
+            let poison = pipe.lanes[2].ship(9, vec![1], &mut GrammarStreamStats::default());
+            drop(poison);
+            let mut session = Session::from_cdc(Cdc::new(Omc::new(), pipe));
+            let mut first = Vec::new();
+            let first = session.checkpoint(&mut first).map_err(|e| e.to_string());
+            // A second attempt finds the lane already marked dead.
+            let second = session
+                .checkpoint(&mut Vec::new())
+                .map_err(|e| e.to_string());
+            let joined = session.into_cdc().into_parts().1.try_join().map(|_| ());
+            let _ = done_tx.send((first, second, joined));
+        });
+        let (first, second, joined) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("checkpoint with a dead grammar worker hung");
+        driver.join().expect("driver thread finished");
+        for attempt in [first, second] {
+            let err = attempt.expect_err("checkpoint must fail");
+            assert!(err.contains("grammar worker 2"), "{err}");
+        }
+        let err = joined.expect_err("the panic surfaces at join");
+        assert_eq!(err.worker, "grammar worker 2");
     }
 }

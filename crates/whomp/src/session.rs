@@ -5,6 +5,12 @@
 //! verbatim (nodes, rules, digram index), so a restored profiler
 //! continues the stream exactly where the original stopped and the
 //! finished grammar is byte-identical to an uninterrupted run's.
+//!
+//! [`PipelinedWhomp`] shares the state name and the state bytes: its
+//! checkpoint is a barrier through the grammar lanes (see the
+//! [pipeline docs](crate::pipeline)), and it restores by continuing a
+//! restored [`WhompProfiler`] on one worker per dimension. Either
+//! engine's checkpoint therefore resumes on the other.
 
 use std::io::{self, Read, Write};
 
@@ -12,7 +18,8 @@ use orp_core::SessionSink;
 use orp_format::{read_varint, write_varint};
 use orp_sequitur::Sequitur;
 
-use crate::WhompProfiler;
+use crate::pipeline::DIMS;
+use crate::{PipelinedWhomp, WhompProfiler};
 
 fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -51,6 +58,27 @@ impl SessionSink for WhompProfiler {
 
     fn finalize_profile(self, w: &mut impl Write) -> io::Result<()> {
         self.into_omsg().write_to(w)
+    }
+}
+
+impl SessionSink for PipelinedWhomp {
+    const STATE_NAME: &'static str = WhompProfiler::STATE_NAME;
+
+    fn quiesce(&mut self) {
+        self.flush();
+    }
+
+    fn save_state(&self, w: &mut impl Write) -> io::Result<()> {
+        self.write_state(w)
+    }
+
+    fn restore_state(r: &mut impl Read) -> io::Result<Self> {
+        WhompProfiler::restore_state(r).map(|p| PipelinedWhomp::from_profiler(p, DIMS.len()))
+    }
+
+    fn finalize_profile(self, w: &mut impl Write) -> io::Result<()> {
+        let (profiler, _) = self.try_join().map_err(io::Error::other)?;
+        profiler.finalize_profile(w)
     }
 }
 

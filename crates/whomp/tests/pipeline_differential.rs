@@ -1,6 +1,7 @@
 //! Differential tests: the pipelined grammar profilers must produce
 //! byte-identical output to sequential construction — container bytes,
-//! checkpoint state, and across a checkpoint/resume that crosses the
+//! checkpoint state, checkpoints taken mid-run through the grammar
+//! workers, and checkpoint/resume in both directions across the
 //! grammar-worker boundary.
 
 use orp_core::{Cdc, GroupId, ObjectSerial, Omc, OrSink, OrTuple, Session, SessionSink, Timestamp};
@@ -13,7 +14,7 @@ use orp_whomp::{
 use proptest::prelude::*;
 
 /// A probe script long enough to cross several symbol-batch boundaries
-/// (the non-loom batch is 8192 symbols) with repetitive structure the
+/// (the non-loom batch is 2048 symbols) with repetitive structure the
 /// grammars actually compress.
 fn probe_events() -> Vec<ProbeEvent> {
     let mut events = Vec::new();
@@ -150,34 +151,112 @@ fn checkpoint_resume_crosses_the_grammar_worker_boundary() {
         .save_state(&mut sequential_state)
         .unwrap();
 
-    // Pipelined resume: unpack the restored session, wrap the profiler
-    // in grammar workers, drive the tail, rejoin — the same dance the
-    // CLI performs for `run --resume --grammar-workers N`.
+    // Pipelined resume: continue the restored profiler on grammar
+    // workers, as `run --resume` does on the default WHOMP engine.
     for workers in [1, 2, 4] {
-        let session = Session::<WhompProfiler>::resume(&mut snapshot.as_slice()).unwrap();
-        let cdc = session.into_cdc();
-        let (time, untracked, anomalies) = (cdc.time(), cdc.untracked(), cdc.probe_anomalies());
-        let (omc, profiler) = cdc.into_parts();
-        let mut cdc = Cdc::from_parts(
-            omc,
-            PipelinedWhomp::from_profiler(profiler, workers),
-            time,
-            untracked,
-            anomalies,
-        );
-        drive(&mut cdc, &events[cut..]);
-        let (time, untracked, anomalies) = (cdc.time(), cdc.untracked(), cdc.probe_anomalies());
-        let (omc, pipe) = cdc.into_parts();
-        let (profiler, _) = pipe.try_join().expect("pipeline healthy");
-
+        let mut session = Session::<WhompProfiler>::resume(&mut snapshot.as_slice())
+            .unwrap()
+            .map_sink(|p| PipelinedWhomp::from_profiler(p, workers));
+        session.feed(&events[cut..]);
+        session.cdc_mut().sink_mut().quiesce();
         let mut state = Vec::new();
-        profiler.save_state(&mut state).unwrap();
+        session.cdc().sink().save_state(&mut state).unwrap();
         assert_eq!(state, sequential_state, "state drift at {workers} workers");
+        assert_eq!(
+            finalize_bytes(session),
+            reference,
+            "container drift at {workers} workers"
+        );
+    }
+}
 
-        let rebuilt = Cdc::from_parts(omc, profiler, time, untracked, anomalies);
-        let mut produced = Vec::new();
-        Session::from_cdc(rebuilt).finalize(&mut produced).unwrap();
-        assert_eq!(produced, reference, "container drift at {workers} workers");
+/// A session's checkpoint container; the session keeps running.
+fn checkpoint_bytes<S: SessionSink>(session: &mut Session<S>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    session.checkpoint(&mut bytes).expect("checkpoint");
+    bytes
+}
+
+/// A session's finished profile container.
+fn finalize_bytes<S: SessionSink>(session: Session<S>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    session.finalize(&mut bytes).expect("finalize");
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `Session<PipelinedWhomp>` against `Session<WhompProfiler>`, fed in
+    /// lockstep and checkpointed at the same random cuts. The cuts fall
+    /// almost always inside a symbol batch, so each checkpoint exercises
+    /// the barrier's partial-batch flush. Every checkpoint container
+    /// (OMCK, CDCK and SNKS alike) and the finished profile must match
+    /// byte for byte, and each pipelined checkpoint must resume on the
+    /// inline engine — and each inline one on the workers — to the same
+    /// finished profile.
+    #[test]
+    fn pipelined_session_checkpoints_match_inline_at_random_cuts(
+        workers in 1usize..5,
+        mut cuts in proptest::collection::vec(0usize..25_664, 1..4)
+    ) {
+        let events = probe_events();
+        cuts.sort_unstable();
+        cuts.dedup();
+
+        let mut inline = Session::new(WhompProfiler::new());
+        let mut pipelined = Session::new(PipelinedWhomp::spawn(workers));
+        let mut snapshots = Vec::new();
+        let mut fed = 0;
+        for &cut in &cuts {
+            inline.feed(&events[fed..cut]);
+            pipelined.feed(&events[fed..cut]);
+            fed = cut;
+            let want = checkpoint_bytes(&mut inline);
+            let got = checkpoint_bytes(&mut pipelined);
+            prop_assert!(got == want, "checkpoint at event {} with {} workers", cut, workers);
+            snapshots.push((cut, got));
+        }
+        inline.feed(&events[fed..]);
+        pipelined.feed(&events[fed..]);
+        let reference = finalize_bytes(inline);
+        prop_assert!(finalize_bytes(pipelined) == reference, "final profile, {} workers", workers);
+
+        for (cut, snapshot) in &snapshots {
+            let mut on_inline = Session::<WhompProfiler>::resume(&mut snapshot.as_slice()).unwrap();
+            on_inline.feed(&events[*cut..]);
+            prop_assert!(finalize_bytes(on_inline) == reference, "inline resume at {}", cut);
+
+            let mut on_workers = Session::<WhompProfiler>::resume(&mut snapshot.as_slice())
+                .unwrap()
+                .map_sink(|p| PipelinedWhomp::from_profiler(p, workers));
+            on_workers.feed(&events[*cut..]);
+            prop_assert!(finalize_bytes(on_workers) == reference, "pipelined resume at {}", cut);
+        }
+    }
+}
+
+/// `PipelinedWhomp`'s own `restore_state` (one worker per dimension)
+/// resumes a checkpoint written by either engine.
+#[test]
+fn pipelined_session_resumes_checkpoints_from_either_engine() {
+    let events = probe_events();
+    let cut = 10_001;
+    let mut reference = Session::new(WhompProfiler::new());
+    reference.feed(&events);
+    let reference = finalize_bytes(reference);
+
+    let mut inline = Session::new(WhompProfiler::new());
+    inline.feed(&events[..cut]);
+    let mut pipelined = Session::new(PipelinedWhomp::spawn(2));
+    pipelined.feed(&events[..cut]);
+    for snapshot in [
+        checkpoint_bytes(&mut inline),
+        checkpoint_bytes(&mut pipelined),
+    ] {
+        let mut resumed = Session::<PipelinedWhomp>::resume(&mut snapshot.as_slice()).unwrap();
+        resumed.feed(&events[cut..]);
+        assert_eq!(finalize_bytes(resumed), reference);
     }
 }
 

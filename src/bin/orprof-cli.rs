@@ -8,7 +8,7 @@
 //! orprof-cli run --from-trace gzip.orpt --profiler leap --out gzip.orp
 //! orprof-cli run --from-trace rest.orpt --resume ckpt.orp --profiler leap
 //! orprof-cli run --workload micro.matrix --profiler leap --shards 4
-//! orprof-cli run --workload micro.matrix --profiler whomp --grammar-workers 4
+//! orprof-cli run --workload micro.matrix --profiler whomp --grammar-workers 0   # inline grammars
 //! orprof-cli run --workload micro.matrix --profiler whomp --stats --metrics-out m.json
 //! orprof-cli record --workload 164.gzip --out gzip.orpt
 //! orprof-cli optimize --workload micro.linked-list --plan-out ll.plan.orp --stats
@@ -82,6 +82,8 @@ fn usage() -> &'static str {
      orprof-cli serve --socket <path> --dir <path> [--checkpoint-events <n>] [--credits <n>] \
      [--stats] [--metrics-out <file.json>] [--fault-plan <spec>]\n  \
      orprof-cli inspect <file>\n  orprof-cli report <file>\n\n\
+     grammar workers: 0 builds grammars inline; whomp defaults to one worker per \
+     dimension on a multi-CPU host, rasg and hybrid to inline\n\
      fault plans (also via ORP_FAULT_PLAN): io-error@n=K, short-write@n=K, \
      interrupt@n=K[xT], would-block@n=K[xT], crash@byte=B"
 }
@@ -671,33 +673,40 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
 }
 
 /// Opens a profiling session — fresh, or restored from a `--resume`
-/// checkpoint container — drives it, and honors `--checkpoint`. A
-/// budget spec routes through [`run_budgeted`] (its controller comes
-/// back for metrics); a rate spec opens the session sampled. On resume
-/// the checkpoint's own sampler state governs (`--sample` + `--resume`
-/// is rejected before this runs), and a budget checkpoint also restores
-/// its controller so the resumed run keeps holding the budget.
-fn run_session<S: SessionSink>(
+/// checkpoint container — drives it, and honors `--checkpoint`. `open`
+/// builds the session's sink: from nothing, or around the profiler a
+/// checkpoint restored as `R` (how a WHOMP checkpoint continues on
+/// grammar workers). A budget spec routes through [`run_budgeted`] (its
+/// controller comes back for metrics); a rate spec opens the session
+/// sampled. On resume the checkpoint's own sampler state governs
+/// (`--sample` + `--resume` is rejected before this runs), and a budget
+/// checkpoint also restores its controller so the resumed run keeps
+/// holding the budget.
+fn run_session<R: SessionSink, S: SessionSink>(
     parsed: &Parsed,
     ctx: &mut IoCtx,
     sample: Option<SampleSpec>,
-    fresh: impl FnOnce() -> S,
+    open: impl FnOnce(Option<R>) -> S,
 ) -> Result<(Session<S>, DriveOutcome, Option<RateController>), String> {
     if let Some(SampleSpec::Budget(pct)) = sample {
-        let (session, outcome, controller) = run_budgeted(parsed, ctx, pct, fresh)?;
+        let (session, outcome, controller) = run_budgeted(parsed, ctx, pct, || open(None))?;
         return Ok((session, outcome, Some(controller)));
     }
     let (mut session, restored) = match parsed.value("--resume") {
         Some(path) => {
             let mut reader = ctx.open_reader(path)?;
-            let pair = Session::<S>::resume_with_controller(&mut reader)
+            let (session, controller) = Session::<R>::resume_with_controller(&mut reader)
                 .map_err(|e| format!("resume {path}: {e}"))?;
             ctx.harvest_reader(&reader);
             println!("resumed from checkpoint {path}");
-            pair
+            (session.map_sink(|p| open(Some(p))), controller)
         }
         None => (
-            Session::from_cdc(Cdc::with_sampler(Omc::new(), fresh(), sampler_for(sample))),
+            Session::from_cdc(Cdc::with_sampler(
+                Omc::new(),
+                open(None),
+                sampler_for(sample),
+            )),
             None,
         ),
     };
@@ -795,7 +804,9 @@ fn run_maybe_sharded<S: SessionSink + ShardableSink>(
     mut fresh: impl FnMut(usize) -> S,
 ) -> Result<RunOutput<S>, String> {
     if shards == 1 && !parsed.has("--salvage") {
-        let (session, outcome, controller) = run_session(parsed, ctx, sample, || fresh(0))?;
+        let (session, outcome, controller) = run_session(parsed, ctx, sample, |restored| {
+            restored.unwrap_or_else(|| fresh(0))
+        })?;
         Ok((session, outcome, None, controller))
     } else {
         // Budget mode is single-shard only (rejected in `cmd_run`), so
@@ -803,54 +814,6 @@ fn run_maybe_sharded<S: SessionSink + ShardableSink>(
         run_sharded(parsed, ctx, shards, sampler_for(sample), fresh)
             .map(|(s, o, p)| (s, o, Some(p), None))
     }
-}
-
-/// Runs WHOMP with grammar construction on `workers` pipelined grammar
-/// workers: collection and translation stay on this thread while the
-/// four dimension grammars grow concurrently. `--resume` unpacks the
-/// checkpointed profiler onto the workers; `--checkpoint` is rejected
-/// because the profiler is split across threads mid-run.
-fn run_whomp_pipelined(
-    parsed: &Parsed,
-    ctx: &mut IoCtx,
-    workers: usize,
-    sampler: Sampler,
-    rec: &mut StatsRecorder,
-) -> Result<(WhompProfiler, DriveOutcome), String> {
-    if parsed.value("--checkpoint").is_some() {
-        return Err("--checkpoint requires an inline grammar (omit --grammar-workers)".to_owned());
-    }
-    let mut cdc = match parsed.value("--resume") {
-        Some(path) => {
-            let mut reader = ctx.open_reader(path)?;
-            let session = Session::<WhompProfiler>::resume(&mut reader)
-                .map_err(|e| format!("resume {path}: {e}"))?;
-            ctx.harvest_reader(&reader);
-            println!("resumed from checkpoint {path}");
-            let cdc = session.into_cdc();
-            let (time, untracked, anomalies) = (cdc.time(), cdc.untracked(), cdc.probe_anomalies());
-            // A sampled checkpoint's admission state must survive the
-            // profiler swap, or the resumed half would silently revert
-            // to full collection.
-            let restored = cdc.sampler().clone();
-            let (omc, profiler) = cdc.into_parts();
-            let mut cdc = Cdc::from_parts(
-                omc,
-                PipelinedWhomp::from_profiler(profiler, workers),
-                time,
-                untracked,
-                anomalies,
-            );
-            cdc.set_sampler(restored);
-            cdc
-        }
-        None => Cdc::with_sampler(Omc::new(), PipelinedWhomp::spawn(workers), sampler),
-    };
-    let outcome = drive(parsed, ctx, &mut cdc)?;
-    cdc.record_metrics(rec);
-    let (profiler, gstats) = cdc.into_parts().1.try_join().map_err(|e| e.to_string())?;
-    gstats.record_metrics(rec);
-    Ok((profiler, outcome))
 }
 
 fn absorb_trace_io(rec: &mut StatsRecorder, outcome: &DriveOutcome) {
@@ -979,13 +942,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         Ok(())
     };
-    // 0 = build grammars inline on the collection thread (the
-    // sequential default); N > 0 moves construction onto N pipelined
-    // grammar workers (see DESIGN.md §13).
-    let grammar_workers: usize = match parsed.value("--grammar-workers") {
-        Some(s) => s.parse().map_err(|_| "bad --grammar-workers")?,
-        None => 0,
-    };
+    // 0 = build grammars inline on the collection thread; N > 0 moves
+    // construction onto N pipelined grammar workers (see DESIGN.md §13).
+    // Unpinned, WHOMP takes one worker per dimension on a multi-CPU host
+    // and the other grammar profilers stay inline.
+    let grammar_workers: Option<usize> = parsed
+        .value("--grammar-workers")
+        .map(|s| s.parse().map_err(|_| "bad --grammar-workers"))
+        .transpose()?;
     let sample = parse_sample(&parsed)?;
     if sample.is_some() && parsed.value("--resume").is_some() {
         // A sampled checkpoint carries its own admission state; letting
@@ -998,8 +962,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     if matches!(sample, Some(SampleSpec::Budget(_))) {
         // The controller calibrates against a native re-run of the
-        // workload and steers one inline sampler; every multi-threaded
-        // or replayed configuration breaks one of those assumptions.
+        // workload and steers one sampler on the collection thread; a
+        // replay or a sharded translator breaks one of those
+        // assumptions. Grammar workers sit behind the sampler, so they
+        // compose with it.
         if parsed.value("--workload").is_none() {
             return Err("--sample budget= requires a live --workload run \
                         (the native baseline pre-pass re-runs it)"
@@ -1008,11 +974,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         if shards > 1 || parsed.has("--salvage") {
             return Err("--sample budget= requires a single-shard run \
                         (omit --shards/--salvage, or use rate=)"
-                .to_owned());
-        }
-        if grammar_workers > 0 {
-            return Err("--sample budget= requires inline grammar construction \
-                        (omit --grammar-workers, or use rate=)"
                 .to_owned());
         }
     }
@@ -1026,7 +987,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let profile_bytes = match profiler.as_str() {
         "leap" => {
-            if grammar_workers > 0 {
+            if grammar_workers.is_some_and(|n| n > 0) {
                 return Err("--grammar-workers applies to the grammar profilers \
                             (whomp, rasg, hybrid); leap builds no grammars"
                     .to_owned());
@@ -1059,26 +1020,34 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         "whomp" => {
             no_shards("whomp's global grammars")?;
-            let profiler = if grammar_workers > 0 {
-                let (p, outcome) = run_whomp_pipelined(
+            let workers = grammar_workers.unwrap_or_else(PipelinedWhomp::default_workers);
+            let (profiler, outcome, ctrl) = if workers > 0 {
+                let (session, outcome, ctrl) = run_session(
                     &parsed,
                     &mut ctx,
-                    grammar_workers,
-                    sampler_for(sample),
-                    &mut rec,
+                    sample,
+                    |restored: Option<WhompProfiler>| {
+                        PipelinedWhomp::from_profiler(restored.unwrap_or_default(), workers)
+                    },
                 )?;
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                p
-            } else {
-                let (session, outcome, ctrl) =
-                    run_session(&parsed, &mut ctx, sample, WhompProfiler::new)?;
-                controller = ctrl;
                 session.record_metrics(&mut rec);
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                session.into_cdc().into_parts().1
+                let pipe = session.into_cdc().into_parts().1;
+                let (profiler, gstats) = pipe.try_join().map_err(|e| e.to_string())?;
+                gstats.record_metrics(&mut rec);
+                (profiler, outcome, ctrl)
+            } else {
+                let (session, outcome, ctrl) = run_session(
+                    &parsed,
+                    &mut ctx,
+                    sample,
+                    Option::<WhompProfiler>::unwrap_or_default,
+                )?;
+                session.record_metrics(&mut rec);
+                (session.into_cdc().into_parts().1, outcome, ctrl)
             };
+            controller = ctrl;
+            report.events = outcome.events;
+            absorb_trace_io(&mut rec, &outcome);
             profiler.record_grammar_metrics(&mut rec);
             let omsg = profiler.into_omsg();
             println!(
@@ -1091,6 +1060,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             serialize_profile(|w| omsg.write_to(w))?
         }
         "hybrid" => {
+            let grammar_workers = grammar_workers.unwrap_or(0);
             let profiler = if grammar_workers > 0 {
                 if shards > 1 || parsed.has("--salvage") {
                     return Err("--grammar-workers and --shards/--salvage both thread the \
@@ -1152,7 +1122,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                             object-relative profilers (leap, whomp, hybrid)"
                     .to_owned());
             }
-            let profiler = if grammar_workers > 0 {
+            let profiler = if grammar_workers.is_some_and(|n| n > 0) {
                 // The RASG record stream is one grammar; extra workers
                 // would idle, so the pipeline always spawns exactly one.
                 let mut pipe = PipelinedRasg::spawn();

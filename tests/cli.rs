@@ -559,7 +559,7 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
     let seq = tmp("grammar-seq.orp");
     let pipe = tmp("grammar-pipe.orp");
     let json = tmp("grammar-pipe.json");
-    for (out_path, extra) in [(&seq, &[][..]), (&pipe, &["--grammar-workers", "4"][..])] {
+    for (out_path, workers) in [(&seq, "0"), (&pipe, "4")] {
         let out = cli()
             .args([
                 "run",
@@ -571,8 +571,9 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
                 out_path.to_str().unwrap(),
                 "--metrics-out",
                 json.to_str().unwrap(),
+                "--grammar-workers",
+                workers,
             ])
-            .args(extra)
             .output()
             .expect("spawn");
         assert!(
@@ -603,14 +604,6 @@ fn grammar_workers_rejects_incompatible_flag_combinations() {
         &["--profiler", "leap", "--grammar-workers", "2"][..],
         &[
             "--profiler",
-            "whomp",
-            "--grammar-workers",
-            "2",
-            "--checkpoint",
-            "x.orp",
-        ][..],
-        &[
-            "--profiler",
             "hybrid",
             "--grammar-workers",
             "2",
@@ -634,6 +627,137 @@ fn grammar_workers_rejects_incompatible_flag_combinations() {
         assert!(!out.status.success(), "should reject: {args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("error:"), "{err}");
+    }
+}
+
+/// Runs `orprof-cli run --profiler whomp` over `micro.matrix` with the
+/// extra flags, asserting success; returns standard output.
+fn run_whomp(extra: &[&str]) -> String {
+    let out = cli()
+        .args(["run", "--workload", "micro.matrix", "--profiler", "whomp"])
+        .args(extra)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{extra:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A checkpoint is a barrier through the grammar workers, not a
+/// reason to refuse them: the default engine, pinned workers and the
+/// inline grammar all write the same checkpoint bytes.
+#[test]
+fn whomp_checkpoints_are_identical_on_every_grammar_engine() {
+    let paths: Vec<PathBuf> = ["default", "inline", "workers"]
+        .iter()
+        .map(|name| tmp(&format!("engine-ckpt-{name}.orp")))
+        .collect();
+    for (path, pin) in paths.iter().zip([None, Some("0"), Some("4")]) {
+        let mut args = vec!["--checkpoint", path.to_str().unwrap()];
+        if let Some(n) = pin {
+            args.extend(["--grammar-workers", n]);
+        }
+        run_whomp(&args);
+    }
+    let inline = std::fs::read(&paths[1]).unwrap();
+    assert_eq!(std::fs::read(&paths[0]).unwrap(), inline, "default engine");
+    assert_eq!(
+        std::fs::read(&paths[2]).unwrap(),
+        inline,
+        "4 grammar workers"
+    );
+    for p in paths {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// A checkpoint written on grammar workers resumes inline, and an
+/// inline one resumes on grammar workers, to the same final profile as
+/// an inline run resumed inline.
+#[test]
+fn whomp_checkpoints_resume_across_grammar_engines() {
+    let ckpt_inline = tmp("cross-inline.ckpt");
+    let ckpt_workers = tmp("cross-workers.ckpt");
+    run_whomp(&[
+        "--grammar-workers",
+        "0",
+        "--checkpoint",
+        ckpt_inline.to_str().unwrap(),
+    ]);
+    run_whomp(&[
+        "--grammar-workers",
+        "4",
+        "--checkpoint",
+        ckpt_workers.to_str().unwrap(),
+    ]);
+
+    let resume = |ckpt: &PathBuf, workers: &str, name: &str| {
+        let out = tmp(name);
+        let text = run_whomp(&[
+            "--resume",
+            ckpt.to_str().unwrap(),
+            "--grammar-workers",
+            workers,
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        assert!(text.contains("resumed from checkpoint"), "{text}");
+        let bytes = std::fs::read(&out).unwrap();
+        let _ = std::fs::remove_file(out);
+        bytes
+    };
+    let reference = resume(&ckpt_inline, "0", "cross-ref.orpw");
+    assert_eq!(
+        resume(&ckpt_workers, "0", "cross-w2i.orpw"),
+        reference,
+        "worker checkpoint resumed inline"
+    );
+    assert_eq!(
+        resume(&ckpt_inline, "2", "cross-i2w.orpw"),
+        reference,
+        "inline checkpoint resumed on grammar workers"
+    );
+    for p in [ckpt_inline, ckpt_workers] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// `--sample budget=` steers the sampler on the collection thread, so
+/// it composes with the grammar workers of a default WHOMP run.
+#[test]
+fn budget_sampled_whomp_runs_on_the_default_engine() {
+    let profile = tmp("budget-whomp.orpw");
+    let json = tmp("budget-whomp.json");
+    let text = run_whomp(&[
+        "--sample",
+        "budget=50%",
+        "--out",
+        profile.to_str().unwrap(),
+        "--metrics-out",
+        json.to_str().unwrap(),
+    ]);
+    assert!(text.contains("sample budget settled at rate"), "{text}");
+    let doc = std::fs::read_to_string(&json).unwrap();
+    assert!(doc.contains("sample.adjustments"), "{doc}");
+    let multi_cpu = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
+    assert_eq!(doc.contains("grammar.workers"), multi_cpu, "{doc}");
+
+    let out = cli()
+        .args(["inspect", profile.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("WHOMP (OMSG) profile"), "{text}");
+    for p in [profile, json] {
+        let _ = std::fs::remove_file(p);
     }
 }
 

@@ -12,8 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 
 use orp_core::sharded::ShardedCdc;
-use orp_core::threaded::ThreadedCdc;
-use orp_core::{Cdc, Omc, Timestamp};
+use orp_core::{Cdc, Omc, Session, Timestamp};
 use orp_leap::LeapProfiler;
 use orp_lmad::LinearCompressor;
 use orp_obs::NoopRecorder;
@@ -246,9 +245,9 @@ fn bench_omc_translate(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end pipelines over a pointer-chasing trace: inline CDC, the
-/// one-worker threaded CDC, and the sharded pipeline at 2 and 4 shards
-/// collecting per-instruction hybrid grammars.
+/// End-to-end pipelines over a pointer-chasing trace: inline CDC and
+/// the sharded pipeline at 2 and 4 shards collecting per-instruction
+/// hybrid grammars.
 fn bench_threaded_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("threaded_pipeline");
     group.sample_size(10);
@@ -268,19 +267,14 @@ fn bench_threaded_pipeline(c: &mut Criterion) {
             black_box(cdc.sink().tuples())
         });
     });
-    group.bench_function("threaded_1_worker", |b| {
-        b.iter(|| {
-            let mut probe = ThreadedCdc::spawn(Omc::new(), HybridProfiler::new());
-            drive(&workload, &cfg, &mut probe);
-            black_box(probe.join().sink().tuples())
-        });
-    });
     for shards in [2usize, 4] {
         group.bench_function(format!("sharded_{shards}"), |b| {
             b.iter(|| {
-                let mut probe = ShardedCdc::spawn(Omc::new(), shards, |_| HybridProfiler::new());
+                let session = Session::new(HybridProfiler::new());
+                let mut probe = ShardedCdc::spawn(session, shards, |_| HybridProfiler::new());
                 drive(&workload, &cfg, &mut probe);
-                black_box(probe.join().sink().tuples())
+                let joined = probe.join().expect("pipeline healthy");
+                black_box(joined.session.cdc().sink().tuples())
             });
         });
     }

@@ -28,8 +28,9 @@
 //! * **LEAP collection** — the same stream into the LMAD profiler.
 //!
 //! The collection baseline ("single shard") is the **seed-equivalent**
-//! pipeline: a single worker on a bounded channel — `ThreadedCdc` as
-//! the repo shipped it — translating through `Omc::translate_reference`,
+//! pipeline: a single worker on a bounded channel — the seed's
+//! one-worker collection thread, reproduced here — translating through
+//! `Omc::translate_reference`,
 //! the ordered-map path the seed used. Inline (non-pipelined) reference
 //! and fast-path collectors are reported alongside. Grammar construction (the sink) is identical compression work
 //! in every configuration, so on a single-core host (this harness
@@ -44,7 +45,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use orp_core::sharded::ShardedCdc;
-use orp_core::{Cdc, Omc, OrSink, OrTuple, Timestamp, VecOrSink};
+use orp_core::{Cdc, Omc, OrSink, OrTuple, Session, Timestamp, VecOrSink};
 use orp_leap::LeapProfiler;
 use orp_trace::{AccessEvent, AllocSiteId, InstrId, ProbeEvent, ProbeSink, RawAddress};
 use orp_whomp::{HybridProfiler, PipelinedWhomp, WhompProfiler};
@@ -299,7 +300,7 @@ impl<S: OrSink> ReferenceCdc<S> {
 }
 
 /// The seed's collection pipeline: one worker on a bounded channel —
-/// `ThreadedCdc` as the repo shipped it — with the worker translating
+/// the seed's one-worker collection thread — with the worker translating
 /// through the `BTreeMap` reference path. This is the "single shard"
 /// the sharded collector is measured against, pipeline for pipeline.
 struct ThreadedReferenceCdc<S> {
@@ -454,9 +455,10 @@ where
         .iter()
         .map(|&shards| {
             Box::new(move || {
-                let mut probe = ShardedCdc::spawn(take(), shards, move |_| make_sink());
+                let session = Session::with_omc(take(), make_sink());
+                let mut probe = ShardedCdc::spawn(session, shards, move |_| make_sink());
                 replay(&mut probe, events);
-                let cdc = probe.try_join().expect("pipeline healthy");
+                let cdc = probe.join().expect("pipeline healthy").session.into_cdc();
                 let collected = cdc.time().0;
                 put(cdc.into_parts().0);
                 check(collected)

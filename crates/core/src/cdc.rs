@@ -29,9 +29,9 @@ pub struct Cdc<S> {
     omc: Omc,
     sink: S,
     sampler: Sampler,
-    time: u64,
-    untracked: u64,
-    probe_anomalies: u64,
+    pub(crate) time: u64,
+    pub(crate) untracked: u64,
+    pub(crate) probe_anomalies: u64,
 }
 
 impl<S: OrSink> Cdc<S> {
@@ -55,27 +55,6 @@ impl<S: OrSink> Cdc<S> {
         }
     }
 
-    /// Reassembles a CDC from previously collected state — the inverse
-    /// of [`Cdc::into_parts`], used by the sharded pipeline to present
-    /// its deterministic merge as an ordinary CDC.
-    #[must_use]
-    pub fn from_parts(
-        omc: Omc,
-        sink: S,
-        time: Timestamp,
-        untracked: u64,
-        probe_anomalies: u64,
-    ) -> Self {
-        Cdc {
-            omc,
-            sink,
-            sampler: Sampler::off(),
-            time: time.0,
-            untracked,
-            probe_anomalies,
-        }
-    }
-
     /// The sampling front-end.
     #[must_use]
     pub fn sampler(&self) -> &Sampler {
@@ -86,13 +65,6 @@ impl<S: OrSink> Cdc<S> {
     /// the controller).
     pub fn sampler_mut(&mut self) -> &mut Sampler {
         &mut self.sampler
-    }
-
-    /// Replaces the sampling front-end — used when reassembling a CDC
-    /// from parts (sharded merge, checkpoint resume) to carry the
-    /// admission state forward.
-    pub fn set_sampler(&mut self, sampler: Sampler) {
-        self.sampler = sampler;
     }
 
     /// The object management component.

@@ -65,15 +65,15 @@ mod session;
 pub mod sharded;
 mod sink;
 pub mod sync;
-pub mod threaded;
 
 pub use cdc::Cdc;
 pub use omc::{FastU64Map, ObjectRecord, Omc, OmcError, TranslateStats, U64Hasher};
 pub use sample::{RateController, SampleStats, Sampler, SamplingPolicy};
 pub use session::{ResumeError, ResumeLedger, Session, SessionSink, SessionStats};
-pub use sharded::{PipelineError, PipelineStats, ShardStats, ShardableSink, ShardedCdc};
+pub use sharded::{
+    PipelineError, PipelineStats, ShardStats, ShardableSink, ShardedCdc, ShardedJoin,
+};
 pub use sink::{NullOrSink, OrSink, VecOrSink};
-pub use threaded::FeedStats;
 
 use orp_trace::{AccessKind, InstrId};
 

@@ -27,8 +27,11 @@
 //! Restoring reproduces the collection state exactly: the resumed run's
 //! remaining stream produces byte-identical profiles to an
 //! uninterrupted run, whether it continues on a single-threaded
-//! [`Session`] or on the sharded pipeline
-//! ([`Session::resume_sharded`]).
+//! [`Session`] or on the sharded pipeline (hand the resumed session to
+//! [`ShardedCdc::spawn`](crate::ShardedCdc::spawn)). A session joined
+//! from that pipeline checkpoints like any other — unless a shard lane
+//! died, in which case [`Session::checkpoint`] refuses: the dead lane's
+//! keys are partial, and a checkpoint would pass them off as complete.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -39,8 +42,7 @@ use orp_format::{
 use orp_obs::{CountingWrite, Recorder, Stopwatch};
 use orp_trace::{ProbeEvent, ProbeSink};
 
-use crate::sharded::ShardableSink;
-use crate::{Cdc, Omc, OrSink, RateController, Sampler, ShardedCdc, Timestamp};
+use crate::{Cdc, Omc, OrSink, RateController, Sampler, Timestamp};
 
 /// A profiler whose in-progress state can be checkpointed and restored,
 /// making it usable behind a [`Session`].
@@ -80,20 +82,6 @@ pub trait SessionSink: OrSink + Sized {
     /// Propagates reader errors; rejects inconsistent state.
     fn restore_state(r: &mut impl Read) -> io::Result<Self>;
 
-    /// The shard keys (as defined by
-    /// [`ShardableSink::shard_key`]) present
-    /// in this profiler's state, used to seed routing when a checkpoint
-    /// resumes onto the sharded pipeline: a key already in the restored
-    /// state must keep routing to the shard holding that state, so the
-    /// merge sees every key's stream in one piece.
-    ///
-    /// Sinks that are not shardable, or whose merge re-establishes a
-    /// global order regardless of routing (like
-    /// [`VecOrSink`](crate::VecOrSink)), return an empty list.
-    fn state_keys(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
     /// Finalizes the profiler and writes its profile as a `.orp`
     /// container of the profiler's kind.
     ///
@@ -103,13 +91,6 @@ pub trait SessionSink: OrSink + Sized {
     fn finalize_profile(self, w: &mut impl Write) -> io::Result<()>;
 }
 
-/// A profiling session: a [`Cdc`] plus the open → feed → checkpoint →
-/// finalize lifecycle over `.orp` containers.
-///
-/// The session implements [`ProbeSink`], so workloads and probe
-/// frontends drive it exactly like a bare CDC; [`Session::feed`] adds
-/// the batched entry point used by trace replay and the sharded
-/// pipeline's probe side.
 /// Checkpoint totals for one session: plain integers bumped by
 /// [`Session::checkpoint`], published via
 /// [`Session::record_metrics`].
@@ -123,14 +104,24 @@ pub struct SessionStats {
     pub checkpoint_nanos: u64,
 }
 
+/// A profiling session: a [`Cdc`] plus the open → feed → checkpoint →
+/// finalize lifecycle over `.orp` containers.
+///
+/// The session implements [`ProbeSink`], so workloads and probe
+/// frontends drive it exactly like a bare CDC; [`Session::feed`] adds
+/// the batched entry point used by trace replay and by the sharded
+/// pipeline's translator.
 #[derive(Debug, Clone)]
 pub struct Session<S> {
     cdc: Cdc<S>,
     events: u64,
     stats: SessionStats,
+    /// Set by a sharded join that lost shard lanes: the profile is
+    /// salvaged but partial, so it must not be checkpointed.
+    pub(crate) degraded: bool,
 }
 
-impl<S: SessionSink> Session<S> {
+impl<S: OrSink> Session<S> {
     /// Opens a session with a fresh OMC.
     #[must_use]
     pub fn new(sink: S) -> Self {
@@ -141,23 +132,19 @@ impl<S: SessionSink> Session<S> {
     /// objects).
     #[must_use]
     pub fn with_omc(omc: Omc, sink: S) -> Self {
-        Session {
-            cdc: Cdc::new(omc, sink),
-            events: 0,
-            stats: SessionStats::default(),
-        }
+        Self::from_cdc(Cdc::new(omc, sink))
     }
 
-    /// Wraps an existing CDC — e.g. the merged result of
-    /// [`ShardedCdc::try_join`] — so it can be checkpointed or
-    /// finalized. The event counter restarts at zero (it counts events
-    /// fed through *this* session).
+    /// Opens a session over a fresh CDC — e.g. one built with
+    /// [`Cdc::with_sampler`]. The event counter starts at zero (it
+    /// counts events fed through sessions, and the CDC has seen none).
     #[must_use]
     pub fn from_cdc(cdc: Cdc<S>) -> Self {
         Session {
             cdc,
             events: 0,
             stats: SessionStats::default(),
+            degraded: false,
         }
     }
 
@@ -192,11 +179,12 @@ impl<S: SessionSink> Session<S> {
     /// must hold the same profiler state, or a later checkpoint would
     /// not match the stream it claims to cover.
     #[must_use]
-    pub fn map_sink<T: SessionSink>(self, f: impl FnOnce(S) -> T) -> Session<T> {
+    pub fn map_sink<T: OrSink>(self, f: impl FnOnce(S) -> T) -> Session<T> {
         Session {
             cdc: self.cdc.map_sink(f),
             events: self.events,
             stats: self.stats,
+            degraded: self.degraded,
         }
     }
 
@@ -205,13 +193,16 @@ impl<S: SessionSink> Session<S> {
     pub fn into_cdc(self) -> Cdc<S> {
         self.cdc
     }
+}
 
+impl<S: SessionSink> Session<S> {
     /// Writes the complete collection state — OMC, counters, profiler —
     /// as a checkpoint container. The session remains usable.
     ///
     /// # Errors
     ///
-    /// Propagates writer errors.
+    /// Propagates writer errors; refuses, before writing anything, a
+    /// session joined from a sharded run that lost a lane.
     pub fn checkpoint(&mut self, w: &mut impl Write) -> io::Result<()> {
         self.checkpoint_with(w, None)
     }
@@ -224,12 +215,17 @@ impl<S: SessionSink> Session<S> {
     ///
     /// # Errors
     ///
-    /// Propagates writer errors.
+    /// As [`Session::checkpoint`].
     pub fn checkpoint_with(
         &mut self,
         w: &mut impl Write,
         controller: Option<&RateController>,
     ) -> io::Result<()> {
+        if self.degraded {
+            return Err(io::Error::other(
+                "a degraded session (a shard lane died) holds partial keys; refusing to checkpoint it",
+            ));
+        }
         let clock = Stopwatch::start();
         let mut counted = CountingWrite::new(w);
         let mut container = ContainerWriter::new(&mut counted)?;
@@ -309,60 +305,13 @@ impl<S: SessionSink> Session<S> {
     ) -> Result<(Self, Option<RateController>), FormatError> {
         let (omc, time, untracked, probe_anomalies, events, sampler, controller, sink) =
             read_checkpoint::<S, _>(r)?;
-        let mut cdc = Cdc::from_parts(omc, sink, time, untracked, probe_anomalies);
-        cdc.set_sampler(sampler);
-        Ok((
-            Session {
-                cdc,
-                events,
-                stats: SessionStats::default(),
-            },
-            controller,
-        ))
-    }
-
-    /// Reopens a checkpoint onto the sharded collection pipeline: the
-    /// translator continues from the restored OMC and counters, and the
-    /// restored profiler state becomes shard 0's initial sink with its
-    /// [`SessionSink::state_keys`] pinned to shard 0, so every key's
-    /// sub-stream stays in one part and the deterministic merge on
-    /// [`ShardedCdc::try_join`] reproduces the single-threaded result
-    /// byte for byte.
-    ///
-    /// `make_sink(i)` builds the empty sinks for shards `1..shards`
-    /// (they must be configured identically to the restored one).
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::resume`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn resume_sharded(
-        r: &mut impl Read,
-        shards: usize,
-        make_sink: impl FnMut(usize) -> S,
-    ) -> Result<ShardedCdc<S>, FormatError>
-    where
-        S: ShardableSink,
-    {
-        let (omc, time, untracked, probe_anomalies, _events, sampler, _controller, sink) =
-            read_checkpoint::<S, _>(r)?;
-        let stem_keys = sink.state_keys();
-        Ok(ShardedCdc::resume(
-            crate::sharded::ResumeState {
-                omc,
-                time,
-                untracked,
-                probe_anomalies,
-                stem: sink,
-                stem_keys,
-                sampler,
-            },
-            shards,
-            make_sink,
-        ))
+        let mut cdc = Cdc::with_sampler(omc, sink, sampler);
+        cdc.time = time.0;
+        cdc.untracked = untracked;
+        cdc.probe_anomalies = probe_anomalies;
+        let mut session = Session::from_cdc(cdc);
+        session.events = events;
+        Ok((session, controller))
     }
 
     /// [`Session::resume`] with double-resume protection: registers the
@@ -389,32 +338,6 @@ impl<S: SessionSink> Session<S> {
         let session = Self::resume(&mut bytes.as_slice())?;
         ledger.claim(&bytes)?;
         Ok(session)
-    }
-
-    /// [`Session::resume_sharded`] with the same double-resume
-    /// protection as [`Session::resume_tracked`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::resume_tracked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn resume_sharded_tracked(
-        r: &mut impl Read,
-        shards: usize,
-        make_sink: impl FnMut(usize) -> S,
-        ledger: &mut ResumeLedger,
-    ) -> Result<ShardedCdc<S>, ResumeError>
-    where
-        S: ShardableSink,
-    {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes).map_err(FormatError::from)?;
-        let pipeline = Self::resume_sharded(&mut bytes.as_slice(), shards, make_sink)?;
-        ledger.claim(&bytes)?;
-        Ok(pipeline)
     }
 
     /// Finishes the session and writes the sink's profile container.
@@ -624,7 +547,7 @@ fn read_checkpoint<S: SessionSink, R: Read>(
     ))
 }
 
-impl<S: SessionSink> ProbeSink for Session<S> {
+impl<S: OrSink> ProbeSink for Session<S> {
     fn access(&mut self, ev: orp_trace::AccessEvent) {
         self.events += 1;
         self.cdc.access(ev);
@@ -805,13 +728,12 @@ mod tests {
         first.checkpoint(&mut snapshot).unwrap();
 
         for shards in [1, 2, 4] {
-            let mut sharded =
-                Session::<VecOrSink>::resume_sharded(&mut snapshot.as_slice(), shards, |_| {
-                    VecOrSink::new()
-                })
-                .unwrap();
+            let resumed = Session::<VecOrSink>::resume(&mut snapshot.as_slice()).unwrap();
+            let mut sharded = crate::ShardedCdc::spawn(resumed, shards, |_| VecOrSink::new());
             drive(&mut sharded, &events[cut..]);
-            let cdc = sharded.try_join().expect("pipeline healthy");
+            let joined = sharded.join().expect("pipeline healthy");
+            assert_eq!(joined.session.events(), events.len() as u64, "{shards}");
+            let cdc = joined.session.into_cdc();
             assert_eq!(cdc.sink().tuples(), reference.sink().tuples(), "{shards}");
             assert_eq!(cdc.time(), reference.time());
             assert_eq!(cdc.untracked(), reference.untracked());

@@ -1,33 +1,56 @@
-//! The sharded parallel collection pipeline.
+//! The parallel collection pipeline.
 //!
-//! [`ThreadedCdc`](crate::threaded::ThreadedCdc) reproduces the paper's
-//! one-worker architecture; this module generalizes it to N workers:
+//! The paper moves CDC/OMC translation off the profiled program's
+//! thread (§3.1: "interactions between the instrumented program and the
+//! CDC/OMC components take place via thread-to-thread communication").
+//! [`ShardedCdc`] is that pipeline, generalized to N profiler lanes:
 //!
 //! ```text
-//! probe side ──batches──▶ translator ──per-shard batches──▶ worker 0
-//!                         (owns the OMC,                ├──▶ worker 1
-//!                          fast-path translate,         ├──▶ …
-//!                          time-stamps, routing)        └──▶ worker N-1
+//! probe side ──batches──▶ translator ──per-lane batches──▶ lane 0 (the stem)
+//!                         (a Session:                  ├──▶ lane 1
+//!                          OMC translate, sampler,     ├──▶ …
+//!                          time-stamps, event count,   └──▶ lane N-1
+//!                          routing)
 //! ```
 //!
-//! The translator owns the [`Omc`] and performs the cheap part — the
-//! page-index/MRU fast-path translation and time-stamping — exactly as
-//! a single-threaded [`Cdc`] would, so time-stamps, untracked counts
-//! and probe-anomaly counts are identical by construction. Tuples are
-//! then routed to workers by the profiler's **vertical-decomposition
-//! key** ([`ShardableSink::shard_key`]): `instr` for WHOMP's hybrid
-//! per-instruction grammars, `(instr, group)` for LEAP. Because a
-//! profiler's state is partitioned by that key, every worker sees each
-//! of its keys' sub-streams completely and in collection order, and the
-//! deterministic merge on [`ShardedCdc::try_join`] reassembles state
-//! *byte-identical* to the single-threaded run — regardless of shard
-//! count or how keys were balanced across shards.
+//! The translator *is* a [`Session`] — the same [`Cdc`](crate::Cdc) code an inline
+//! run executes — whose sink routes each tuple to a lane instead of
+//! profiling it. Time-stamps, sampler admissions, untracked,
+//! probe-anomaly and event counts are therefore identical by
+//! construction. Tuples are routed by the profiler's
+//! **vertical-decomposition key** ([`ShardableSink::shard_key`]):
+//! `instr` for WHOMP's hybrid per-instruction grammars,
+//! `(instr, group)` for LEAP. Because a profiler's state is partitioned
+//! by that key, every lane sees each of its keys' sub-streams completely
+//! and in collection order, and the deterministic merge in
+//! [`ShardedCdc::join`] reassembles state *byte-identical* to the
+//! inline run — regardless of lane count or how keys were balanced.
+//!
+//! # One constructor, one join
+//!
+//! [`ShardedCdc::spawn`] starts from a [`Session`]: a fresh one, or one
+//! resumed from a checkpoint (a fresh run is a resume from empty
+//! state). The session's profiler becomes lane 0's sink — the *stem* —
+//! and every key already in it ([`ShardableSink::state_keys`]) is pinned
+//! to lane 0, so each key's stream stays in one part. [`ShardedCdc::join`]
+//! hands back the merged [`Session`], which checkpoints and finalizes
+//! like any other, plus the per-lane [`PipelineStats`] and the lanes
+//! that died.
+//!
+//! # Dead lanes
+//!
+//! A lane whose profiler panics no longer receives tuples: its
+//! undeliverable batches, and everything routed to its keys afterwards,
+//! divert to a fallback sink in the translator, and the join merges the
+//! surviving lanes with the fallback. That profile is *degraded* — the
+//! dead lane's keys are partial — so the join lists the dead lanes and
+//! the merged session refuses to checkpoint. "Strict" and "salvage" are
+//! only how a caller treats a non-empty [`ShardedJoin::degraded`] list:
+//! fail the run, or keep the salvaged profile with a warning.
 //!
 //! All queues are bounded (back-pressure instead of unbounded memory),
 //! and batch buffers are recycled through return channels instead of
 //! being reallocated per batch.
-
-use std::collections::VecDeque;
 
 use orp_trace::{AccessEvent, AllocEvent, FreeEvent, InstrId, ProbeEvent, ProbeSink};
 
@@ -36,7 +59,7 @@ use orp_obs::Recorder;
 use crate::omc::FastU64Map;
 use crate::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use crate::sync::thread::{self, JoinHandle};
-use crate::{Cdc, GroupId, Omc, OrSink, OrTuple, Sampler, Timestamp};
+use crate::{GroupId, OrSink, OrTuple, Session};
 
 /// Probe events per batch shipped to the translator.
 #[cfg(not(loom))]
@@ -82,6 +105,18 @@ pub trait ShardableSink: OrSink + Send + Sized + 'static {
     /// Merges shard-local states (disjoint key sets) into the combined
     /// state. `parts` is ordered by shard index.
     fn merge(parts: Vec<Self>) -> Self;
+
+    /// The shard keys present in this profiler's state. A pipeline
+    /// started from a session whose profiler already holds state (a
+    /// resumed checkpoint) pins these keys to lane 0, which holds that
+    /// state, so the merge sees every key's stream in one piece.
+    ///
+    /// Sinks whose merge re-establishes a global order regardless of
+    /// routing (like [`VecOrSink`](crate::VecOrSink)) keep the default
+    /// empty list.
+    fn state_keys(&self) -> Vec<u64> {
+        Vec::new()
+    }
 }
 
 /// Fuses an `(instr, group)` pair into a shard key.
@@ -151,8 +186,8 @@ impl ShardableSink for crate::VecOrSink {
 /// A worker thread of the collection pipeline died by panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineError {
-    /// Which thread died: `"translator"`, `"shard 3"`, or
-    /// `"collection worker"` for the single-worker pipeline.
+    /// Which thread died: `"translator"` or `"shard 3"` here, or
+    /// `"grammar worker 1"` in `orp-whomp`'s grammar pipelines.
     pub worker: String,
     /// The panic payload, if it was a string.
     pub message: String,
@@ -199,8 +234,8 @@ pub struct ShardStats {
     /// Flushes that found the queue full and had to block (the probe
     /// side out-ran this worker).
     pub stalls: u64,
-    /// Tuples re-routed to the salvage fallback sink after this
-    /// shard's worker died (always zero outside salvage mode).
+    /// Tuples re-routed to the fallback sink after this shard's
+    /// worker died (zero on a clean run).
     pub salvaged: u64,
 }
 
@@ -212,7 +247,7 @@ pub struct PipelineStats {
     /// Wall-clock nanoseconds spent in [`ShardableSink::merge`].
     pub merge_nanos: u64,
     /// Shards whose worker died and whose later tuples were re-routed
-    /// to the fallback sink (salvage mode only; empty on a clean run).
+    /// to the fallback sink (empty on a clean run).
     pub degraded_shards: Vec<u64>,
 }
 
@@ -242,65 +277,22 @@ impl PipelineStats {
     }
 }
 
-/// What the translator thread hands back at shutdown: the OMC plus the
-/// counters a single-threaded [`Cdc`] would have accumulated, plus the
-/// per-lane routing totals and (in salvage mode) the fallback sink
-/// that absorbed tuples for dead lanes.
-struct Translated<S> {
-    omc: Omc,
-    sampler: Sampler,
-    time: u64,
-    untracked: u64,
-    probe_anomalies: u64,
-    lane_stats: Vec<ShardStats>,
-    fallback: Option<S>,
-}
-
-/// The outcome of joining a salvage-mode pipeline (see
-/// [`ShardedCdc::try_join_salvage`]): the merged profile — possibly
-/// degraded — plus what went wrong.
+/// What [`ShardedCdc::join`] hands back: the merged session — possibly
+/// degraded — plus the routing totals and what went wrong.
 #[derive(Debug)]
-pub struct SalvagedJoin<S: ShardableSink> {
-    /// The merged collection: surviving shards plus the fallback sink.
-    pub cdc: Cdc<S>,
+pub struct ShardedJoin<S> {
+    /// The merged collection: every surviving lane plus the fallback
+    /// sink, with the translator's OMC, sampler and counters. It has
+    /// seen `finish`, and refuses to checkpoint when degraded.
+    pub session: Session<S>,
     /// Routing totals; [`PipelineStats::degraded_shards`] lists the
     /// dead lanes and [`ShardStats::salvaged`] counts the diverted
     /// tuples per lane.
     pub stats: PipelineStats,
-    /// One [`PipelineError`] per dead shard worker, in shard order.
-    /// Empty means the run was clean and `cdc` is not degraded.
+    /// One [`PipelineError`] per dead shard lane, in shard order.
+    /// Empty means the run was clean: `session` is exactly what inline
+    /// collection would have produced.
     pub degraded: Vec<PipelineError>,
-}
-
-impl<S: ShardableSink> SalvagedJoin<S> {
-    /// True when every worker survived: the profile is the same as a
-    /// non-salvage join would have produced.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.degraded.is_empty()
-    }
-}
-
-/// The collection state a resumed pipeline continues from — the
-/// contents of a checkpoint container, unpacked (see
-/// [`Session::resume_sharded`](crate::Session::resume_sharded)).
-#[derive(Debug)]
-pub struct ResumeState<S> {
-    /// The restored object management component.
-    pub omc: Omc,
-    /// The time-stamp counter at the checkpoint.
-    pub time: Timestamp,
-    /// Untracked accesses at the checkpoint.
-    pub untracked: u64,
-    /// Probe anomalies at the checkpoint.
-    pub probe_anomalies: u64,
-    /// The restored profiler state; becomes shard 0's initial sink.
-    pub stem: S,
-    /// Shard keys present in `stem`, pre-routed to shard 0.
-    pub stem_keys: Vec<u64>,
-    /// The restored sampling front-end (pass-through for checkpoints
-    /// of unsampled runs).
-    pub sampler: Sampler,
 }
 
 /// One shard's outbound lane: its tuple channel, the buffer-recycling
@@ -310,7 +302,7 @@ struct Lane {
     recycled: Receiver<Vec<OrTuple>>,
     pending: Vec<OrTuple>,
     /// Set when the worker hung up (it panicked); further tuples for
-    /// this shard are dropped and the panic surfaces at join.
+    /// this shard divert to the fallback and the panic surfaces at join.
     dead: bool,
     /// Tuples routed here, batches flushed, and full-queue stalls.
     stats: ShardStats,
@@ -373,209 +365,177 @@ impl Lane {
     }
 }
 
-/// A probe sink collecting through the sharded pipeline described in
-/// the [module docs](self).
+/// The translator's profiler: routes each translated tuple to its key's
+/// lane, diverting batches a dead lane cannot accept to the fallback.
+struct Router<S> {
+    lanes: Vec<Lane>,
+    /// First-seen round-robin key→lane assignment: deterministic for a
+    /// given event stream, and balance never affects the merged result
+    /// (the merge is a key-set union).
+    routes: FastU64Map<usize>,
+    next_shard: usize,
+    /// Consecutive tuples overwhelmingly come from a handful of keys
+    /// (instructions running loops, often a couple of them interleaved);
+    /// a small recently-used memo answers those ahead of the map lookup.
+    route_memo: [(u64, usize); 4],
+    memo_slot: usize,
+    fallback: Option<S>,
+    /// Each lane's totals, harvested by [`Router::close`].
+    lane_stats: Vec<ShardStats>,
+}
+
+impl<S: ShardableSink> Router<S> {
+    fn route(&mut self, key: u64) -> usize {
+        if let Some(&(_, shard)) = self.route_memo.iter().find(|(k, _)| *k == key) {
+            return shard;
+        }
+        let lanes = self.lanes.len();
+        let next_shard = &mut self.next_shard;
+        let shard = *self.routes.entry(key).or_insert_with(|| {
+            let s = *next_shard;
+            *next_shard = (s + 1) % lanes;
+            s
+        });
+        self.route_memo[self.memo_slot] = (key, shard);
+        self.memo_slot = (self.memo_slot + 1) % self.route_memo.len();
+        shard
+    }
+
+    /// Flushes every lane's last batch, then hangs up on all the
+    /// workers at once, keeping the lanes' totals.
+    fn close(&mut self) {
+        for lane in &mut self.lanes {
+            if let Some(batch) = lane.flush() {
+                salvage_batch(&mut self.fallback, &mut lane.stats, &batch);
+            }
+        }
+        self.lane_stats = self.lanes.drain(..).map(|lane| lane.stats).collect();
+    }
+}
+
+impl<S: ShardableSink> OrSink for Router<S> {
+    fn tuple(&mut self, t: &OrTuple) {
+        let shard = self.route(S::shard_key(t));
+        let lane = &mut self.lanes[shard];
+        if let Some(batch) = lane.push(*t) {
+            salvage_batch(&mut self.fallback, &mut lane.stats, &batch);
+        }
+    }
+}
+
+/// Spawns lane `shard`'s worker thread, which feeds `sink` every batch
+/// it receives and hands the sink back when the translator hangs up.
+fn spawn_lane<S: ShardableSink>(shard: usize, mut sink: S) -> (Lane, JoinHandle<S>) {
+    let (tx, rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
+    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
+    let handle = thread::Builder::new()
+        .name(format!("orp-shard-{shard}"))
+        .spawn(move || {
+            while let Ok(batch) = rx.recv() {
+                sink.tuple_batch(&batch);
+                let mut spent = batch;
+                spent.clear();
+                let _ = recycle_tx.try_send(spent);
+            }
+            sink
+        })
+        .expect("spawn shard worker");
+    let lane = Lane {
+        tx,
+        recycled: recycle_rx,
+        pending: Vec::with_capacity(TUPLE_BATCH),
+        dead: false,
+        stats: ShardStats {
+            shard: shard as u64,
+            ..ShardStats::default()
+        },
+    };
+    (lane, handle)
+}
+
+/// A probe sink collecting through the pipeline described in the
+/// [module docs](self).
 ///
 /// # Examples
 ///
 /// ```
 /// use orp_core::sharded::ShardedCdc;
-/// use orp_core::{Omc, VecOrSink};
+/// use orp_core::{Session, VecOrSink};
 /// use orp_trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeSink, RawAddress};
 ///
-/// let mut probe = ShardedCdc::spawn(Omc::new(), 2, |_| VecOrSink::new());
+/// let mut probe = ShardedCdc::spawn(Session::new(VecOrSink::new()), 2, |_| VecOrSink::new());
 /// probe.alloc(AllocEvent { site: AllocSiteId(0), base: RawAddress(0x100), size: 16 });
 /// probe.access(AccessEvent::load(InstrId(0), RawAddress(0x108), 8));
-/// let cdc = probe.try_join().unwrap();
-/// assert_eq!(cdc.sink().len(), 1);
+/// let joined = probe.join().unwrap();
+/// assert!(joined.degraded.is_empty());
+/// assert_eq!(joined.session.events(), 2);
+/// assert_eq!(joined.session.cdc().sink().len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct ShardedCdc<S: ShardableSink> {
     to_translator: Option<SyncSender<Vec<ProbeEvent>>>,
     recycled: Receiver<Vec<ProbeEvent>>,
     batch: Vec<ProbeEvent>,
-    translator: Option<JoinHandle<Translated<S>>>,
-    workers: VecDeque<JoinHandle<S>>,
+    translator: Option<JoinHandle<Session<Router<S>>>>,
+    workers: Vec<JoinHandle<S>>,
 }
 
 impl<S: ShardableSink> ShardedCdc<S> {
-    /// Spawns the translator plus `shards` worker threads; worker `i`
-    /// runs the sink built by `make_sink(i)` (all must be identically
-    /// configured for the merge to be meaningful).
+    /// Continues `session` on the translator thread plus `shards` lane
+    /// workers. The session's profiler becomes lane 0's sink with its
+    /// [`ShardableSink::state_keys`] pinned to lane 0; `make_sink(i)`
+    /// builds the empty sinks of lanes `1..shards` and, as
+    /// `make_sink(shards)`, the fallback for dead lanes. All must be
+    /// configured like the session's profiler for the merge to be
+    /// meaningful.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero or a thread cannot be spawned.
     #[must_use]
-    pub fn spawn(omc: Omc, shards: usize, make_sink: impl FnMut(usize) -> S) -> Self {
-        Self::spawn_with_sampler(omc, Sampler::off(), shards, make_sink)
-    }
-
-    /// [`ShardedCdc::spawn`] with a sampling front-end: the translator
-    /// consults `sampler` after each successful translation, exactly as
-    /// an inline [`Cdc`] would, so a fixed-rate sampled sharded run is
-    /// byte-identical to the sampled single-threaded run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn spawn_with_sampler(
-        omc: Omc,
-        sampler: Sampler,
+    pub fn spawn(
+        session: Session<S>,
         shards: usize,
         mut make_sink: impl FnMut(usize) -> S,
     ) -> Self {
-        assert!(shards > 0, "at least one shard worker is required");
-        let sinks = (0..shards).map(&mut make_sink).collect();
-        Self::launch(
-            Translated {
-                omc,
-                sampler,
-                time: 0,
-                untracked: 0,
-                probe_anomalies: 0,
-                lane_stats: Vec::new(),
-                fallback: None,
-            },
-            Vec::new(),
-            sinks,
-        )
-    }
-
-    /// [`ShardedCdc::spawn`] in graceful-degradation (salvage) mode: a
-    /// panicked shard worker no longer forfeits the run. Tuples the
-    /// dead worker could not accept — its undeliverable batches and
-    /// everything routed to its keys afterwards — are diverted to a
-    /// fallback sink (built by `make_sink(shards)`) that lives in the
-    /// translator, and [`ShardedCdc::try_join_salvage`] merges the
-    /// surviving shards with the fallback instead of failing.
-    ///
-    /// Salvage is best-effort: batches already handed to the worker
-    /// when it died (consumed or sitting in its queue) are lost, so a
-    /// dead lane's keys are generally *partial* in the salvaged
-    /// profile. Keys routed to surviving lanes are unaffected and
-    /// remain byte-identical to the non-degraded run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn spawn_salvaging(omc: Omc, shards: usize, make_sink: impl FnMut(usize) -> S) -> Self {
-        Self::spawn_salvaging_with_sampler(omc, Sampler::off(), shards, make_sink)
-    }
-
-    /// [`ShardedCdc::spawn_salvaging`] with a sampling front-end (see
-    /// [`ShardedCdc::spawn_with_sampler`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn spawn_salvaging_with_sampler(
-        omc: Omc,
-        sampler: Sampler,
-        shards: usize,
-        mut make_sink: impl FnMut(usize) -> S,
-    ) -> Self {
-        assert!(shards > 0, "at least one shard worker is required");
-        let sinks = (0..shards).map(&mut make_sink).collect();
-        Self::launch(
-            Translated {
-                omc,
-                sampler,
-                time: 0,
-                untracked: 0,
-                probe_anomalies: 0,
-                lane_stats: Vec::new(),
+        assert!(shards > 0, "at least one shard lane is required");
+        let mut workers = Vec::with_capacity(shards);
+        let mut session = session.map_sink(|stem| {
+            let mut routes = FastU64Map::default();
+            for key in stem.state_keys() {
+                routes.insert(key, 0);
+            }
+            let sinks = std::iter::once(stem).chain((1..shards).map(&mut make_sink));
+            let mut lanes = Vec::with_capacity(shards);
+            for (shard, sink) in sinks.enumerate() {
+                let (lane, handle) = spawn_lane(shard, sink);
+                lanes.push(lane);
+                workers.push(handle);
+            }
+            Router {
+                lanes,
+                routes,
+                next_shard: 0,
+                route_memo: [(u64::MAX, 0); 4],
+                memo_slot: 0,
                 fallback: Some(make_sink(shards)),
-            },
-            Vec::new(),
-            sinks,
-        )
-    }
-
-    /// Continues a checkpointed collection on the sharded pipeline.
-    ///
-    /// The translator resumes from the restored OMC and counters. The
-    /// restored profiler state (`stem`) becomes shard 0's initial sink,
-    /// and every key in `stem_keys` is pre-routed to shard 0 — a key
-    /// already represented in the stem must keep feeding the state that
-    /// holds its prefix, so each key's sub-stream stays complete within
-    /// one part and [`ShardableSink::merge`]'s disjointness contract
-    /// (and with it byte-identical output) is preserved.
-    ///
-    /// `make_sink(i)` builds the empty sinks for shards `1..shards`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn resume(
-        state: ResumeState<S>,
-        shards: usize,
-        mut make_sink: impl FnMut(usize) -> S,
-    ) -> Self {
-        assert!(shards > 0, "at least one shard worker is required");
-        let mut sinks = Vec::with_capacity(shards);
-        sinks.push(state.stem);
-        sinks.extend((1..shards).map(&mut make_sink));
-        Self::launch(
-            Translated {
-                omc: state.omc,
-                sampler: state.sampler,
-                time: state.time.0,
-                untracked: state.untracked,
-                probe_anomalies: state.probe_anomalies,
                 lane_stats: Vec::new(),
-                fallback: None,
-            },
-            state.stem_keys,
-            sinks,
-        )
-    }
+            }
+        });
 
-    /// Spawns the pipeline threads from an initial translator state and
-    /// one sink per shard.
-    fn launch(init: Translated<S>, seeded_keys: Vec<u64>, sinks: Vec<S>) -> Self {
-        let shards = sinks.len();
         let (probe_tx, probe_rx) = mpsc::sync_channel::<Vec<ProbeEvent>>(QUEUE_BATCHES);
         let (probe_recycle_tx, probe_recycle_rx) = mpsc::sync_channel(QUEUE_BATCHES);
-
-        let mut lanes = Vec::with_capacity(shards);
-        let mut workers = VecDeque::with_capacity(shards);
-        for (shard, mut sink) in sinks.into_iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
-            let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
-            let handle = thread::Builder::new()
-                .name(format!("orp-shard-{shard}"))
-                .spawn(move || {
-                    while let Ok(batch) = rx.recv() {
-                        sink.tuple_batch(&batch);
-                        let mut spent = batch;
-                        spent.clear();
-                        let _ = recycle_tx.try_send(spent);
-                    }
-                    sink
-                })
-                .expect("spawn shard worker");
-            lanes.push(Lane {
-                tx,
-                recycled: recycle_rx,
-                pending: Vec::with_capacity(TUPLE_BATCH),
-                dead: false,
-                stats: ShardStats {
-                    shard: shard as u64,
-                    ..ShardStats::default()
-                },
-            });
-            workers.push_back(handle);
-        }
-
         let translator = thread::Builder::new()
             .name("orp-translate".to_owned())
             .spawn(move || {
-                translate_loop::<S>(init, &seeded_keys, &probe_rx, &probe_recycle_tx, &mut lanes)
+                while let Ok(events) = probe_rx.recv() {
+                    session.feed(&events);
+                    let mut spent = events;
+                    spent.clear();
+                    let _ = probe_recycle_tx.try_send(spent);
+                }
+                session.cdc_mut().sink_mut().close();
+                session
             })
             .expect("spawn translator thread");
 
@@ -614,112 +574,29 @@ impl<S: ShardableSink> ShardedCdc<S> {
         }
     }
 
-    /// Flushes pending events, shuts the pipeline down, merges the
-    /// shard sinks and returns the finished [`Cdc`] (its sink has seen
-    /// `finish`).
+    /// Flushes pending events, shuts the pipeline down and merges the
+    /// surviving lanes and the fallback into the finished session (its
+    /// sink has seen `finish`). A lane that died degrades the result
+    /// instead of failing it — see [`ShardedJoin::degraded`].
     ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError`] naming the thread when the
-    /// translator or a shard worker panicked.
-    pub fn try_join(self) -> Result<Cdc<S>, PipelineError> {
-        self.try_join_stats().map(|(cdc, _)| cdc)
-    }
-
-    /// [`ShardedCdc::try_join`], additionally returning the pipeline's
-    /// per-shard routing totals and merge time.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] naming the thread when the
-    /// translator or a shard worker panicked.
-    pub fn try_join_stats(mut self) -> Result<(Cdc<S>, PipelineStats), PipelineError> {
+    /// Returns a [`PipelineError`] only when the *translator* panicked:
+    /// it owns the OMC and the counters, so nothing can be salvaged
+    /// without it.
+    pub fn join(mut self) -> Result<ShardedJoin<S>, PipelineError> {
         self.flush();
         drop(self.to_translator.take());
-        // The translator must wind down first: it owns the shard
-        // senders, and dropping them releases the workers.
-        let translated = match self.translator.take().expect("join called once").join() {
-            Ok(t) => Ok(t),
-            Err(payload) => Err(PipelineError {
-                worker: "translator".to_owned(),
-                message: panic_message(payload),
-            }),
-        };
-        let mut first_error = translated.as_ref().err().cloned();
-        let mut sinks = Vec::with_capacity(self.workers.len());
-        for (shard, handle) in self.workers.drain(..).enumerate() {
-            match handle.join() {
-                Ok(sink) => sinks.push(sink),
-                Err(payload) => {
-                    let err = PipelineError {
-                        worker: format!("shard {shard}"),
-                        message: panic_message(payload),
-                    };
-                    first_error.get_or_insert(err);
-                }
-            }
-        }
-        if let Some(err) = first_error {
-            return Err(err);
-        }
-        let t = translated.expect("checked above");
-        let merge_start = std::time::Instant::now();
-        let merged = S::merge(sinks);
-        let merge_nanos = u64::try_from(merge_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut cdc = Cdc::from_parts(
-            t.omc,
-            merged,
-            Timestamp(t.time),
-            t.untracked,
-            t.probe_anomalies,
-        );
-        cdc.set_sampler(t.sampler);
-        ProbeSink::finish(&mut cdc);
-        Ok((
-            cdc,
-            PipelineStats {
-                shards: t.lane_stats,
-                merge_nanos,
-                degraded_shards: Vec::new(),
-            },
-        ))
-    }
-
-    /// Joins a salvage-mode pipeline (see
-    /// [`ShardedCdc::spawn_salvaging`]): dead shard workers degrade the
-    /// run instead of forfeiting it. The surviving shards' sinks and
-    /// the translator's fallback sink merge into the salvaged profile;
-    /// each dead worker's panic is reported in
-    /// [`SalvagedJoin::degraded`] and its shard index in
-    /// [`PipelineStats::degraded_shards`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] only when the *translator* panicked
-    /// — it owns the OMC, so nothing can be salvaged without it.
-    pub fn try_join_salvage(mut self) -> Result<SalvagedJoin<S>, PipelineError> {
-        self.flush();
-        drop(self.to_translator.take());
-        let t = match self.translator.take().expect("join called once").join() {
-            Ok(t) => t,
-            Err(payload) => {
-                // Release and reap the workers before surfacing the
-                // translator's panic.
-                for handle in self.workers.drain(..) {
-                    let _ = handle.join();
-                }
-                return Err(PipelineError {
-                    worker: "translator".to_owned(),
-                    message: panic_message(payload),
-                });
-            }
-        };
-        let mut sinks = Vec::with_capacity(self.workers.len() + 1);
+        // The translator winds down first: closing its router (or
+        // unwinding past it) hangs up on the lanes, releasing the
+        // workers.
+        let translated = self.translator.take().expect("join called once").join();
+        let mut parts = Vec::with_capacity(self.workers.len() + 1);
         let mut degraded = Vec::new();
         let mut degraded_shards = Vec::new();
         for (shard, handle) in self.workers.drain(..).enumerate() {
             match handle.join() {
-                Ok(sink) => sinks.push(sink),
+                Ok(sink) => parts.push(sink),
                 Err(payload) => {
                     degraded.push(PipelineError {
                         worker: format!("shard {shard}"),
@@ -729,58 +606,42 @@ impl<S: ShardableSink> ShardedCdc<S> {
                 }
             }
         }
+        let mut session = translated.map_err(|payload| PipelineError {
+            worker: "translator".to_owned(),
+            message: panic_message(payload),
+        })?;
+        let router = session.cdc_mut().sink_mut();
+        let lane_stats = std::mem::take(&mut router.lane_stats);
         // The fallback is last: merge contracts order parts by shard,
         // and the fallback holds (partial) streams of dead-lane keys —
         // key sets disjoint from every surviving part.
-        sinks.extend(t.fallback);
+        parts.extend(router.fallback.take());
         let merge_start = std::time::Instant::now();
-        let merged = S::merge(sinks);
+        let merged = S::merge(parts);
         let merge_nanos = u64::try_from(merge_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut cdc = Cdc::from_parts(
-            t.omc,
-            merged,
-            Timestamp(t.time),
-            t.untracked,
-            t.probe_anomalies,
-        );
-        cdc.set_sampler(t.sampler);
-        ProbeSink::finish(&mut cdc);
-        Ok(SalvagedJoin {
-            cdc,
+        let mut session = session.map_sink(|_| merged);
+        session.degraded |= !degraded.is_empty();
+        ProbeSink::finish(&mut session);
+        Ok(ShardedJoin {
+            session,
             stats: PipelineStats {
-                shards: t.lane_stats,
+                shards: lane_stats,
                 merge_nanos,
                 degraded_shards,
             },
             degraded,
         })
     }
-
-    /// [`ShardedCdc::try_join`], panicking on pipeline errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`PipelineError`] description when a pipeline
-    /// thread panicked.
-    #[must_use]
-    pub fn join(self) -> Cdc<S> {
-        match self.try_join() {
-            Ok(cdc) => cdc,
-            Err(err) => panic!("{err}"),
-        }
-    }
 }
 
-/// Diverts a batch a dead worker could not accept into the salvage
-/// fallback sink, or drops it when salvage mode is off.
+/// Diverts a batch a dead lane could not accept into the fallback sink.
 ///
 /// The fallback is the pipeline's last line of defense, so it gets one
 /// of its own: if the fallback sink itself panics, the translator — and
 /// with it every lane's routing totals, including the salvaged count
 /// accumulated so far — must survive to the join. The panic is caught,
-/// the fallback is retired, and later diverted batches are dropped
-/// (exactly what non-salvage mode does). `salvaged` counts only tuples
-/// the fallback actually accepted.
+/// the fallback is retired, and later diverted batches are dropped.
+/// `salvaged` counts only tuples the fallback actually accepted.
 fn salvage_batch<S: ShardableSink>(
     fallback: &mut Option<S>,
     stats: &mut ShardStats,
@@ -795,119 +656,6 @@ fn salvage_batch<S: ShardableSink>(
         } else {
             *fallback = None;
         }
-    }
-}
-
-/// The translator thread: replicates [`Cdc`] event handling (fast-path
-/// translation, time-stamping, anomaly counting) and routes tuples to
-/// shard lanes by `S::shard_key`.
-fn translate_loop<S: ShardableSink>(
-    init: Translated<S>,
-    seeded_keys: &[u64],
-    probe_rx: &Receiver<Vec<ProbeEvent>>,
-    probe_recycle_tx: &SyncSender<Vec<ProbeEvent>>,
-    lanes: &mut [Lane],
-) -> Translated<S> {
-    let shards = lanes.len();
-    let Translated {
-        mut omc,
-        mut sampler,
-        mut time,
-        mut untracked,
-        mut probe_anomalies,
-        lane_stats: _,
-        mut fallback,
-    } = init;
-    // First-seen round-robin key→shard assignment: deterministic for a
-    // given event stream, and balance never affects the merged result
-    // (the merge is a key-set union). Keys restored from a checkpoint
-    // are pinned to shard 0, which holds the restored state.
-    let mut routes: FastU64Map<usize> = FastU64Map::default();
-    for &key in seeded_keys {
-        routes.insert(key, 0);
-    }
-    let mut next_shard = 0usize;
-    // Consecutive tuples overwhelmingly come from a handful of keys
-    // (instructions running loops, often a couple of them interleaved);
-    // a small recently-used memo answers those ahead of the map lookup.
-    let mut route_memo: [(u64, usize); 4] = [(u64::MAX, 0); 4];
-    let mut memo_slot = 0usize;
-    while let Ok(events) = probe_rx.recv() {
-        for ev in &events {
-            match *ev {
-                ProbeEvent::Access(AccessEvent {
-                    instr,
-                    kind,
-                    addr,
-                    size,
-                }) => match omc.translate_cached(instr, addr.0) {
-                    Some((group, object, offset)) => {
-                        // Same admission decision, in the same event
-                        // order, as the inline Cdc: sampled sharded
-                        // collection stays byte-identical.
-                        if !sampler.is_off() && !sampler.admit(instr_group_key(instr, group)) {
-                            continue;
-                        }
-                        let tuple = OrTuple {
-                            instr,
-                            kind,
-                            group,
-                            object,
-                            offset,
-                            time: Timestamp(time),
-                            size,
-                        };
-                        time += 1;
-                        let key = S::shard_key(&tuple);
-                        let shard = match route_memo.iter().find(|(k, _)| *k == key) {
-                            Some(&(_, s)) => s,
-                            None => {
-                                let s = *routes.entry(key).or_insert_with(|| {
-                                    let s = next_shard;
-                                    next_shard = (next_shard + 1) % shards;
-                                    s
-                                });
-                                route_memo[memo_slot] = (key, s);
-                                memo_slot = (memo_slot + 1) % route_memo.len();
-                                s
-                            }
-                        };
-                        let lane = &mut lanes[shard];
-                        if let Some(batch) = lane.push(tuple) {
-                            salvage_batch(&mut fallback, &mut lane.stats, &batch);
-                        }
-                    }
-                    None => untracked += 1,
-                },
-                ProbeEvent::Alloc(AllocEvent { site, base, size }) => {
-                    if omc.on_alloc(site, base.0, size, Timestamp(time)).is_err() {
-                        probe_anomalies += 1;
-                    }
-                }
-                ProbeEvent::Free(FreeEvent { base }) => {
-                    if omc.on_free(base.0, Timestamp(time)).is_err() {
-                        probe_anomalies += 1;
-                    }
-                }
-            }
-        }
-        let mut spent = events;
-        spent.clear();
-        let _ = probe_recycle_tx.try_send(spent);
-    }
-    for lane in lanes.iter_mut() {
-        if let Some(batch) = lane.flush() {
-            salvage_batch(&mut fallback, &mut lane.stats, &batch);
-        }
-    }
-    Translated {
-        omc,
-        sampler,
-        time,
-        untracked,
-        probe_anomalies,
-        lane_stats: lanes.iter().map(|lane| lane.stats).collect(),
-        fallback,
     }
 }
 
@@ -945,7 +693,7 @@ impl<S: ShardableSink> Drop for ShardedCdc<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Omc, VecOrSink};
+    use crate::{SessionSink, VecOrSink};
     use orp_trace::{AllocSiteId, RawAddress};
 
     fn churn_run(sink: &mut dyn ProbeSink, nodes: u64, passes: u64) {
@@ -979,34 +727,49 @@ mod tests {
         sink.finish();
     }
 
+    fn spawn_vec(shards: usize) -> ShardedCdc<VecOrSink> {
+        ShardedCdc::spawn(Session::new(VecOrSink::new()), shards, |_| VecOrSink::new())
+    }
+
     #[test]
     fn sharded_collection_is_identical_to_inline_collection() {
-        let mut inline = Cdc::new(Omc::new(), VecOrSink::new());
+        let mut inline = Session::new(VecOrSink::new());
         churn_run(&mut inline, 50, 40);
 
         for shards in [1, 2, 3, 8] {
-            let mut sharded = ShardedCdc::spawn(Omc::new(), shards, |_| VecOrSink::new());
+            let mut sharded = spawn_vec(shards);
             churn_run(&mut sharded, 50, 40);
-            let cdc = sharded.try_join().expect("pipeline healthy");
+            let joined = sharded.join().expect("pipeline healthy");
+            assert!(joined.degraded.is_empty(), "{shards} shards");
+            assert!(joined.stats.degraded_shards.is_empty());
+            assert_eq!(joined.stats.salvaged_tuples(), 0);
+            let session = joined.session;
+            assert_eq!(session.events(), inline.events(), "{shards} shards");
+            let (cdc, reference) = (session.cdc(), inline.cdc());
             assert_eq!(
                 cdc.sink().tuples(),
-                inline.sink().tuples(),
+                reference.sink().tuples(),
                 "{shards} shards"
             );
-            assert_eq!(cdc.time(), inline.time());
-            assert_eq!(cdc.untracked(), inline.untracked());
-            assert_eq!(cdc.probe_anomalies(), inline.probe_anomalies());
+            assert_eq!(cdc.time(), reference.time());
+            assert_eq!(cdc.untracked(), reference.untracked());
+            assert_eq!(cdc.probe_anomalies(), reference.probe_anomalies());
         }
     }
 
     #[test]
     fn pipeline_stats_account_for_every_routed_tuple() {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), 3, |_| VecOrSink::new());
+        let mut sharded = spawn_vec(3);
         churn_run(&mut sharded, 50, 40);
-        let (cdc, stats) = sharded.try_join_stats().expect("pipeline healthy");
+        let joined = sharded.join().expect("pipeline healthy");
+        let stats = joined.stats;
         assert_eq!(stats.shards.len(), 3);
         let routed: u64 = stats.shards.iter().map(|s| s.tuples).sum();
-        assert_eq!(routed, cdc.sink().len() as u64, "every tuple counted");
+        assert_eq!(
+            routed,
+            joined.session.cdc().sink().len() as u64,
+            "every tuple counted"
+        );
         for (i, s) in stats.shards.iter().enumerate() {
             assert_eq!(s.shard, i as u64);
             assert!(
@@ -1016,34 +779,66 @@ mod tests {
         }
     }
 
+    /// A sink that panics on every tuple.
+    #[derive(Debug)]
+    struct Grenade;
+    impl OrSink for Grenade {
+        fn tuple(&mut self, _: &OrTuple) {
+            panic!("sink exploded");
+        }
+    }
+    impl ShardableSink for Grenade {
+        fn shard_key(t: &OrTuple) -> u64 {
+            u64::from(t.instr.0)
+        }
+        fn merge(_: Vec<Self>) -> Self {
+            Grenade
+        }
+    }
+
     #[test]
     fn panicking_shard_worker_is_reported_by_name() {
-        #[derive(Debug)]
-        struct Grenade;
-        impl OrSink for Grenade {
-            fn tuple(&mut self, _: &OrTuple) {
-                panic!("sink exploded");
-            }
-        }
-        impl ShardableSink for Grenade {
-            fn shard_key(t: &OrTuple) -> u64 {
-                u64::from(t.instr.0)
-            }
-            fn merge(_: Vec<Self>) -> Self {
-                Grenade
-            }
-        }
-        let mut sharded = ShardedCdc::spawn(Omc::new(), 2, |_| Grenade);
+        let mut sharded = ShardedCdc::spawn(Session::new(Grenade), 2, |_| Grenade);
         sharded.alloc(AllocEvent {
             site: AllocSiteId(0),
             base: RawAddress(0x100),
             size: 64,
         });
         sharded.access(AccessEvent::load(InstrId(0), RawAddress(0x100), 8));
-        let err = sharded.try_join().expect_err("worker must have died");
+        let joined = sharded.join().expect("the translator survives");
+        assert_eq!(joined.degraded.len(), 1);
+        let err = &joined.degraded[0];
         assert_eq!(err.worker, "shard 0");
         assert!(err.message.contains("sink exploded"), "{err}");
         assert!(err.to_string().contains("shard 0"));
+        assert_eq!(joined.stats.degraded_shards, vec![0]);
+    }
+
+    /// A lane that dies early must not wedge the probe side: far more
+    /// events than the probe and lane queues hold keep flowing, and the
+    /// join still names the dead lane instead of hanging.
+    #[test]
+    fn batches_keep_flowing_after_lane_death() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let driver = std::thread::spawn(move || {
+            let mut sharded = ShardedCdc::spawn(Session::new(Grenade), 1, |_| Grenade);
+            sharded.alloc(AllocEvent {
+                site: AllocSiteId(0),
+                base: RawAddress(0x100),
+                size: 64,
+            });
+            for _ in 0..(EVENT_BATCH.max(TUPLE_BATCH) * (QUEUE_BATCHES + 4)) {
+                sharded.access(AccessEvent::load(InstrId(0), RawAddress(0x100), 8));
+            }
+            let _ = done_tx.send(sharded.join().map(|joined| joined.degraded));
+        });
+        let degraded = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the join hung after a lane died")
+            .expect("the translator survives");
+        driver.join().expect("driver thread finished");
+        assert_eq!(degraded.len(), 1);
+        assert_eq!(degraded[0].worker, "shard 0");
     }
 
     /// A sink that panics on its first tuple when armed, recording
@@ -1071,43 +866,64 @@ mod tests {
             }
         }
     }
+    impl SessionSink for FusedVec {
+        const STATE_NAME: &'static str = "fused-vec";
+        fn save_state(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
+            self.inner.save_state(w)
+        }
+        fn restore_state(r: &mut impl std::io::Read) -> std::io::Result<Self> {
+            let inner = VecOrSink::restore_state(r)?;
+            Ok(FusedVec {
+                armed: false,
+                inner,
+            })
+        }
+        fn finalize_profile(self, w: &mut impl std::io::Write) -> std::io::Result<()> {
+            self.inner.finalize_profile(w)
+        }
+    }
+
+    fn fused_lane_two(i: usize) -> FusedVec {
+        FusedVec {
+            armed: i == 1,
+            inner: VecOrSink::new(),
+        }
+    }
+
+    /// Two keys on two lanes: instr 0 is first-seen → lane 0 (survives),
+    /// instr 1 → lane 1.
+    fn wave(sink: &mut dyn ProbeSink) {
+        for i in 0..(TUPLE_BATCH as u64 + 256) {
+            sink.access(AccessEvent::load(
+                InstrId(0),
+                RawAddress(0x1000 + i % 64),
+                1,
+            ));
+            sink.access(AccessEvent::load(
+                InstrId(1),
+                RawAddress(0x1000 + i % 64),
+                1,
+            ));
+        }
+    }
+
+    const ALLOC: AllocEvent = AllocEvent {
+        site: AllocSiteId(0),
+        base: RawAddress(0x1000),
+        size: 64,
+    };
 
     #[test]
     fn salvage_mode_survives_a_dead_worker_and_keeps_surviving_lanes_exact() {
         // Reference: the same stream collected inline.
-        let mut inline = Cdc::new(Omc::new(), VecOrSink::new());
-        // Two keys with 2 shards: instr 0 is first-seen → shard 0
-        // (survives), instr 1 → shard 1 (armed sink, dies on its first
-        // batch).
-        let alloc = AllocEvent {
-            site: AllocSiteId(0),
-            base: RawAddress(0x1000),
-            size: 64,
-        };
-        let wave = |sink: &mut dyn ProbeSink| {
-            for i in 0..(TUPLE_BATCH as u64 + 256) {
-                sink.access(AccessEvent::load(
-                    InstrId(0),
-                    RawAddress(0x1000 + i % 64),
-                    1,
-                ));
-                sink.access(AccessEvent::load(
-                    InstrId(1),
-                    RawAddress(0x1000 + i % 64),
-                    1,
-                ));
-            }
-        };
-        inline.alloc(alloc);
+        let mut inline = Session::new(VecOrSink::new());
+        inline.alloc(ALLOC);
         wave(&mut inline);
         wave(&mut inline);
         inline.finish();
 
-        let mut sharded = ShardedCdc::spawn_salvaging(Omc::new(), 2, |i| FusedVec {
-            armed: i == 1,
-            inner: VecOrSink::new(),
-        });
-        sharded.alloc(alloc);
+        let mut sharded = ShardedCdc::spawn(Session::new(fused_lane_two(0)), 2, fused_lane_two);
+        sharded.alloc(ALLOC);
         wave(&mut sharded);
         // Ship wave 1 to the translator, then give shard 1's worker time to
         // receive its first batch, die, and drop its receiver, so wave 2's
@@ -1115,24 +931,19 @@ mod tests {
         sharded.finish();
         std::thread::sleep(std::time::Duration::from_millis(100));
         wave(&mut sharded);
-        let join = sharded.try_join_salvage().expect("translator survived");
+        let join = sharded.join().expect("translator survived");
 
-        assert!(!join.is_clean());
         assert_eq!(join.degraded.len(), 1);
         assert_eq!(join.degraded[0].worker, "shard 1");
         assert!(join.degraded[0].message.contains("detonated"));
         assert_eq!(join.stats.degraded_shards, vec![1]);
+        assert_eq!(join.session.events(), inline.events());
 
         // The surviving lane's key is byte-identical to the inline run.
-        let survived: Vec<&OrTuple> = join
-            .cdc
-            .sink()
-            .inner
-            .tuples()
-            .iter()
-            .filter(|t| t.instr == InstrId(0))
-            .collect();
+        let collected = join.session.cdc().sink().inner.tuples();
+        let survived: Vec<&OrTuple> = collected.iter().filter(|t| t.instr == InstrId(0)).collect();
         let reference: Vec<&OrTuple> = inline
+            .cdc()
             .sink()
             .tuples()
             .iter()
@@ -1142,7 +953,7 @@ mod tests {
 
         // Everything else in the profile came through the fallback, and
         // the stats account for exactly those tuples.
-        let salvaged_in_profile = join.cdc.sink().inner.len() - survived.len();
+        let salvaged_in_profile = collected.len() - survived.len();
         assert_eq!(join.stats.salvaged_tuples(), salvaged_in_profile as u64);
         assert_eq!(join.stats.shards[1].salvaged, salvaged_in_profile as u64);
         assert_eq!(join.stats.shards[0].salvaged, 0);
@@ -1152,25 +963,50 @@ mod tests {
         );
     }
 
+    /// A degraded session's dead-lane keys are partial; a checkpoint of
+    /// it would resume into a profile silently missing tuples. The join
+    /// marks it, and every checkpoint attempt fails without writing a
+    /// byte. A clean join from the same start checkpoints exactly like
+    /// the inline session.
     #[test]
-    fn salvage_mode_clean_run_matches_strict_join() {
-        let mut strict = ShardedCdc::spawn(Omc::new(), 3, |_| VecOrSink::new());
-        churn_run(&mut strict, 50, 40);
-        let reference = strict.try_join().expect("pipeline healthy");
+    fn degraded_join_never_checkpoints() {
+        let mut sharded = ShardedCdc::spawn(Session::new(fused_lane_two(0)), 2, fused_lane_two);
+        sharded.alloc(ALLOC);
+        wave(&mut sharded);
+        let mut joined = sharded.join().expect("translator survived");
+        assert_eq!(joined.degraded.len(), 1, "lane 1 must have died");
+        for _ in 0..2 {
+            let mut snapshot = Vec::new();
+            let err = joined
+                .session
+                .checkpoint(&mut snapshot)
+                .expect_err("a degraded session must not checkpoint");
+            assert!(err.to_string().contains("degraded"), "{err}");
+            assert!(snapshot.is_empty(), "nothing may be written");
+        }
+        assert_eq!(joined.session.session_stats().checkpoints, 0);
 
-        let mut salvaging = ShardedCdc::spawn_salvaging(Omc::new(), 3, |_| VecOrSink::new());
-        churn_run(&mut salvaging, 50, 40);
-        let join = salvaging.try_join_salvage().expect("pipeline healthy");
-        assert!(join.is_clean());
-        assert!(join.stats.degraded_shards.is_empty());
-        assert_eq!(join.stats.salvaged_tuples(), 0);
-        assert_eq!(join.cdc.sink().tuples(), reference.sink().tuples());
-        assert_eq!(join.cdc.time(), reference.time());
+        let disarmed = |_| fused_lane_two(0);
+        let mut clean = ShardedCdc::spawn(Session::new(disarmed(0)), 2, disarmed);
+        clean.alloc(ALLOC);
+        wave(&mut clean);
+        let mut clean = clean.join().expect("pipeline healthy");
+        assert!(clean.degraded.is_empty());
+        let mut inline = Session::new(disarmed(0));
+        inline.alloc(ALLOC);
+        wave(&mut inline);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        clean
+            .session
+            .checkpoint(&mut got)
+            .expect("clean join checkpoints");
+        inline.checkpoint(&mut want).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn drop_without_join_does_not_hang() {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), 4, |_| VecOrSink::new());
+        let mut sharded = spawn_vec(4);
         sharded.access(AccessEvent::load(InstrId(0), RawAddress(0x100), 8));
         drop(sharded);
     }

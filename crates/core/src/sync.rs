@@ -1,10 +1,9 @@
 //! Synchronization facade: `std` in normal builds, `loom` under
 //! `--cfg loom`.
 //!
-//! The collection pipelines ([`threaded`](crate::threaded),
-//! [`sharded`](crate::sharded)) — and sibling crates building their
-//! own pipelines on the same contract, like `orp-whomp`'s grammar
-//! workers — import channels and threads from here instead of `std`
+//! The collection pipeline ([`sharded`](crate::sharded)) — and sibling
+//! crates building their own pipelines on the same contract, like
+//! `orp-whomp`'s grammar workers — import channels and threads from here instead of `std`
 //! directly, so the model-checking build (`RUSTFLAGS="--cfg loom"
 //! cargo test --release --test <loom test>`) can substitute loom's
 //! instrumented primitives and exhaustively explore thread

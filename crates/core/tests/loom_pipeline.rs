@@ -13,7 +13,8 @@
 //!
 //! * the sharded pipeline's merged output, time-stamp counter,
 //!   untracked count and anomaly count equal the inline (unthreaded)
-//!   collection exactly;
+//!   collection exactly, at two lanes and at one (the paper's single
+//!   collection thread);
 //! * a checkpointed session resumed onto two interleaved shard workers
 //!   finalizes to the byte-identical profile of a single-threaded
 //!   resume.
@@ -74,9 +75,12 @@ fn sharded_two_workers_match_inline_under_all_schedules() {
 
     let events = events.to_vec();
     loom::model(move || {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), 2, |_| VecOrSink::new());
+        let mut sharded =
+            ShardedCdc::spawn(Session::new(VecOrSink::new()), 2, |_| VecOrSink::new());
         drive(&mut sharded, &events);
-        let cdc = sharded.try_join().expect("pipeline healthy");
+        let joined = sharded.join().expect("pipeline healthy");
+        assert!(joined.degraded.is_empty());
+        let cdc = joined.session.cdc();
         assert_eq!(
             cdc.sink().tuples(),
             expected_tuples,
@@ -189,14 +193,14 @@ fn checkpoint_resume_sharded_finalize_is_byte_identical_under_all_schedules() {
 
     let tail = tail.to_vec();
     loom::model(move || {
-        let mut sharded = Session::<ReplaySink>::resume_sharded(&mut ckpt.as_slice(), 2, |_| {
-            ReplaySink::default()
-        })
-        .expect("resume onto pipeline");
+        let resumed = Session::<ReplaySink>::resume(&mut ckpt.as_slice()).expect("resume");
+        let mut sharded = ShardedCdc::spawn(resumed, 2, |_| ReplaySink::default());
         drive(&mut sharded, &tail);
-        let cdc = sharded.try_join().expect("pipeline healthy");
+        let joined = sharded.join().expect("pipeline healthy");
+        assert!(joined.degraded.is_empty());
         let mut produced = Vec::new();
-        Session::from_cdc(cdc)
+        joined
+            .session
             .finalize(&mut produced)
             .expect("finalize to memory");
         assert_eq!(
@@ -211,20 +215,20 @@ fn checkpoint_resume_sharded_finalize_is_byte_identical_under_all_schedules() {
 }
 
 #[test]
-fn threaded_collection_matches_inline_under_all_schedules() {
-    use orp_core::threaded::ThreadedCdc;
-
+fn one_lane_collection_matches_inline_under_all_schedules() {
     let mut inline = Cdc::new(Omc::new(), VecOrSink::new());
     drive(&mut inline, &script());
     let expected_tuples = inline.sink().tuples().to_vec();
     let time = inline.time();
 
     loom::model(move || {
-        let mut threaded = ThreadedCdc::spawn(Omc::new(), VecOrSink::new());
-        drive(&mut threaded, &script());
-        let cdc = threaded.try_join().expect("worker healthy");
-        assert_eq!(cdc.sink().tuples(), expected_tuples);
-        assert_eq!(cdc.time(), time);
+        let mut sharded =
+            ShardedCdc::spawn(Session::new(VecOrSink::new()), 1, |_| VecOrSink::new());
+        drive(&mut sharded, &script());
+        let joined = sharded.join().expect("pipeline healthy");
+        assert!(joined.degraded.is_empty());
+        assert_eq!(joined.session.cdc().sink().tuples(), expected_tuples);
+        assert_eq!(joined.session.cdc().time(), time);
     });
     assert!(loom::explored_executions() > 1);
 }

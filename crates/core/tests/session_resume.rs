@@ -9,7 +9,7 @@
 
 use std::io::{self, Read, Write};
 
-use orp_core::sharded::ShardableSink;
+use orp_core::sharded::{ShardableSink, ShardedCdc};
 use orp_core::{
     Cdc, GroupId, ObjectSerial, OrSink, OrTuple, ResumeError, ResumeLedger, Session, SessionSink,
     Timestamp, VecOrSink,
@@ -211,14 +211,10 @@ fn double_resume_onto_the_sharded_pipeline_errors() {
         .expect("checkpoint mid-stream");
 
     let mut ledger = ResumeLedger::new();
-    let pipeline = Session::<ReplaySink>::resume_sharded_tracked(
-        &mut ckpt.as_slice(),
-        2,
-        |_| ReplaySink::default(),
-        &mut ledger,
-    )
-    .expect("first sharded resume");
-    drop(pipeline.try_join().expect("pipeline healthy"));
+    let resumed = Session::<ReplaySink>::resume_tracked(&mut ckpt.as_slice(), &mut ledger)
+        .expect("first sharded resume");
+    let pipeline = ShardedCdc::spawn(resumed, 2, |_| ReplaySink::default());
+    drop(pipeline.join().expect("pipeline healthy"));
 
     // A second resume — sharded or not — of the same snapshot forks.
     let again = Session::<ReplaySink>::resume_tracked(&mut ckpt.as_slice(), &mut ledger);
@@ -289,9 +285,9 @@ fn checkpoint_before_any_event_resumes_onto_the_sharded_pipeline() {
         inline.finish();
     }
 
-    let mut pipeline =
-        Session::<ReplaySink>::resume_sharded(&mut ckpt.as_slice(), 3, |_| ReplaySink::default())
-            .expect("resume empty checkpoint onto shards");
+    let resumed =
+        Session::<ReplaySink>::resume(&mut ckpt.as_slice()).expect("resume empty checkpoint");
+    let mut pipeline = ShardedCdc::spawn(resumed, 3, |_| ReplaySink::default());
     {
         use orp_trace::ProbeSink;
         for &ev in &script() {
@@ -299,7 +295,7 @@ fn checkpoint_before_any_event_resumes_onto_the_sharded_pipeline() {
         }
         pipeline.finish();
     }
-    let cdc = pipeline.try_join().expect("pipeline healthy");
-    assert_eq!(cdc.sink().tuples, inline.sink().tuples());
-    assert_eq!(cdc.time(), inline.time());
+    let session = pipeline.join().expect("pipeline healthy").session;
+    assert_eq!(session.cdc().sink().tuples, inline.sink().tuples());
+    assert_eq!(session.cdc().time(), inline.time());
 }

@@ -260,14 +260,6 @@ impl SessionSink for LeapProfiler {
         Ok(profiler)
     }
 
-    /// The per-stream partition keys in ascending order, matching
-    /// [`ShardableSink::shard_key`](orp_core::ShardableSink::shard_key).
-    fn state_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.streams.iter().map(|s| s.key).collect();
-        keys.sort_unstable();
-        keys
-    }
-
     fn finalize_profile(self, w: &mut impl Write) -> io::Result<()> {
         self.into_profile().write_to(w)
     }
@@ -308,6 +300,14 @@ impl orp_core::ShardableSink for LeapProfiler {
         }
         merged
     }
+
+    /// The per-stream partition keys in ascending order, matching
+    /// [`ShardableSink::shard_key`](orp_core::ShardableSink::shard_key).
+    fn state_keys(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self.streams.iter().map(|s| s.key).collect();
+        keys.sort_unstable();
+        keys
+    }
 }
 
 #[cfg(test)]
@@ -315,7 +315,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use orp_core::{ObjectSerial, Timestamp};
+    use orp_core::{ObjectSerial, ShardableSink, Timestamp};
     use proptest::prelude::*;
 
     fn tuple(instr: u32, group: u32, object: u64, offset: u64, time: u64) -> OrTuple {
@@ -544,11 +544,11 @@ mod tests {
             let mut reference_parts: Vec<Reference> =
                 (0..shards).map(|_| Reference::new(budget)).collect();
             for t in &tuples {
-                let shard = (<LeapProfiler as orp_core::ShardableSink>::shard_key(t) % shards) as usize;
+                let shard = (<LeapProfiler as ShardableSink>::shard_key(t) % shards) as usize;
                 parts[shard].tuple(t);
                 reference_parts[shard].tuple(t);
             }
-            let merged = <LeapProfiler as orp_core::ShardableSink>::merge(parts);
+            let merged = <LeapProfiler as ShardableSink>::merge(parts);
             let reference_merged = Reference::merge(reference_parts);
             prop_assert_eq!(state_of(&merged), reference_merged.state());
             prop_assert_eq!(state_of(&merged), state_of(&p));
@@ -608,17 +608,15 @@ mod tests {
         assert_eq!(profile, reference, "single-threaded resume");
 
         for shards in [1, 2, 4] {
-            let mut sharded =
-                Session::<LeapProfiler>::resume_sharded(&mut snapshot.as_slice(), shards, |_| {
-                    LeapProfiler::new()
-                })
-                .unwrap();
+            let resumed = Session::<LeapProfiler>::resume(&mut snapshot.as_slice()).unwrap();
+            let mut sharded = orp_core::ShardedCdc::spawn(resumed, shards, |_| LeapProfiler::new());
             for &ev in &events[cut..] {
                 sharded.event(ev);
             }
-            let cdc = sharded.try_join().expect("pipeline healthy");
+            let joined = sharded.join().expect("pipeline healthy");
+            assert!(joined.degraded.is_empty());
             let mut profile = Vec::new();
-            Session::from_cdc(cdc).finalize(&mut profile).unwrap();
+            joined.session.finalize(&mut profile).unwrap();
             assert_eq!(profile, reference, "resume onto {shards} shards");
         }
     }

@@ -169,12 +169,6 @@ impl SessionSink for HybridProfiler {
         Ok(HybridProfiler { streams, tuples })
     }
 
-    /// The per-instruction partition keys, matching
-    /// [`ShardableSink::shard_key`](orp_core::ShardableSink::shard_key).
-    fn state_keys(&self) -> Vec<u64> {
-        self.streams.keys().map(|i| u64::from(i.0)).collect()
-    }
-
     fn finalize_profile(self, w: &mut impl Write) -> io::Result<()> {
         self.into_profile().write_to(w)
     }
@@ -200,6 +194,12 @@ impl orp_core::ShardableSink for HybridProfiler {
             }
         }
         merged
+    }
+
+    /// The per-instruction partition keys, matching
+    /// [`ShardableSink::shard_key`](orp_core::ShardableSink::shard_key).
+    fn state_keys(&self) -> Vec<u64> {
+        self.streams.keys().map(|i| u64::from(i.0)).collect()
     }
 }
 
@@ -407,7 +407,7 @@ impl HybridProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orp_core::{GroupId, ObjectSerial, Timestamp};
+    use orp_core::{GroupId, ObjectSerial, ShardableSink, Timestamp};
     use orp_trace::AccessKind;
 
     fn feed(p: &mut HybridProfiler, instr: u32, obj: u64, off: u64, time: u64) {
@@ -561,17 +561,16 @@ mod tests {
         // instruction keys stay pinned there, and the merge reproduces
         // the single-threaded container byte for byte.
         for shards in [1, 2, 4] {
+            let resumed = Session::<HybridProfiler>::resume(&mut snapshot.as_slice()).unwrap();
             let mut sharded =
-                Session::<HybridProfiler>::resume_sharded(&mut snapshot.as_slice(), shards, |_| {
-                    HybridProfiler::new()
-                })
-                .unwrap();
+                orp_core::ShardedCdc::spawn(resumed, shards, |_| HybridProfiler::new());
             for &ev in &events[cut..] {
                 sharded.event(ev);
             }
-            let cdc = sharded.try_join().expect("pipeline healthy");
+            let joined = sharded.join().expect("pipeline healthy");
+            assert!(joined.degraded.is_empty());
             let mut profile = Vec::new();
-            Session::from_cdc(cdc).finalize(&mut profile).unwrap();
+            joined.session.finalize(&mut profile).unwrap();
             assert_eq!(profile, reference, "resume onto {shards} shards");
         }
     }

@@ -10,12 +10,13 @@
 //!   dimension (instruction/group/object/offset) — four embarrassingly
 //!   parallel consumers ([`PipelinedWhomp`]);
 //! * RASG keeps a single record grammar, which still overlaps with the
-//!   probe side when moved off-thread ([`PipelinedRasg`]);
-//! * the hybrid profiler is partitioned by instruction, so tuple
-//!   batches route to workers by the same vertical-decomposition key
-//!   the sharded pipeline uses, and the existing
-//!   [`ShardableSink::merge`](orp_core::ShardableSink) reassembles the
-//!   result ([`PipelinedHybrid`]).
+//!   probe side when moved off-thread ([`PipelinedRasg`]).
+//!
+//! The hybrid profiler needs no pipeline of its own: it is partitioned
+//! by instruction, a [`ShardableSink`](orp_core::ShardableSink), so it
+//! grows its grammars in parallel on the lanes of
+//! [`ShardedCdc`](orp_core::ShardedCdc) (`run --shards N`), which
+//! checkpoint, resume and salvage like any sharded run.
 //!
 //! # Batching contract
 //!
@@ -51,7 +52,7 @@
 //!
 //! Sequitur is a deterministic function of its input stream. Each
 //! dimension's stream arrives at one worker complete and in order, so
-//! every per-dimension grammar — and therefore the OMSG/RASG/hybrid
+//! every per-dimension grammar — and therefore the OMSG/RASG
 //! container bytes — is byte-identical to sequential construction.
 //! The differential tests and golden fixtures pin this down.
 //!
@@ -64,8 +65,8 @@
 //! salvage path's *containment* contract instead: the feed side keeps
 //! accepting (and dropping) symbols after a worker dies — no deadlock,
 //! no cascading panic mid-collection — and the failure surfaces as a
-//! [`PipelineError`] naming the worker at join, exactly like
-//! [`ShardedCdc::try_join`](orp_core::ShardedCdc::try_join). A
+//! [`PipelineError`] naming the worker at join, as a dead shard lane
+//! does in [`ShardedCdc::join`](orp_core::ShardedCdc::join). A
 //! checkpoint taken after the death fails with an [`io::Error`] instead
 //! of writing a grammar with a hole in it.
 
@@ -75,12 +76,12 @@ use std::time::Instant;
 use orp_core::sharded::panic_message;
 use orp_core::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use orp_core::sync::thread::{self, JoinHandle};
-use orp_core::{OrSink, OrTuple, PipelineError, ShardableSink};
+use orp_core::{OrSink, OrTuple, PipelineError};
 use orp_obs::Recorder;
 use orp_sequitur::Sequitur;
 use orp_trace::{AccessEvent, ProbeSink};
 
-use crate::{fuse, HybridProfiler, RasgProfiler, WhompProfiler};
+use crate::{fuse, RasgProfiler, WhompProfiler};
 
 /// Symbols per batch shipped to a grammar worker. On the seven-trace
 /// WHOMP replay (DESIGN.md §13) 2048 matched 4096 in throughput at
@@ -121,8 +122,7 @@ pub(crate) const DIMS: [&str; 4] = ["instruction", "group", "object", "offset"];
 /// thread; plain integers bumped inline, published only at join.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GrammarStreamStats {
-    /// Stream name: an OMSG dimension, `"records"` (RASG), or
-    /// `"instructions"` (hybrid, aggregated over workers).
+    /// Stream name: an OMSG dimension or `"records"` (RASG).
     pub stream: &'static str,
     /// Symbols shipped into this stream's grammar.
     pub symbols: u64,
@@ -174,11 +174,6 @@ fn stream_counter_names(stream: &str) -> Option<(&'static str, &'static str, &'s
             "grammar.worker_busy_ns.records",
             "grammar.batches.records",
             "grammar.stalls.records",
-        )),
-        "instructions" => Some((
-            "grammar.worker_busy_ns.instructions",
-            "grammar.batches.instructions",
-            "grammar.stalls.instructions",
         )),
         _ => None,
     }
@@ -730,165 +725,6 @@ impl Drop for PipelinedRasg {
     }
 }
 
-/// One hybrid worker's inbound lane: tuple batches instead of symbol
-/// batches (each tuple fans into four grammars *inside* the worker).
-#[derive(Debug)]
-struct TupleLane {
-    tx: Option<SyncSender<Vec<OrTuple>>>,
-    recycled: Receiver<Vec<OrTuple>>,
-    allocated: usize,
-    pending: Vec<OrTuple>,
-    batches: u64,
-    stalls: u64,
-    tuples: u64,
-}
-
-/// [`HybridProfiler`] with grammar construction spread over `workers`
-/// threads, partitioned by the profiler's own vertical-decomposition
-/// key (the instruction). Each instruction's sub-stream reaches one
-/// worker complete and in order, so the
-/// [`ShardableSink::merge`] at join reassembles state byte-identical
-/// to sequential construction — the same argument as the sharded
-/// collection pipeline, applied to the grammar stage.
-#[derive(Debug)]
-pub struct PipelinedHybrid {
-    lanes: Vec<TupleLane>,
-    workers: Vec<JoinHandle<(HybridProfiler, u64)>>,
-}
-
-impl PipelinedHybrid {
-    /// Spawns `workers` hybrid grammar workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn spawn(workers: usize) -> Self {
-        assert!(workers > 0, "at least one grammar worker is required");
-        let mut lanes = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
-            let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES + 2);
-            let handle = thread::Builder::new()
-                .name(format!("orp-grammar-{i}"))
-                .spawn(move || {
-                    let mut sink = HybridProfiler::new();
-                    let mut busy_ns = 0u64;
-                    while let Ok(batch) = rx.recv() {
-                        let start = Instant::now();
-                        sink.tuple_batch(&batch);
-                        busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        let mut spent = batch;
-                        spent.clear();
-                        let _ = recycle_tx.try_send(spent);
-                    }
-                    (sink, busy_ns)
-                })
-                .expect("spawn grammar worker");
-            lanes.push(TupleLane {
-                tx: Some(tx),
-                recycled: recycle_rx,
-                allocated: 0,
-                pending: Vec::with_capacity(SYMBOL_BATCH),
-                batches: 0,
-                stalls: 0,
-                tuples: 0,
-            });
-            handles.push(handle);
-        }
-        PipelinedHybrid {
-            lanes,
-            workers: handles,
-        }
-    }
-
-    fn flush_lane(lane: &mut TupleLane) {
-        if lane.pending.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut lane.pending);
-        send_counted(&mut lane.tx, batch, &mut lane.batches, &mut lane.stalls);
-        lane.pending = recycle_or_alloc(&lane.recycled, &mut lane.allocated);
-    }
-
-    /// Flushes remaining tuples, shuts the workers down and merges the
-    /// per-worker profilers into the sequential-equivalent
-    /// [`HybridProfiler`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] naming the worker when a grammar
-    /// worker panicked.
-    pub fn try_join(mut self) -> Result<(HybridProfiler, GrammarPipelineStats), PipelineError> {
-        for lane in &mut self.lanes {
-            Self::flush_lane(lane);
-            drop(lane.tx.take());
-        }
-        let mut parts = Vec::with_capacity(self.workers.len());
-        let mut busy_ns = 0u64;
-        let mut first_error: Option<PipelineError> = None;
-        for (i, handle) in self.workers.drain(..).enumerate() {
-            match handle.join() {
-                Ok((sink, busy)) => {
-                    parts.push(sink);
-                    busy_ns += busy;
-                }
-                Err(payload) => {
-                    let err = PipelineError {
-                        worker: format!("grammar worker {i}"),
-                        message: panic_message(payload),
-                    };
-                    first_error.get_or_insert(err);
-                }
-            }
-        }
-        if let Some(err) = first_error {
-            return Err(err);
-        }
-        let stats = GrammarPipelineStats {
-            workers: self.lanes.len() as u64,
-            streams: vec![GrammarStreamStats {
-                stream: "instructions",
-                symbols: self.lanes.iter().map(|l| l.tuples).sum(),
-                batches: self.lanes.iter().map(|l| l.batches).sum(),
-                stalls: self.lanes.iter().map(|l| l.stalls).sum(),
-                busy_ns,
-            }],
-        };
-        Ok((HybridProfiler::merge(parts), stats))
-    }
-}
-
-impl OrSink for PipelinedHybrid {
-    fn tuple(&mut self, t: &OrTuple) {
-        let lane_idx = (HybridProfiler::shard_key(t) % self.lanes.len() as u64) as usize;
-        let lane = &mut self.lanes[lane_idx];
-        lane.tuples += 1;
-        lane.pending.push(*t);
-        if lane.pending.len() >= SYMBOL_BATCH {
-            Self::flush_lane(lane);
-        }
-    }
-
-    fn finish(&mut self) {
-        for lane in &mut self.lanes {
-            Self::flush_lane(lane);
-        }
-    }
-}
-
-impl Drop for PipelinedHybrid {
-    fn drop(&mut self) {
-        for lane in &mut self.lanes {
-            drop(lane.tx.take());
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1016,17 +852,6 @@ mod tests {
                 );
             }
             pipe.try_join().expect("healthy workers");
-
-            let mut hybrid = PipelinedHybrid::spawn(workers);
-            for t in &tuples {
-                hybrid.tuple(t);
-            }
-            hybrid.finish();
-            for (lane, l) in hybrid.lanes.iter().enumerate() {
-                let live = 1 + l.allocated;
-                assert!(live <= LANE_BUFFERS, "hybrid lane {lane}: {live} buffers");
-            }
-            hybrid.try_join().expect("healthy workers");
         }
     }
 

@@ -1,16 +1,17 @@
-//! Differential tests: the pipelined grammar profilers must produce
-//! byte-identical output to sequential construction — container bytes,
+//! Differential tests: the pipelined grammar profilers (and the hybrid
+//! profiler on sharded lanes) must produce byte-identical output to
+//! sequential construction — container bytes,
 //! checkpoint state, checkpoints taken mid-run through the grammar
 //! workers, and checkpoint/resume in both directions across the
 //! grammar-worker boundary.
 
-use orp_core::{Cdc, GroupId, ObjectSerial, Omc, OrSink, OrTuple, Session, SessionSink, Timestamp};
+use orp_core::{
+    Cdc, GroupId, ObjectSerial, Omc, OrSink, OrTuple, Session, SessionSink, ShardedCdc, Timestamp,
+};
 use orp_trace::{
     AccessEvent, AccessKind, AllocEvent, AllocSiteId, InstrId, ProbeEvent, ProbeSink, RawAddress,
 };
-use orp_whomp::{
-    HybridProfiler, PipelinedHybrid, PipelinedRasg, PipelinedWhomp, RasgProfiler, WhompProfiler,
-};
+use orp_whomp::{HybridProfiler, PipelinedRasg, PipelinedWhomp, RasgProfiler, WhompProfiler};
 use proptest::prelude::*;
 
 /// A probe script long enough to cross several symbol-batch boundaries
@@ -97,6 +98,9 @@ fn pipelined_rasg_bytes_match_sequential() {
     assert_eq!(stats.streams[0].symbols, 25_600);
 }
 
+/// The hybrid profiler grows its grammars in parallel on the sharded
+/// collection pipeline's lanes (`run --shards N`): every lane count
+/// must reproduce the inline container.
 #[test]
 fn pipelined_hybrid_bytes_match_sequential() {
     let events = probe_events();
@@ -111,14 +115,17 @@ fn pipelined_hybrid_bytes_match_sequential() {
         .write_to(&mut reference)
         .unwrap();
 
-    for workers in [1, 2, 3] {
-        let mut cdc = Cdc::new(Omc::new(), PipelinedHybrid::spawn(workers));
-        drive(&mut cdc, &events);
-        let (profiler, stats) = cdc.into_parts().1.try_join().expect("pipeline healthy");
+    for lanes in [1, 2, 3, 4] {
+        let session = Session::new(HybridProfiler::new());
+        let mut sharded = ShardedCdc::spawn(session, lanes, |_| HybridProfiler::new());
+        drive(&mut sharded, &events);
+        let joined = sharded.join().expect("pipeline healthy");
+        assert!(joined.degraded.is_empty(), "{lanes} lanes");
         let mut produced = Vec::new();
-        profiler.into_profile().write_to(&mut produced).unwrap();
-        assert_eq!(produced, reference, "{workers} workers");
-        assert_eq!(stats.streams[0].symbols, 25_600);
+        joined.session.finalize(&mut produced).unwrap();
+        assert_eq!(produced, reference, "{lanes} lanes");
+        let routed: u64 = joined.stats.shards.iter().map(|s| s.tuples).sum();
+        assert_eq!(routed, 25_600);
     }
 }
 

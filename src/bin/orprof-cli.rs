@@ -62,8 +62,8 @@ use orprof::phase::PhaseDetector;
 use orprof::sequitur::Grammar;
 use orprof::trace::{AccessEvent, AllocEvent, CountingSink, FreeEvent, ProbeSink};
 use orprof::whomp::{
-    HybridProfile, HybridProfiler, Omsg, PipelinedHybrid, PipelinedRasg, PipelinedWhomp, Rasg,
-    RasgProfiler, WhompProfiler,
+    HybridProfile, HybridProfiler, Omsg, PipelinedRasg, PipelinedWhomp, Rasg, RasgProfiler,
+    WhompProfiler,
 };
 use orprof::workloads::{micro_suite, spec_suite, RunConfig, Tracer, Workload};
 
@@ -82,8 +82,10 @@ fn usage() -> &'static str {
      orprof-cli serve --socket <path> --dir <path> [--checkpoint-events <n>] [--credits <n>] \
      [--stats] [--metrics-out <file.json>] [--fault-plan <spec>]\n  \
      orprof-cli inspect <file>\n  orprof-cli report <file>\n\n\
-     grammar workers: 0 builds grammars inline; whomp defaults to one worker per \
-     dimension on a multi-CPU host, rasg and hybrid to inline\n\
+     shards: leap and hybrid collect on N key-partitioned lanes, byte-identical to \
+     --shards 1; sharded runs checkpoint and resume like inline ones\n\
+     grammar workers (whomp, rasg): 0 builds grammars inline; whomp defaults to one \
+     worker per dimension on a multi-CPU host, rasg to inline\n\
      fault plans (also via ORP_FAULT_PLAN): io-error@n=K, short-write@n=K, \
      interrupt@n=K[xT], would-block@n=K[xT], crash@byte=B"
 }
@@ -673,15 +675,34 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
 }
 
 /// Opens a profiling session — fresh, or restored from a `--resume`
-/// checkpoint container — drives it, and honors `--checkpoint`. `open`
-/// builds the session's sink: from nothing, or around the profiler a
-/// checkpoint restored as `R` (how a WHOMP checkpoint continues on
-/// grammar workers). A budget spec routes through [`run_budgeted`] (its
-/// controller comes back for metrics); a rate spec opens the session
-/// sampled. On resume the checkpoint's own sampler state governs
-/// (`--sample` + `--resume` is rejected before this runs), and a budget
-/// checkpoint also restores its controller so the resumed run keeps
-/// holding the budget.
+/// checkpoint container. `open` builds the session's sink: from
+/// nothing, or around the profiler a checkpoint restored as `R` (how a
+/// WHOMP checkpoint continues on grammar workers). A fresh session is
+/// sampled per `sample`; a resumed one keeps the checkpoint's own
+/// sampler state (`--sample` + `--resume` is rejected before this
+/// runs), and a budget checkpoint also hands back its controller.
+fn open_session<R: SessionSink, S: OrSink>(
+    parsed: &Parsed,
+    ctx: &mut IoCtx,
+    sample: Option<SampleSpec>,
+    open: impl FnOnce(Option<R>) -> S,
+) -> Result<(Session<S>, Option<RateController>), String> {
+    let Some(path) = parsed.value("--resume") else {
+        let cdc = Cdc::with_sampler(Omc::new(), open(None), sampler_for(sample));
+        return Ok((Session::from_cdc(cdc), None));
+    };
+    let mut reader = ctx.open_reader(path)?;
+    let (session, controller) = Session::<R>::resume_with_controller(&mut reader)
+        .map_err(|e| format!("resume {path}: {e}"))?;
+    ctx.harvest_reader(&reader);
+    println!("resumed from checkpoint {path}");
+    Ok((session.map_sink(|p| open(Some(p))), controller))
+}
+
+/// Runs a profiling session inline: opens it ([`open_session`]),
+/// drives it, and honors `--checkpoint`. A budget spec routes through
+/// [`run_budgeted`] (its controller comes back for metrics), and a
+/// resumed budget checkpoint keeps holding its budget.
 fn run_session<R: SessionSink, S: SessionSink>(
     parsed: &Parsed,
     ctx: &mut IoCtx,
@@ -692,24 +713,7 @@ fn run_session<R: SessionSink, S: SessionSink>(
         let (session, outcome, controller) = run_budgeted(parsed, ctx, pct, || open(None))?;
         return Ok((session, outcome, Some(controller)));
     }
-    let (mut session, restored) = match parsed.value("--resume") {
-        Some(path) => {
-            let mut reader = ctx.open_reader(path)?;
-            let (session, controller) = Session::<R>::resume_with_controller(&mut reader)
-                .map_err(|e| format!("resume {path}: {e}"))?;
-            ctx.harvest_reader(&reader);
-            println!("resumed from checkpoint {path}");
-            (session.map_sink(|p| open(Some(p))), controller)
-        }
-        None => (
-            Session::from_cdc(Cdc::with_sampler(
-                Omc::new(),
-                open(None),
-                sampler_for(sample),
-            )),
-            None,
-        ),
-    };
+    let (mut session, restored) = open_session(parsed, ctx, sample, open)?;
     let (outcome, controller) = match restored {
         Some(mut controller) => {
             // A budget checkpoint: keep closing the control loop against
@@ -741,56 +745,42 @@ fn run_session<R: SessionSink, S: SessionSink>(
     Ok((session, outcome, controller))
 }
 
-/// Runs a shardable profiler on the parallel collection pipeline. With
-/// `--salvage`, a dead shard worker degrades the run (its later tuples
-/// divert to a fallback sink) instead of failing it.
+/// Runs a shardable profiler on `shards` collection lanes (one lane
+/// when `--salvage` asks for the pipeline without `--shards`): the
+/// session opens and checkpoints exactly as [`run_session`]'s does. A
+/// dead lane fails the run, or with `--salvage` degrades it — the dead
+/// lane's later tuples divert to a fallback sink, and a degraded
+/// session writes no checkpoint. A resumed budget checkpoint runs at
+/// its checkpointed rate (the controller steers only an inline
+/// sampler) and carries the controller into the next checkpoint.
 fn run_sharded<S: SessionSink + ShardableSink>(
     parsed: &Parsed,
     ctx: &mut IoCtx,
     shards: usize,
-    sampler: Sampler,
+    sample: Option<SampleSpec>,
     mut fresh: impl FnMut(usize) -> S,
 ) -> Result<(Session<S>, DriveOutcome, PipelineStats), String> {
-    if parsed.value("--checkpoint").is_some() {
-        // The merged session restarts its event counter, so a
-        // checkpoint taken here could not resume seamlessly.
-        return Err(
-            "--checkpoint requires a single-shard run (omit --shards/--salvage)".to_owned(),
-        );
-    }
-    let salvage = parsed.has("--salvage");
-    if salvage && parsed.value("--resume").is_some() {
-        // A degraded run's keys are partial; resuming into salvage
-        // would compound best-effort state into a checkpointed one.
-        return Err("--salvage cannot be combined with --resume".to_owned());
-    }
-    let mut pipe = match parsed.value("--resume") {
-        Some(path) => {
-            let mut reader = ctx.open_reader(path)?;
-            let pipe = Session::<S>::resume_sharded(&mut reader, shards, &mut fresh)
-                .map_err(|e| format!("resume {path}: {e}"))?;
-            ctx.harvest_reader(&reader);
-            println!("resumed from checkpoint {path}");
-            pipe
-        }
-        None if salvage => {
-            ShardedCdc::spawn_salvaging_with_sampler(Omc::new(), sampler, shards, &mut fresh)
-        }
-        None => ShardedCdc::spawn_with_sampler(Omc::new(), sampler, shards, &mut fresh),
-    };
+    let (session, controller) = open_session(parsed, ctx, sample, |restored: Option<S>| {
+        restored.unwrap_or_else(|| fresh(0))
+    })?;
+    let mut pipe = ShardedCdc::spawn(session, shards, fresh);
     let outcome = drive(parsed, ctx, &mut pipe)?;
-    if salvage {
-        let join = pipe.try_join_salvage().map_err(|e| e.to_string())?;
-        for err in &join.degraded {
+    let joined = pipe.join().map_err(|e| e.to_string())?;
+    let mut session = joined.session;
+    if let Some(err) = joined.degraded.first() {
+        if !parsed.has("--salvage") {
+            return Err(err.to_string());
+        }
+        for err in &joined.degraded {
             eprintln!(
-                "warning: {err}; continuing degraded (salvaged {} tuples)",
-                join.stats.salvaged_tuples()
+                "warning: {err}; continuing degraded (salvaged {} tuples, no checkpoint)",
+                joined.stats.salvaged_tuples()
             );
         }
-        return Ok((Session::from_cdc(join.cdc), outcome, join.stats));
+    } else {
+        write_checkpoint(parsed, ctx, &mut session, controller.as_ref())?;
     }
-    let (cdc, stats) = pipe.try_join_stats().map_err(|e| e.to_string())?;
-    Ok((Session::from_cdc(cdc), outcome, stats))
+    Ok((session, outcome, joined.stats))
 }
 
 /// [`run_session`] or [`run_sharded`], depending on `shards` (a
@@ -809,10 +799,7 @@ fn run_maybe_sharded<S: SessionSink + ShardableSink>(
         })?;
         Ok((session, outcome, None, controller))
     } else {
-        // Budget mode is single-shard only (rejected in `cmd_run`), so
-        // the sharded pipeline only ever sees off/fixed-rate samplers.
-        run_sharded(parsed, ctx, shards, sampler_for(sample), fresh)
-            .map(|(s, o, p)| (s, o, Some(p), None))
+        run_sharded(parsed, ctx, shards, sample, fresh).map(|(s, o, p)| (s, o, Some(p), None))
     }
 }
 
@@ -950,6 +937,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .value("--grammar-workers")
         .map(|s| s.parse().map_err(|_| "bad --grammar-workers"))
         .transpose()?;
+    let no_grammar_workers = |why: &str| -> Result<(), String> {
+        if grammar_workers.is_some_and(|n| n > 0) {
+            return Err(format!(
+                "--grammar-workers applies to whomp and rasg; {why}"
+            ));
+        }
+        Ok(())
+    };
     let sample = parse_sample(&parsed)?;
     if sample.is_some() && parsed.value("--resume").is_some() {
         // A sampled checkpoint carries its own admission state; letting
@@ -962,10 +957,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     if matches!(sample, Some(SampleSpec::Budget(_))) {
         // The controller calibrates against a native re-run of the
-        // workload and steers one sampler on the collection thread; a
-        // replay or a sharded translator breaks one of those
-        // assumptions. Grammar workers sit behind the sampler, so they
-        // compose with it.
+        // workload, so a replay has nothing to calibrate on. It steers
+        // the sampler from the probe thread, and a sharded run's
+        // sampler lives on the translator thread: lifting that needs
+        // the rate handed across threads, which nothing does yet.
+        // Grammar workers sit behind the sampler, so they compose.
         if parsed.value("--workload").is_none() {
             return Err("--sample budget= requires a live --workload run \
                         (the native baseline pre-pass re-runs it)"
@@ -987,11 +983,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let profile_bytes = match profiler.as_str() {
         "leap" => {
-            if grammar_workers.is_some_and(|n| n > 0) {
-                return Err("--grammar-workers applies to the grammar profilers \
-                            (whomp, rasg, hybrid); leap builds no grammars"
-                    .to_owned());
-            }
+            no_grammar_workers("leap builds no grammars")?;
             let (session, outcome, pstats, ctrl) =
                 run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| LeapProfiler::new())?;
             controller = ctrl;
@@ -1060,45 +1052,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             serialize_profile(|w| omsg.write_to(w))?
         }
         "hybrid" => {
-            let grammar_workers = grammar_workers.unwrap_or(0);
-            let profiler = if grammar_workers > 0 {
-                if shards > 1 || parsed.has("--salvage") {
-                    return Err("--grammar-workers and --shards/--salvage both thread the \
-                                hybrid profiler; pick one pipeline"
-                        .to_owned());
-                }
-                if parsed.value("--resume").is_some() || parsed.value("--checkpoint").is_some() {
-                    return Err("hybrid --grammar-workers cannot checkpoint or resume; \
-                                use a sequential run for checkpointed sessions"
-                        .to_owned());
-                }
-                let mut cdc = Cdc::with_sampler(
-                    Omc::new(),
-                    PipelinedHybrid::spawn(grammar_workers),
-                    sampler_for(sample),
-                );
-                let outcome = drive(&parsed, &mut ctx, &mut cdc)?;
-                cdc.record_metrics(&mut rec);
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                let (profiler, gstats) =
-                    cdc.into_parts().1.try_join().map_err(|e| e.to_string())?;
-                gstats.record_metrics(&mut rec);
-                profiler
-            } else {
-                let (session, outcome, pstats, ctrl) =
-                    run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| {
-                        HybridProfiler::new()
-                    })?;
-                controller = ctrl;
-                session.record_metrics(&mut rec);
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                if let Some(p) = &pstats {
-                    absorb_pipeline(&mut rec, &mut report, p);
-                }
-                session.into_cdc().into_parts().1
-            };
+            no_grammar_workers("hybrid grows its per-instruction grammars on --shards lanes")?;
+            let (session, outcome, pstats, ctrl) =
+                run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| HybridProfiler::new())?;
+            controller = ctrl;
+            session.record_metrics(&mut rec);
+            report.events = outcome.events;
+            absorb_trace_io(&mut rec, &outcome);
+            if let Some(p) = &pstats {
+                absorb_pipeline(&mut rec, &mut report, p);
+            }
+            let profiler = session.into_cdc().into_parts().1;
             profiler.record_grammar_metrics(&mut rec);
             let profile = profiler.into_profile();
             println!(

@@ -390,6 +390,135 @@ fn sharded_run_reports_per_shard_counts() {
     let _ = std::fs::remove_file(json);
 }
 
+/// The value of the integer counter `key` in a run-report document.
+fn counter(doc: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\": ");
+    let at = doc
+        .find(&needle)
+        .unwrap_or_else(|| panic!("no {key} in:\n{doc}"))
+        + needle.len();
+    doc[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{key} is not an integer in:\n{doc}"))
+}
+
+/// Regression: the merged session of a sharded run restarted its event
+/// count at the join, so `--shards N` and `--salvage` runs reported
+/// `session.events: 0`.
+#[test]
+fn sharded_and_salvage_runs_report_the_inline_event_count() {
+    let json = tmp("events.json");
+    let mut counts = Vec::new();
+    for extra in [&[][..], &["--shards", "3"], &["--salvage"]] {
+        let out = cli()
+            .args(["run", "--workload", "micro.matrix", "--profiler", "leap"])
+            .args(["--metrics-out", json.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = std::fs::read_to_string(&json).unwrap();
+        counts.push((
+            counter(&doc, "session.events"),
+            counter(&doc, "cdc.accesses"),
+        ));
+    }
+    assert!(counts[0].0 > 0, "the inline run counts its events");
+    for (extra, got) in ["--shards 3", "--salvage"].iter().zip(&counts[1..]) {
+        assert_eq!(*got, counts[0], "{extra} changed the session counters");
+    }
+    let _ = std::fs::remove_file(json);
+}
+
+/// Runs `orprof-cli run` over `micro.linked_list` under `profiler` with
+/// the extra flags, asserting success.
+fn run_linked_list(profiler: &str, extra: &[&str]) {
+    let out = cli()
+        .args([
+            "run",
+            "--workload",
+            "micro.linked_list",
+            "--profiler",
+            profiler,
+        ])
+        .args(extra)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{profiler} {extra:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Sharded runs checkpoint: at every lane count the checkpoint is the
+/// inline run's, byte for byte, and each of them resumes — inline, on
+/// lanes, or under `--salvage` — into the same profile and the same
+/// next checkpoint.
+#[test]
+fn sharded_checkpoints_match_inline_and_resume_on_any_engine() {
+    let path = |name: String| tmp(&name);
+    for profiler in ["leap", "hybrid"] {
+        let ckpt = |shards: &str| path(format!("{profiler}-ckpt-{shards}.orp"));
+        for shards in ["1", "2", "3"] {
+            let to = ckpt(shards);
+            run_linked_list(
+                profiler,
+                &["--shards", shards, "--checkpoint", to.to_str().unwrap()],
+            );
+        }
+        let reference = std::fs::read(ckpt("1")).unwrap();
+        for shards in ["2", "3"] {
+            assert_eq!(
+                std::fs::read(ckpt(shards)).unwrap(),
+                reference,
+                "{profiler}: the {shards}-lane checkpoint differs from the inline one"
+            );
+        }
+
+        let (profile, next) = (
+            path(format!("{profiler}-resumed.orp")),
+            path(format!("{profiler}-next.orp")),
+        );
+        let mut expected: Option<(Vec<u8>, Vec<u8>)> = None;
+        for from in ["1", "2", "3"] {
+            let from_path = ckpt(from);
+            for engine in [&["--shards", "1"][..], &["--shards", "3"], &["--salvage"]] {
+                let mut args = vec![
+                    "--resume",
+                    from_path.to_str().unwrap(),
+                    "--out",
+                    profile.to_str().unwrap(),
+                    "--checkpoint",
+                    next.to_str().unwrap(),
+                ];
+                args.extend(engine);
+                run_linked_list(profiler, &args);
+                let got = (
+                    std::fs::read(&profile).unwrap(),
+                    std::fs::read(&next).unwrap(),
+                );
+                match &expected {
+                    None => expected = Some(got),
+                    Some(want) => assert!(
+                        got == *want,
+                        "{profiler}: resuming the {from}-lane checkpoint with {engine:?} diverged"
+                    ),
+                }
+            }
+        }
+        for p in [ckpt("1"), ckpt("2"), ckpt("3"), profile, next] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+}
+
 #[test]
 fn embedded_report_roundtrips_through_inspect() {
     let profile = tmp("embedded.orp");
@@ -602,6 +731,7 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
 fn grammar_workers_rejects_incompatible_flag_combinations() {
     for args in [
         &["--profiler", "leap", "--grammar-workers", "2"][..],
+        &["--profiler", "hybrid", "--grammar-workers", "2"][..],
         &[
             "--profiler",
             "hybrid",
@@ -795,6 +925,7 @@ fn sampled_runs_are_byte_identical_across_inline_and_sharded() {
     let inline = tmp("sampled-inline.orpl");
     let sharded = tmp("sampled-sharded.orpl");
     let json = tmp("sampled.json");
+    let ckpt = |shards: &str| tmp(&format!("sampled-ckpt-{shards}.orp"));
     for (path, shards) in [(&inline, "1"), (&sharded, "3")] {
         let out = cli()
             .args([
@@ -811,6 +942,8 @@ fn sampled_runs_are_byte_identical_across_inline_and_sharded() {
                 path.to_str().unwrap(),
                 "--metrics-out",
                 json.to_str().unwrap(),
+                "--checkpoint",
+                ckpt(shards).to_str().unwrap(),
             ])
             .output()
             .expect("spawn");
@@ -825,6 +958,11 @@ fn sampled_runs_are_byte_identical_across_inline_and_sharded() {
         std::fs::read(&sharded).unwrap(),
         "fixed-rate sampling must not depend on the collection path"
     );
+    assert_eq!(
+        std::fs::read(ckpt("1")).unwrap(),
+        std::fs::read(ckpt("3")).unwrap(),
+        "the sampler state checkpointed from lanes must match the inline one"
+    );
     let doc = std::fs::read_to_string(&json).unwrap();
     for key in [
         "sample.kept",
@@ -834,7 +972,7 @@ fn sampled_runs_are_byte_identical_across_inline_and_sharded() {
     ] {
         assert!(doc.contains(key), "missing {key} in:\n{doc}");
     }
-    for p in [inline, sharded, json] {
+    for p in [inline, sharded, json, ckpt("1"), ckpt("3")] {
         let _ = std::fs::remove_file(p);
     }
 }

@@ -1,9 +1,8 @@
 //! Integration: the sampling front-end is deterministic — a fixed-rate
 //! sampled run produces byte-identical profiles no matter how it was
-//! collected (inline, threaded, sharded, or split across a
+//! collected (inline, on 1..4 sharded lanes, or split across a
 //! checkpoint/resume), and rate 1 is exactly lossless.
 
-use orprof::core::threaded::ThreadedCdc;
 use orprof::core::{Cdc, Omc, Sampler, Session, ShardedCdc, VecOrSink};
 use orprof::leap::LeapProfiler;
 use orprof::trace::{
@@ -76,22 +75,15 @@ fn fixed_rate_profiles_are_byte_identical_across_collection_paths() {
     );
     let reference = leap_bytes(inline);
 
-    let mut threaded =
-        ThreadedCdc::spawn_sampled(Omc::new(), LeapProfiler::new(), Sampler::periodic(RATE));
-    feed(&mut threaded, &events);
-    assert_eq!(
-        leap_bytes(threaded.join()),
-        reference,
-        "threaded collection diverged from inline at rate {RATE}"
-    );
-
     for shards in [1, 2, 4] {
-        let mut sharded =
-            ShardedCdc::spawn_with_sampler(Omc::new(), Sampler::periodic(RATE), shards, |_| {
-                LeapProfiler::new()
-            });
+        let session = Session::from_cdc(Cdc::with_sampler(
+            Omc::new(),
+            LeapProfiler::new(),
+            Sampler::periodic(RATE),
+        ));
+        let mut sharded = ShardedCdc::spawn(session, shards, |_| LeapProfiler::new());
         feed(&mut sharded, &events);
-        let cdc = sharded.try_join().expect("pipeline healthy");
+        let cdc = sharded.join().expect("pipeline healthy").session.into_cdc();
         assert_eq!(
             leap_bytes(cdc),
             reference,
@@ -231,10 +223,14 @@ fn reservoir_sampling_is_deterministic_across_paths() {
     let mut inline = Cdc::with_sampler(Omc::new(), VecOrSink::new(), Sampler::reservoir(8));
     feed(&mut inline, &events);
 
-    let mut sharded =
-        ShardedCdc::spawn_with_sampler(Omc::new(), Sampler::reservoir(8), 3, |_| VecOrSink::new());
+    let session = Session::from_cdc(Cdc::with_sampler(
+        Omc::new(),
+        VecOrSink::new(),
+        Sampler::reservoir(8),
+    ));
+    let mut sharded = ShardedCdc::spawn(session, 3, |_| VecOrSink::new());
     feed(&mut sharded, &events);
-    let merged = sharded.try_join().expect("pipeline healthy");
+    let merged = sharded.join().expect("pipeline healthy").session.into_cdc();
 
     assert_eq!(merged.sink().tuples(), inline.sink().tuples());
     assert_eq!(merged.sampler().stats(), inline.sampler().stats());

@@ -3,7 +3,7 @@
 //! contract that makes sharding a pure throughput change.
 
 use orprof::core::sharded::ShardedCdc;
-use orprof::core::{Cdc, Omc, OrSink, OrTuple, ShardableSink, VecOrSink};
+use orprof::core::{Cdc, Omc, OrSink, OrTuple, Session, ShardableSink, VecOrSink};
 use orprof::leap::LeapProfiler;
 use orprof::trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeSink, RawAddress};
 use orprof::whomp::HybridProfiler;
@@ -31,9 +31,10 @@ fn sharded_tuple_stream_is_identical_to_inline() {
     assert!(!inline.sink().is_empty());
 
     for shards in SHARD_COUNTS {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), shards, |_| VecOrSink::new());
+        let session = Session::new(VecOrSink::new());
+        let mut sharded = ShardedCdc::spawn(session, shards, |_| VecOrSink::new());
         drive(&mut sharded);
-        let cdc = sharded.try_join().expect("pipeline healthy");
+        let cdc = sharded.join().expect("pipeline healthy").session.into_cdc();
         assert_eq!(
             cdc.sink().tuples(),
             inline.sink().tuples(),
@@ -63,11 +64,14 @@ fn sharded_leap_profile_serializes_to_identical_bytes() {
     assert!(!reference.is_empty());
 
     for shards in SHARD_COUNTS {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), shards, |_| LeapProfiler::new());
+        let session = Session::new(LeapProfiler::new());
+        let mut sharded = ShardedCdc::spawn(session, shards, |_| LeapProfiler::new());
         drive(&mut sharded);
         let profile = sharded
-            .try_join()
+            .join()
             .expect("pipeline healthy")
+            .session
+            .into_cdc()
             .into_parts()
             .1
             .into_profile();
@@ -154,11 +158,12 @@ fn salvaged_counter_survives_a_dying_fallback_sink() {
     inline.finish();
 
     let shards = 2;
-    let mut sharded = ShardedCdc::spawn_salvaging(Omc::new(), shards, |i| SalvageChain {
+    let chain = |i| SalvageChain {
         armed: i == 1,
         fuse: (i == shards).then_some(BATCH + BATCH / 2),
         inner: VecOrSink::new(),
-    });
+    };
+    let mut sharded = ShardedCdc::spawn(Session::new(chain(0)), shards, chain);
     sharded.alloc(alloc);
     wave(&mut sharded);
     // Ship wave 1, then give shard 1's worker time to receive its first
@@ -172,9 +177,8 @@ fn salvaged_counter_survives_a_dying_fallback_sink() {
     }
 
     let join = sharded
-        .try_join_salvage()
+        .join()
         .expect("translator must outlive the fallback sink");
-    assert!(!join.is_clean());
     assert_eq!(join.degraded.len(), 1);
     assert_eq!(join.degraded[0].worker, "shard 1");
     assert_eq!(join.stats.degraded_shards, vec![1]);
@@ -188,7 +192,8 @@ fn salvaged_counter_survives_a_dying_fallback_sink() {
 
     // The surviving lane stays byte-identical to the inline run.
     let survived: Vec<&OrTuple> = join
-        .cdc
+        .session
+        .cdc()
         .sink()
         .inner
         .tuples()
@@ -211,11 +216,14 @@ fn sharded_hybrid_profile_has_identical_grammars() {
     let reference = inline.into_parts().1.into_profile();
 
     for shards in SHARD_COUNTS {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), shards, |_| HybridProfiler::new());
+        let session = Session::new(HybridProfiler::new());
+        let mut sharded = ShardedCdc::spawn(session, shards, |_| HybridProfiler::new());
         drive(&mut sharded);
         let profile = sharded
-            .try_join()
+            .join()
             .expect("pipeline healthy")
+            .session
+            .into_cdc()
             .into_parts()
             .1
             .into_profile();

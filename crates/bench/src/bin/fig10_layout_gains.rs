@@ -11,8 +11,8 @@
 //!
 //! Output: a per-workload table (and per-transform breakdown) on
 //! stdout — captured as `results/fig10_layout_gains.txt` — and
-//! machine-readable deltas in `results/BENCH_layout.json` (mirrored to
-//! the repo root), the artifact the layout-gains trajectory tracks.
+//! machine-readable deltas in `results/BENCH_layout.json`, the
+//! artifact the layout-gains trajectory tracks.
 //!
 //! The hierarchy is deliberately small (8 KiB L1, 128 KiB L2) so
 //! layout effects show at harness trace scale, exactly as in the
@@ -156,8 +156,6 @@ fn main() {
         "{{\n  \"schema\": \"layout-gains-v1\",\n  \"scale\": {scale},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
-    let paths = write_result_artifacts("layout", &json).expect("write BENCH_layout.json");
-    for p in paths {
-        eprintln!("wrote {}", p.display());
-    }
+    let path = write_result_artifacts("layout", &json).expect("write BENCH_layout.json");
+    eprintln!("wrote {}", path.display());
 }

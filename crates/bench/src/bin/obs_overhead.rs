@@ -1,6 +1,6 @@
 //! Overhead guard for the observability layer: the disabled-recorder
 //! path must cost < 2% on the `translate_cached` hot loop, written to
-//! `results/BENCH_obs_overhead.json` (and a repo-root copy).
+//! `results/BENCH_obs_overhead.json`.
 //!
 //! The recorder architecture keeps the hot path free of dynamic
 //! dispatch: `Omc::translate_cached` bumps plain `u64` fields on the
@@ -189,11 +189,9 @@ fn main() -> std::process::ExitCode {
         ok,
     );
     match orp_bench::write_result_artifacts("obs_overhead", &json) {
-        Ok(paths) => {
+        Ok(path) => {
             println!();
-            for path in paths {
-                println!("wrote {}", path.display());
-            }
+            println!("wrote {}", path.display());
             std::process::ExitCode::SUCCESS
         }
         Err(err) => {

@@ -13,7 +13,7 @@
 //!
 //! Rate 1 is the unsampled reference; the deltas against it are the
 //! cost of sampling, printed as a rate-vs-error table and persisted to
-//! `results/BENCH_sampling.json` (+ the tracked root copy).
+//! `results/BENCH_sampling.json`.
 //!
 //! Environment knobs (for CI smoke runs): `ORP_SCALE` scales the
 //! workloads, `ORP_SAMPLING_RATES` is a comma-separated rate list, and
@@ -174,11 +174,7 @@ fn main() {
         json_rows.join(",\n")
     );
     match write_result_artifacts("sampling", &json) {
-        Ok(paths) => {
-            for p in paths {
-                eprintln!("wrote {}", p.display());
-            }
-        }
+        Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not persist results: {e}"),
     }
 }

@@ -1,5 +1,5 @@
 //! Load generator for the `orpd` multi-tenant profiling daemon, written
-//! to `results/BENCH_service.json` (and a repo-root copy).
+//! to `results/BENCH_service.json`.
 //!
 //! Three measurements:
 //!
@@ -305,11 +305,9 @@ fn main() -> std::process::ExitCode {
         eprintln!("warning: served profile differs from the inline path");
     }
     match orp_bench::write_result_artifacts("service", &json) {
-        Ok(paths) => {
+        Ok(path) => {
             println!();
-            for path in paths {
-                println!("wrote {}", path.display());
-            }
+            println!("wrote {}", path.display());
             std::process::ExitCode::SUCCESS
         }
         Err(err) => {

@@ -1,7 +1,6 @@
 //! Events-per-second throughput for the OMC translation fast path and
 //! the sharded collection pipeline, written to
-//! `results/BENCH_throughput.json` and mirrored to the repo-root
-//! `BENCH_throughput.json` (the tracked benchmark trajectory).
+//! `results/BENCH_throughput.json` (the tracked benchmark trajectory).
 //!
 //! The workload is a pointer-chasing traversal of a scrambled linked
 //! list with a field scan at every node: chasing `->next` lands each
@@ -769,11 +768,9 @@ fn main() -> std::process::ExitCode {
     // The benchmark trajectory is tracked at the repo root; refresh
     // that copy too, regardless of the invocation directory.
     match orp_bench::write_result_artifacts("throughput", &json) {
-        Ok(paths) => {
+        Ok(path) => {
             println!();
-            for path in paths {
-                println!("wrote {}", path.display());
-            }
+            println!("wrote {}", path.display());
             std::process::ExitCode::SUCCESS
         }
         Err(err) => {

@@ -282,55 +282,34 @@ fn repo_root() -> Result<&'static Path, BenchIoError> {
     })
 }
 
-/// Durably writes one benchmark's result JSON.
+/// Durably writes one benchmark's result JSON to
+/// `<repo root>/results/BENCH_<name>.json` — the one copy, which CI
+/// uploads.
 ///
-/// The single durable writer for all benchmark artifacts: the
-/// canonical copy lives at `<repo root>/results/BENCH_<name>.json`
-/// (anchored to the repo root, *not* the invocation directory, so a
-/// bench run from any working directory updates the same file), and
-/// the tracked trajectory copy at `<repo root>/BENCH_<name>.json` is
-/// derived by copying the canonical bytes — the two can never drift.
-///
-/// Parent directories are created as needed and both copies go through
-/// the atomic temp-file/rename path, so a crash or a full disk never
-/// leaves a torn artifact where the trajectory tooling would read one.
-/// Returns the paths written, canonical first.
+/// Anchored to the repo root, *not* the invocation directory, so a bench
+/// run from any working directory updates the same file. The directory
+/// is created as needed and the write goes through the atomic
+/// temp-file/rename path, so a crash or a full disk never leaves a torn
+/// artifact. Returns the path written.
 ///
 /// # Errors
 ///
 /// Returns a [`BenchIoError`] naming the path that could not be
 /// created or written.
-pub fn write_result_artifacts(name: &str, json: &str) -> Result<[PathBuf; 2], BenchIoError> {
-    let file = format!("BENCH_{name}.json");
-    let root = repo_root()?;
-    let canonical = root.join("results").join(&file);
-    if let Some(parent) = canonical.parent() {
-        std::fs::create_dir_all(parent).map_err(|source| BenchIoError {
-            path: parent.to_path_buf(),
-            source,
-        })?;
-    }
-    orp_format::write_bytes_atomic(&canonical, json.as_bytes(), None).map_err(|source| {
-        BenchIoError {
-            path: canonical.clone(),
-            source,
-        }
-    })?;
-    // Derive the root copy from what actually landed in the canonical
-    // file, not from the argument: if these ever disagree, something
-    // is interleaving writers and the canonical file is the truth.
-    let canonical_bytes = std::fs::read(&canonical).map_err(|source| BenchIoError {
-        path: canonical.clone(),
+pub fn write_result_artifacts(name: &str, json: &str) -> Result<PathBuf, BenchIoError> {
+    let dir = repo_root()?.join("results");
+    std::fs::create_dir_all(&dir).map_err(|source| BenchIoError {
+        path: dir.clone(),
         source,
     })?;
-    let root_copy = root.join(&file);
-    orp_format::write_bytes_atomic(&root_copy, &canonical_bytes, None).map_err(|source| {
+    let path = dir.join(format!("BENCH_{name}.json"));
+    orp_format::write_bytes_atomic(&path, json.as_bytes(), None).map_err(|source| {
         BenchIoError {
-            path: root_copy.clone(),
+            path: path.clone(),
             source,
         }
     })?;
-    Ok([canonical, root_copy])
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -371,23 +350,17 @@ mod tests {
     #[test]
     fn result_artifacts_are_root_anchored_and_never_drift() {
         let payload = "{\"marker\": \"writer-selftest\"}\n";
-        let [canonical, root_copy] =
-            write_result_artifacts("writer_selftest", payload).expect("artifact write");
-        // Root-anchored: the canonical copy is under <repo>/results/
-        // regardless of the invocation directory, and the tracked copy
-        // is derived from the canonical bytes.
+        let path = write_result_artifacts("writer_selftest", payload).expect("artifact write");
+        // Root-anchored: the one copy is under <repo>/results/ regardless
+        // of the invocation directory, and nothing lands at the root.
         let root = repo_root().unwrap();
         assert_eq!(
-            canonical,
+            path,
             root.join("results").join("BENCH_writer_selftest.json")
         );
-        assert_eq!(root_copy, root.join("BENCH_writer_selftest.json"));
-        let a = std::fs::read(&canonical).unwrap();
-        let b = std::fs::read(&root_copy).unwrap();
-        assert_eq!(a, payload.as_bytes());
-        assert_eq!(a, b, "derived copy must be byte-identical");
-        let _ = std::fs::remove_file(canonical);
-        let _ = std::fs::remove_file(root_copy);
+        assert_eq!(std::fs::read(&path).unwrap(), payload.as_bytes());
+        assert!(!root.join("BENCH_writer_selftest.json").exists());
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

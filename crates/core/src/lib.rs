@@ -59,20 +59,20 @@
 
 mod cdc;
 pub mod decompose;
+pub mod lane;
 mod omc;
 pub mod sample;
 mod session;
 pub mod sharded;
 mod sink;
-pub mod sync;
+mod sync;
 
 pub use cdc::Cdc;
+pub use lane::PipelineError;
 pub use omc::{FastU64Map, ObjectRecord, Omc, OmcError, TranslateStats, U64Hasher};
 pub use sample::{RateController, SampleStats, Sampler, SamplingPolicy};
 pub use session::{ResumeError, ResumeLedger, Session, SessionSink, SessionStats};
-pub use sharded::{
-    PipelineError, PipelineStats, ShardStats, ShardableSink, ShardedCdc, ShardedJoin,
-};
+pub use sharded::{PipelineStats, ShardStats, ShardableSink, ShardedCdc, ShardedJoin};
 pub use sink::{NullOrSink, OrSink, VecOrSink};
 
 use orp_trace::{AccessKind, InstrId};

@@ -48,44 +48,50 @@
 //! only how a caller treats a non-empty [`ShardedJoin::degraded`] list:
 //! fail the run, or keep the salvaged profile with a warning.
 //!
-//! All queues are bounded (back-pressure instead of unbounded memory),
-//! and batch buffers are recycled through return channels instead of
-//! being reallocated per batch.
+//! The probe lane and every tuple lane are bounded [lanes](crate::lane):
+//! at most 4 × 8192 × 32 B = 1 MiB of probe events and 4 × 8192 × 40 B
+//! = 1.25 MiB of tuples per lane are in flight (DESIGN.md "Bounded lanes").
+
+use std::convert::Infallible;
 
 use orp_trace::{AccessEvent, AllocEvent, FreeEvent, InstrId, ProbeEvent, ProbeSink};
 
 use orp_obs::Recorder;
 
+use crate::lane::{self, LaneSender, Msg, PipelineError, Worker};
 use crate::omc::FastU64Map;
-use crate::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use crate::sync::thread::{self, JoinHandle};
 use crate::{GroupId, OrSink, OrTuple, Session};
 
 /// Probe events per batch shipped to the translator.
 #[cfg(not(loom))]
-pub const EVENT_BATCH: usize = 16384;
+pub const EVENT_BATCH: usize = 8192;
 /// Model-checking build: tiny batches, so a handful of events exercises
 /// multiple channel transitions without exploding the schedule space.
 #[cfg(loom)]
 pub const EVENT_BATCH: usize = 2;
 
-/// Translated tuples per batch shipped to a shard worker.
+/// Translated tuples per batch shipped to a lane worker.
 #[cfg(not(loom))]
 const TUPLE_BATCH: usize = 8192;
 #[cfg(loom)]
 const TUPLE_BATCH: usize = 2;
 
-/// Bounded queue depth, in batches, of every channel in the pipeline.
-/// Deep enough that the probe side rarely stalls on a busy translator
-/// (and, on a single hardware thread, stages run as long uninterrupted
-/// stretches instead of ping-ponging per batch); still bounded, so a
-/// stuck worker back-pressures the probe instead of exhausting memory.
+/// Queue depth, in batches, of the probe lane and every tuple lane:
+/// two batches cover a worker's scheduling jitter, deeper queues only
+/// hold more memory (DESIGN.md "Bounded lanes").
 #[cfg(not(loom))]
-const QUEUE_BATCHES: usize = 32;
+const QUEUE_BATCHES: usize = 2;
 /// Model-checking build: depth 1 makes back-pressure (a full queue
 /// blocking the sender) reachable within a few events.
 #[cfg(loom)]
 const QUEUE_BATCHES: usize = 1;
+
+/// The most buffers one lane ever holds: [`QUEUE_BATCHES`] queued, one
+/// inside the worker, one pending on the feed side. Written out rather
+/// than derived, so that raising the depth fails the budget test
+/// instead of showing up only as RSS.
+const LANE_BUFFERS: usize = 4;
+const _: () = assert!(QUEUE_BATCHES + 2 <= LANE_BUFFERS);
 
 /// A profiler whose state is partitioned by a vertical-decomposition
 /// key, making it collectable on sharded workers.
@@ -183,42 +189,6 @@ impl ShardableSink for crate::VecOrSink {
     }
 }
 
-/// A worker thread of the collection pipeline died by panicking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineError {
-    /// Which thread died: `"translator"` or `"shard 3"` here, or
-    /// `"grammar worker 1"` in `orp-whomp`'s grammar pipelines.
-    pub worker: String,
-    /// The panic payload, if it was a string.
-    pub message: String,
-}
-
-impl std::fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "collection pipeline {} panicked: {}",
-            self.worker, self.message
-        )
-    }
-}
-
-impl std::error::Error for PipelineError {}
-
-/// Renders a panic payload as text (panics carry `&str` or `String`
-/// payloads in practice). Public so sibling pipelines built on the
-/// same worker contract (e.g. `orp-whomp`'s grammar workers) report
-/// dead workers the same way.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// One shard lane's routing totals, as counted by the translator.
 ///
 /// Plain integers bumped inline on the routing path; nothing here
@@ -295,78 +265,19 @@ pub struct ShardedJoin<S> {
     pub degraded: Vec<PipelineError>,
 }
 
-/// One shard's outbound lane: its tuple channel, the buffer-recycling
-/// return channel, and the batch under construction.
+/// One shard's outbound lane and the batch under construction.
+#[derive(Debug)]
 struct Lane {
-    tx: SyncSender<Vec<OrTuple>>,
-    recycled: Receiver<Vec<OrTuple>>,
+    sender: LaneSender<OrTuple, Infallible>,
     pending: Vec<OrTuple>,
-    /// Set when the worker hung up (it panicked); further tuples for
-    /// this shard divert to the fallback and the panic surfaces at join.
-    dead: bool,
-    /// Tuples routed here, batches flushed, and full-queue stalls.
+    /// Tuples routed here and salvaged; batches and stalls are the
+    /// sender's, added at [`Router::close`].
     stats: ShardStats,
-}
-
-impl Lane {
-    /// Buffers a tuple; returns a batch the dead worker could not
-    /// accept, for the caller to salvage or drop.
-    fn push(&mut self, t: OrTuple) -> Option<Vec<OrTuple>> {
-        self.stats.tuples += 1;
-        self.pending.push(t);
-        if self.pending.len() >= TUPLE_BATCH {
-            return self.flush();
-        }
-        None
-    }
-
-    /// Ships the pending batch to the worker. When the worker has hung
-    /// up (it panicked), the undeliverable batch is handed back —
-    /// channel errors carry the value, so nothing is lost in transit —
-    /// and the caller decides whether to salvage or drop it.
-    fn flush(&mut self) -> Option<Vec<OrTuple>> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let fresh = self
-            .recycled
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(TUPLE_BATCH));
-        let batch = std::mem::replace(&mut self.pending, fresh);
-        if self.dead {
-            return Some(batch);
-        }
-        // Try the non-blocking send first so a full queue — the worker
-        // back-pressuring the translator — is observable as a stall
-        // before the blocking send parks this thread.
-        match self.tx.try_send(batch) {
-            Ok(()) => {
-                self.stats.batches += 1;
-                None
-            }
-            Err(TrySendError::Full(batch)) => {
-                self.stats.stalls += 1;
-                match self.tx.send(batch) {
-                    Ok(()) => {
-                        self.stats.batches += 1;
-                        None
-                    }
-                    Err(mpsc::SendError(batch)) => {
-                        self.dead = true;
-                        Some(batch)
-                    }
-                }
-            }
-            Err(TrySendError::Disconnected(batch)) => {
-                self.dead = true;
-                Some(batch)
-            }
-        }
-    }
 }
 
 /// The translator's profiler: routes each translated tuple to its key's
 /// lane, diverting batches a dead lane cannot accept to the fallback.
+#[derive(Debug)]
 struct Router<S> {
     lanes: Vec<Lane>,
     /// First-seen round-robin key→lane assignment: deterministic for a
@@ -380,11 +291,55 @@ struct Router<S> {
     route_memo: [(u64, usize); 4],
     memo_slot: usize,
     fallback: Option<S>,
-    /// Each lane's totals, harvested by [`Router::close`].
-    lane_stats: Vec<ShardStats>,
 }
 
 impl<S: ShardableSink> Router<S> {
+    /// Spawns a worker per sink — `stem` on lane 0 with its
+    /// [`ShardableSink::state_keys`] pinned there, `make_sink(i)` on lane
+    /// `i` — plus the fallback `make_sink(shards)`.
+    fn spawn(
+        stem: S,
+        shards: usize,
+        mut make_sink: impl FnMut(usize) -> S,
+    ) -> (Self, Vec<Worker<S>>) {
+        let mut routes = FastU64Map::default();
+        for key in stem.state_keys() {
+            routes.insert(key, 0);
+        }
+        let sinks = std::iter::once(stem).chain((1..shards).map(&mut make_sink));
+        let (lanes, workers) = sinks
+            .enumerate()
+            .map(|(shard, mut sink)| {
+                let name = format!("shard {shard}");
+                let (sender, worker) = lane::spawn(name, QUEUE_BATCHES, TUPLE_BATCH, move |rx| {
+                    rx.drain(|msg| {
+                        let Msg::Batch(_, batch) = msg;
+                        sink.tuple_batch(batch);
+                    });
+                    sink
+                });
+                let lane = Lane {
+                    sender,
+                    pending: Vec::with_capacity(TUPLE_BATCH),
+                    stats: ShardStats {
+                        shard: shard as u64,
+                        ..ShardStats::default()
+                    },
+                };
+                (lane, worker)
+            })
+            .unzip();
+        let router = Router {
+            lanes,
+            routes,
+            next_shard: 0,
+            route_memo: [(u64::MAX, 0); 4],
+            memo_slot: 0,
+            fallback: Some(make_sink(shards)),
+        };
+        (router, workers)
+    }
+
     fn route(&mut self, key: u64) -> usize {
         if let Some(&(_, shard)) = self.route_memo.iter().find(|(k, _)| *k == key) {
             return shard;
@@ -401,15 +356,36 @@ impl<S: ShardableSink> Router<S> {
         shard
     }
 
-    /// Flushes every lane's last batch, then hangs up on all the
-    /// workers at once, keeping the lanes' totals.
-    fn close(&mut self) {
-        for lane in &mut self.lanes {
-            if let Some(batch) = lane.flush() {
-                salvage_batch(&mut self.fallback, &mut lane.stats, &batch);
-            }
+    /// Ships lane `shard`'s pending batch; a batch its dead worker
+    /// cannot accept goes to the fallback instead.
+    fn flush(&mut self, shard: usize) {
+        let lane = &mut self.lanes[shard];
+        if lane.pending.is_empty() {
+            return;
         }
-        self.lane_stats = self.lanes.drain(..).map(|lane| lane.stats).collect();
+        let batch = std::mem::take(&mut lane.pending);
+        lane.pending = lane.sender.ship(0, batch, |lost| {
+            salvage_batch(&mut self.fallback, &mut lane.stats, lost);
+        });
+    }
+
+    /// Flushes every lane's last batch, then hangs up on all the
+    /// workers at once, returning the lanes' totals.
+    fn close(&mut self) -> Vec<ShardStats> {
+        for shard in 0..self.lanes.len() {
+            self.flush(shard);
+        }
+        self.lanes
+            .drain(..)
+            .map(|lane| {
+                let sent = lane.sender.stats();
+                ShardStats {
+                    batches: sent.batches,
+                    stalls: sent.stalls,
+                    ..lane.stats
+                }
+            })
+            .collect()
     }
 }
 
@@ -417,41 +393,16 @@ impl<S: ShardableSink> OrSink for Router<S> {
     fn tuple(&mut self, t: &OrTuple) {
         let shard = self.route(S::shard_key(t));
         let lane = &mut self.lanes[shard];
-        if let Some(batch) = lane.push(*t) {
-            salvage_batch(&mut self.fallback, &mut lane.stats, &batch);
+        lane.stats.tuples += 1;
+        lane.pending.push(*t);
+        if lane.pending.len() >= TUPLE_BATCH {
+            self.flush(shard);
         }
     }
 }
 
-/// Spawns lane `shard`'s worker thread, which feeds `sink` every batch
-/// it receives and hands the sink back when the translator hangs up.
-fn spawn_lane<S: ShardableSink>(shard: usize, mut sink: S) -> (Lane, JoinHandle<S>) {
-    let (tx, rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
-    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
-    let handle = thread::Builder::new()
-        .name(format!("orp-shard-{shard}"))
-        .spawn(move || {
-            while let Ok(batch) = rx.recv() {
-                sink.tuple_batch(&batch);
-                let mut spent = batch;
-                spent.clear();
-                let _ = recycle_tx.try_send(spent);
-            }
-            sink
-        })
-        .expect("spawn shard worker");
-    let lane = Lane {
-        tx,
-        recycled: recycle_rx,
-        pending: Vec::with_capacity(TUPLE_BATCH),
-        dead: false,
-        stats: ShardStats {
-            shard: shard as u64,
-            ..ShardStats::default()
-        },
-    };
-    (lane, handle)
-}
+/// What the translator hands back: its session and the lanes' totals.
+type Translated<S> = (Session<Router<S>>, Vec<ShardStats>);
 
 /// A probe sink collecting through the pipeline described in the
 /// [module docs](self).
@@ -473,11 +424,10 @@ fn spawn_lane<S: ShardableSink>(shard: usize, mut sink: S) -> (Lane, JoinHandle<
 /// ```
 #[derive(Debug)]
 pub struct ShardedCdc<S: ShardableSink> {
-    to_translator: Option<SyncSender<Vec<ProbeEvent>>>,
-    recycled: Receiver<Vec<ProbeEvent>>,
+    probe: LaneSender<ProbeEvent, Infallible>,
     batch: Vec<ProbeEvent>,
-    translator: Option<JoinHandle<Session<Router<S>>>>,
-    workers: Vec<JoinHandle<S>>,
+    translator: Option<Worker<Translated<S>>>,
+    workers: Vec<Worker<S>>,
 }
 
 impl<S: ShardableSink> ShardedCdc<S> {
@@ -493,55 +443,25 @@ impl<S: ShardableSink> ShardedCdc<S> {
     ///
     /// Panics if `shards` is zero or a thread cannot be spawned.
     #[must_use]
-    pub fn spawn(
-        session: Session<S>,
-        shards: usize,
-        mut make_sink: impl FnMut(usize) -> S,
-    ) -> Self {
+    pub fn spawn(session: Session<S>, shards: usize, make_sink: impl FnMut(usize) -> S) -> Self {
         assert!(shards > 0, "at least one shard lane is required");
-        let mut workers = Vec::with_capacity(shards);
+        let mut workers = Vec::new();
         let mut session = session.map_sink(|stem| {
-            let mut routes = FastU64Map::default();
-            for key in stem.state_keys() {
-                routes.insert(key, 0);
-            }
-            let sinks = std::iter::once(stem).chain((1..shards).map(&mut make_sink));
-            let mut lanes = Vec::with_capacity(shards);
-            for (shard, sink) in sinks.enumerate() {
-                let (lane, handle) = spawn_lane(shard, sink);
-                lanes.push(lane);
-                workers.push(handle);
-            }
-            Router {
-                lanes,
-                routes,
-                next_shard: 0,
-                route_memo: [(u64::MAX, 0); 4],
-                memo_slot: 0,
-                fallback: Some(make_sink(shards)),
-                lane_stats: Vec::new(),
-            }
+            let (router, lanes) = Router::spawn(stem, shards, make_sink);
+            workers = lanes;
+            router
         });
-
-        let (probe_tx, probe_rx) = mpsc::sync_channel::<Vec<ProbeEvent>>(QUEUE_BATCHES);
-        let (probe_recycle_tx, probe_recycle_rx) = mpsc::sync_channel(QUEUE_BATCHES);
-        let translator = thread::Builder::new()
-            .name("orp-translate".to_owned())
-            .spawn(move || {
-                while let Ok(events) = probe_rx.recv() {
-                    session.feed(&events);
-                    let mut spent = events;
-                    spent.clear();
-                    let _ = probe_recycle_tx.try_send(spent);
-                }
-                session.cdc_mut().sink_mut().close();
-                session
-            })
-            .expect("spawn translator thread");
-
+        let (probe, translator) =
+            lane::spawn("translator", QUEUE_BATCHES, EVENT_BATCH, move |rx| {
+                rx.drain(|msg| {
+                    let Msg::Batch(_, events) = msg;
+                    session.feed(events);
+                });
+                let lane_stats = session.cdc_mut().sink_mut().close();
+                (session, lane_stats)
+            });
         ShardedCdc {
-            to_translator: Some(probe_tx),
-            recycled: probe_recycle_rx,
+            probe,
             batch: Vec::with_capacity(EVENT_BATCH),
             translator: Some(translator),
             workers,
@@ -559,19 +479,11 @@ impl<S: ShardableSink> ShardedCdc<S> {
         if self.batch.is_empty() {
             return;
         }
-        let fresh = self
-            .recycled
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(EVENT_BATCH));
-        let batch = std::mem::replace(&mut self.batch, fresh);
-        if let Some(tx) = &self.to_translator {
-            // A send failure means the translator died; keep accepting
-            // (and dropping) events so the panic surfaces at join
-            // instead of cascading into the probe side.
-            if tx.send(batch).is_err() {
-                self.to_translator = None;
-            }
-        }
+        let batch = std::mem::take(&mut self.batch);
+        // A dead translator's events are dropped and the probe side
+        // keeps accepting, so the panic surfaces at join instead of
+        // cascading into the probe side.
+        self.batch = self.probe.ship(0, batch, |_| {});
     }
 
     /// Flushes pending events, shuts the pipeline down and merges the
@@ -586,7 +498,7 @@ impl<S: ShardableSink> ShardedCdc<S> {
     /// without it.
     pub fn join(mut self) -> Result<ShardedJoin<S>, PipelineError> {
         self.flush();
-        drop(self.to_translator.take());
+        self.probe.hang_up();
         // The translator winds down first: closing its router (or
         // unwinding past it) hangs up on the lanes, releasing the
         // workers.
@@ -594,28 +506,20 @@ impl<S: ShardableSink> ShardedCdc<S> {
         let mut parts = Vec::with_capacity(self.workers.len() + 1);
         let mut degraded = Vec::new();
         let mut degraded_shards = Vec::new();
-        for (shard, handle) in self.workers.drain(..).enumerate() {
-            match handle.join() {
+        for (shard, worker) in self.workers.drain(..).enumerate() {
+            match worker.join() {
                 Ok(sink) => parts.push(sink),
-                Err(payload) => {
-                    degraded.push(PipelineError {
-                        worker: format!("shard {shard}"),
-                        message: panic_message(payload),
-                    });
+                Err(err) => {
+                    degraded.push(err);
                     degraded_shards.push(shard as u64);
                 }
             }
         }
-        let mut session = translated.map_err(|payload| PipelineError {
-            worker: "translator".to_owned(),
-            message: panic_message(payload),
-        })?;
-        let router = session.cdc_mut().sink_mut();
-        let lane_stats = std::mem::take(&mut router.lane_stats);
+        let (mut session, lane_stats) = translated?;
         // The fallback is last: merge contracts order parts by shard,
         // and the fallback holds (partial) streams of dead-lane keys —
         // key sets disjoint from every surviving part.
-        parts.extend(router.fallback.take());
+        parts.extend(session.cdc_mut().sink_mut().fallback.take());
         let merge_start = std::time::Instant::now();
         let merged = S::merge(parts);
         let merge_nanos = u64::try_from(merge_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -679,13 +583,13 @@ impl<S: ShardableSink> ProbeSink for ShardedCdc<S> {
 
 impl<S: ShardableSink> Drop for ShardedCdc<S> {
     fn drop(&mut self) {
-        // Unblock and reap the pipeline if `try_join` was never called.
-        drop(self.to_translator.take());
+        // Unblock and reap the pipeline if `join` was never called.
+        self.probe.hang_up();
         if let Some(translator) = self.translator.take() {
             let _ = translator.join();
         }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -1002,6 +906,101 @@ mod tests {
             .expect("clean join checkpoints");
         inline.checkpoint(&mut want).unwrap();
         assert_eq!(got, want);
+    }
+
+    /// A sink that takes its time over every batch, so whatever feeds
+    /// its lane out-runs it.
+    #[derive(Debug, Default)]
+    struct Sluggish(VecOrSink);
+    impl OrSink for Sluggish {
+        fn tuple(&mut self, t: &OrTuple) {
+            self.0.tuple(t);
+        }
+        fn tuple_batch(&mut self, batch: &[OrTuple]) {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            self.0.tuple_batch(batch);
+        }
+    }
+    impl ShardableSink for Sluggish {
+        fn shard_key(t: &OrTuple) -> u64 {
+            u64::from(t.instr.0)
+        }
+        fn merge(parts: Vec<Self>) -> Self {
+            Sluggish(VecOrSink::merge(parts.into_iter().map(|p| p.0).collect()))
+        }
+    }
+
+    /// The in-flight budget (module docs, "Bounded lanes"): under a feed
+    /// that out-runs its lanes, neither the probe lane nor a tuple lane
+    /// ever holds more than [`LANE_BUFFERS`] buffers — the feed side's
+    /// first one plus those it allocated, since recycling never drops a
+    /// buffer. The byte budgets are pinned on purpose: a bigger batch
+    /// or a deeper queue must come with new measurements, not only with
+    /// higher RSS.
+    #[test]
+    fn lane_buffers_stay_within_the_documented_budget() {
+        assert_eq!(std::mem::size_of::<ProbeEvent>(), 32);
+        assert_eq!(std::mem::size_of::<OrTuple>(), 40);
+        assert_eq!(
+            LANE_BUFFERS * EVENT_BATCH * std::mem::size_of::<ProbeEvent>(),
+            1024 * 1024,
+            "probe-lane in-flight budget changed"
+        );
+        assert_eq!(
+            LANE_BUFFERS * TUPLE_BATCH * std::mem::size_of::<OrTuple>(),
+            1280 * 1024,
+            "tuple-lane in-flight budget changed"
+        );
+        let within_budget = |sent: lane::LaneStats, what: &str| {
+            assert!(sent.stalls > 0, "{what}: the feed never out-ran the lane");
+            assert!(
+                sent.allocated < LANE_BUFFERS as u64,
+                "{what}: {} buffers",
+                sent.allocated + 1
+            );
+        };
+
+        // Tuple lanes, fed straight from this thread.
+        let (mut router, workers) = Router::spawn(Sluggish::default(), 2, |_| Sluggish::default());
+        let mut t = OrTuple {
+            instr: InstrId(0),
+            kind: orp_trace::AccessKind::Load,
+            group: GroupId(0),
+            object: crate::ObjectSerial(0),
+            offset: 0,
+            time: crate::Timestamp(0),
+            size: 8,
+        };
+        // Twelve batches for lane 0, then twelve for lane 1: each lane
+        // sees a burst while its sibling idles.
+        for i in 0..(24 * TUPLE_BATCH as u64) {
+            t.instr = InstrId((i / (12 * TUPLE_BATCH as u64)) as u32);
+            t.time = crate::Timestamp(i);
+            router.tuple(&t);
+        }
+        for (shard, lane) in router.lanes.iter().enumerate() {
+            within_budget(lane.sender.stats(), &format!("tuple lane {shard}"));
+        }
+        router.close();
+        for worker in workers {
+            worker.join().expect("healthy lane");
+        }
+
+        // The probe lane: a sluggish tuple lane backs the translator up.
+        let mut sharded = ShardedCdc::spawn(Session::new(Sluggish::default()), 1, |_| {
+            Sluggish::default()
+        });
+        sharded.alloc(ALLOC);
+        for i in 0..(24 * EVENT_BATCH as u64) {
+            sharded.access(AccessEvent::load(
+                InstrId(0),
+                RawAddress(0x1000 + i % 64),
+                1,
+            ));
+        }
+        within_budget(sharded.probe.stats(), "probe lane");
+        let joined = sharded.join().expect("pipeline healthy");
+        assert_eq!(joined.session.cdc().sink().0.len(), 24 * EVENT_BATCH);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The daemon: accept loop, per-connection readers, per-tenant workers.
 //!
 //! Thread shape: one accept thread; per connection, a reader thread
-//! (the connection handler) and a worker thread joined by a bounded
-//! channel whose capacity *is* the tenant's credit window. The reader
-//! never profiles and the worker never touches the socket, so a wedged
-//! or dying worker cannot corrupt the wire protocol, and a slow wire
-//! cannot stall profiling of other tenants.
+//! (the connection handler) and a worker thread joined by an
+//! [`orp_core::lane`] whose depth *is* the tenant's credit window. The
+//! reader decodes each frame into a buffer the worker recycled, so a
+//! steady stream allocates nothing per frame. The reader never profiles
+//! and the worker never touches the socket, so a wedged or dying worker
+//! cannot corrupt the wire protocol, and a slow wire cannot stall
+//! profiling of other tenants.
 
 use std::collections::BTreeSet;
 use std::io::{self, BufReader, Write};
@@ -13,10 +15,10 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
+use orp_core::lane::{self, LaneReceiver, Msg};
 use orp_core::Session;
 use orp_format::{write_varint, AtomicFile, ChunkTag, ContainerReader, FormatError, Hello};
 use orp_leap::LeapProfiler;
@@ -24,7 +26,7 @@ use orp_obs::Stopwatch;
 use orp_trace::{decode_batch, ProbeEvent, VecSink};
 
 use crate::stats::OrpdStats;
-use crate::{DONE_CLEAN, DONE_DEGRADED, STATUS_BUSY, STATUS_OK, STATUS_SHUTDOWN};
+use crate::{DONE_CLEAN, DONE_DEGRADED, FRAME_EVENTS, STATUS_BUSY, STATUS_OK, STATUS_SHUTDOWN};
 
 /// How a daemon instance behaves: where it listens, where tenant
 /// artifacts live, and how aggressively it checkpoints.
@@ -40,8 +42,8 @@ pub struct DaemonConfig {
     /// (0 disables periodic checkpoints; a disconnect still persists
     /// one).
     pub checkpoint_events: u64,
-    /// Frames a tenant may hold in flight — the bounded channel
-    /// capacity between its reader and worker, and the credit window
+    /// Frames a tenant may hold in flight — the depth of the lane
+    /// between its reader and worker, and the credit window
     /// granted at handshake. Bounds per-tenant daemon memory at
     /// roughly `credit_frames x FRAME_EVENTS` decoded events.
     pub credit_frames: usize,
@@ -155,14 +157,10 @@ impl Daemon {
             Ok(r) => r,
             Err(_) => Err(io::Error::other("accept thread panicked")),
         };
-        loop {
-            let handle = lock(&self.shared.conns).pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
+        // The accept loop is gone, so no handle is added any more.
+        let conns = std::mem::take(&mut *lock(&self.shared.conns));
+        for handle in conns {
+            let _ = handle.join();
         }
         result
     }
@@ -221,18 +219,10 @@ fn serve_connection(stream: UnixStream, shared: &Arc<Shared>) {
         disconnected();
         return;
     };
-    let hello = match container.next_chunk() {
-        Ok(Some(chunk)) => match Hello::decode(&chunk) {
-            Ok(h) => h,
-            Err(_) => {
-                disconnected();
-                return;
-            }
-        },
-        Ok(None) | Err(_) => {
-            disconnected();
-            return;
-        }
+    let chunk = container.next_chunk().ok().flatten();
+    let Some(hello) = chunk.and_then(|chunk| Hello::decode(&chunk).ok()) else {
+        disconnected();
+        return;
     };
     if hello.shutdown {
         let _ = write_ack(&mut out, STATUS_SHUTDOWN, 0, 0);
@@ -264,11 +254,7 @@ impl<'a> TenantClaim<'a> {
         let claimed = lock(&shared.active).insert(tenant.to_owned());
         // Build the guard only on success: dropping an unclaimed one
         // would release the other connection's slot.
-        if claimed {
-            Some(TenantClaim { shared, tenant })
-        } else {
-            None
-        }
+        claimed.then(|| TenantClaim { shared, tenant })
     }
 }
 
@@ -278,11 +264,10 @@ impl Drop for TenantClaim<'_> {
     }
 }
 
-enum WorkItem {
-    Batch(Vec<ProbeEvent>),
-    Finish,
-}
+/// Queued behind a tenant's last frame when its stream ended cleanly.
+struct Finish;
 
+#[derive(Default)]
 struct WorkerReport {
     degraded: bool,
     events: u64,
@@ -298,52 +283,43 @@ fn serve_tenant(
 ) -> Result<(), FormatError> {
     let path = shared.config.dir.join(format!("{}.orp", hello.tenant));
     let (session, resumed_events) = open_session(&path, hello.resume, shared);
-    write_ack(
-        out,
-        STATUS_OK,
-        resumed_events,
-        shared.config.credit_frames.max(1) as u64,
-    )?;
+    let credits = shared.config.credit_frames.max(1);
+    write_ack(out, STATUS_OK, resumed_events, credits as u64)?;
     OrpdStats::add(&shared.stats.sessions_started, 1);
 
-    let (tx, rx) = sync_channel::<WorkItem>(shared.config.credit_frames.max(1));
     let poison = shared.config.poison_tenant.as_deref() == Some(hello.tenant.as_str());
-    let worker = std::thread::spawn({
-        let shared = Arc::clone(shared);
-        let path = path.clone();
-        move || tenant_worker(session, &rx, &path, &shared, poison)
+    let (worker_path, worker_shared) = (path.clone(), Arc::clone(shared));
+    let (mut frames, worker) = lane::spawn("tenant worker", credits, FRAME_EVENTS, move |rx| {
+        tenant_worker(session, rx, &worker_path, &worker_shared, poison)
     });
 
+    let mut frame = Vec::with_capacity(FRAME_EVENTS);
     let streamed = loop {
         match container.next_chunk() {
             Ok(Some(chunk)) => match chunk.tag {
                 ChunkTag::TRACE => {
-                    let mut sink = VecSink::new();
-                    match decode_batch(&chunk.payload, &mut sink) {
-                        Ok(n) => {
-                            OrpdStats::add(&shared.stats.frames, 1);
-                            OrpdStats::add(&shared.stats.events, n);
-                            match tx.try_send(WorkItem::Batch(sink.into_events())) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full(item)) => {
-                                    // The tenant's queue is full: this
-                                    // blocking send is the backpressure
-                                    // stall — the grant below is delayed
-                                    // until the worker catches up.
-                                    OrpdStats::add(&shared.stats.stalls, 1);
-                                    let _ = tx.send(item);
-                                }
-                                Err(TrySendError::Disconnected(_)) => {}
-                            }
-                            // No `?` past this point: an error must
-                            // break into the join path below, or the
-                            // tenant would be released while its
-                            // worker still runs (and checkpoints).
-                            if let Err(e) = write_varint(&mut *out, 1).and_then(|()| out.flush()) {
-                                break Err(FormatError::from(e));
-                            }
-                        }
+                    let mut sink = VecSink::from(std::mem::take(&mut frame));
+                    let n = match decode_batch(&chunk.payload, &mut sink) {
+                        Ok(n) => n,
                         Err(e) => break Err(e),
+                    };
+                    OrpdStats::add(&shared.stats.frames, 1);
+                    OrpdStats::add(&shared.stats.events, n);
+                    // A full lane is the backpressure stall: the grant
+                    // below is delayed until the worker catches up. A
+                    // dead worker's frame is dropped (the session ends
+                    // degraded).
+                    let stalls = frames.stats().stalls;
+                    frame = frames.ship(0, sink.into_events(), |_| {});
+                    if frames.stats().stalls > stalls {
+                        OrpdStats::add(&shared.stats.stalls, 1);
+                    }
+                    // No `?` past this point: an error must break into
+                    // the join path below, or the tenant would be
+                    // released while its worker still runs (and
+                    // checkpoints).
+                    if let Err(e) = write_varint(&mut *out, 1).and_then(|()| out.flush()) {
+                        break Err(FormatError::from(e));
                     }
                 }
                 // Anything but probe-event frames after the handshake
@@ -356,13 +332,12 @@ fn serve_tenant(
         }
     };
     if streamed.is_ok() {
-        let _ = tx.send(WorkItem::Finish);
+        frames.control(Finish);
     }
-    drop(tx);
+    frames.hang_up();
     let report = worker.join().unwrap_or(WorkerReport {
         degraded: true,
-        events: 0,
-        salvaged: 0,
+        ..WorkerReport::default()
     });
     // Release the tenant only now: its worker (and with it every
     // checkpoint and the final profile) is done, so no second writer
@@ -406,7 +381,7 @@ fn open_session(path: &Path, resume: bool, shared: &Arc<Shared>) -> (Session<Lea
 
 fn tenant_worker(
     mut session: Session<LeapProfiler>,
-    rx: &Receiver<WorkItem>,
+    rx: LaneReceiver<ProbeEvent, Finish>,
     path: &Path,
     shared: &Arc<Shared>,
     poison: bool,
@@ -416,55 +391,46 @@ fn tenant_worker(
     let mut batches = 0u64;
     let mut last_checkpoint = session.events();
     let mut clean = false;
-    while let Ok(item) = rx.recv() {
-        let batch = match item {
-            WorkItem::Finish => {
+    rx.drain(|msg| {
+        let batch = match msg {
+            Msg::Control(Finish) => {
                 clean = true;
-                break;
+                return;
             }
-            WorkItem::Batch(b) => b,
+            Msg::Batch(_, batch) => batch,
         };
-        if degraded {
-            // Keep draining so the tenant's stream terminates; the
-            // events are counted, not profiled.
-            salvaged += batch.len() as u64;
-            OrpdStats::add(&shared.stats.salvaged_events, batch.len() as u64);
-        } else {
-            batches += 1;
-            let fed = catch_unwind(AssertUnwindSafe(|| {
+        batches += 1;
+        let fed = !degraded
+            && catch_unwind(AssertUnwindSafe(|| {
                 assert!(
                     !(poison && batches > 1),
                     "injected tenant worker fault (poison_tenant)"
                 );
-                session.feed(&batch);
-            }));
-            if fed.is_err() {
-                degraded = true;
-                salvaged += batch.len() as u64;
-                OrpdStats::add(&shared.stats.salvaged_events, batch.len() as u64);
-            } else if shared.config.checkpoint_events > 0
-                && session.events() - last_checkpoint >= shared.config.checkpoint_events
-            {
-                last_checkpoint = session.events();
-                checkpoint_tenant(&mut session, path, shared);
-            }
+                session.feed(batch);
+            }))
+            .is_ok();
+        if !fed {
+            // A degraded tenant keeps draining so its stream terminates;
+            // the events are counted, not profiled.
+            degraded = true;
+            salvaged += batch.len() as u64;
+            OrpdStats::add(&shared.stats.salvaged_events, batch.len() as u64);
+        } else if shared.config.checkpoint_events > 0
+            && session.events() - last_checkpoint >= shared.config.checkpoint_events
+        {
+            last_checkpoint = session.events();
+            checkpoint_tenant(&mut session, path, shared);
         }
-    }
+    });
+    // A degraded tenant's in-memory profile is suspect: its last durable
+    // checkpoint stays untouched as its artifact. On a disconnect,
+    // persist progress so a reconnect can resume; a zero-event session
+    // skips this, so it never clobbers what an earlier incarnation of
+    // the tenant left behind.
     let events = session.events();
-    if degraded {
-        // The in-memory profile is suspect; the tenant's last durable
-        // checkpoint stays untouched as its artifact.
-    } else if clean {
+    if !degraded && clean {
         let _ = finalize_tenant(session, path);
-        return WorkerReport {
-            degraded,
-            events,
-            salvaged,
-        };
-    } else if events > 0 {
-        // Disconnect: persist progress so a reconnect can resume. A
-        // zero-event session skips this — it must not clobber whatever
-        // artifact an earlier incarnation of the tenant left behind.
+    } else if !degraded && events > 0 {
         checkpoint_tenant(&mut session, path, shared);
     }
     WorkerReport {

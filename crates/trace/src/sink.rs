@@ -115,6 +115,14 @@ impl VecSink {
     }
 }
 
+/// Records into `events` after whatever it already holds — pass an
+/// emptied buffer to reuse its allocation.
+impl From<Vec<ProbeEvent>> for VecSink {
+    fn from(events: Vec<ProbeEvent>) -> Self {
+        VecSink { events }
+    }
+}
+
 impl ProbeSink for VecSink {
     fn access(&mut self, ev: AccessEvent) {
         self.events.push(ProbeEvent::Access(ev));

@@ -21,28 +21,24 @@
 //! # Batching contract
 //!
 //! The feed side buffers per-stream symbol vectors and ships them as
-//! batches over **bounded** channels (back-pressure, not unbounded
-//! memory), recycling spent buffers through return channels exactly
-//! like [`orp_core::sharded`]. A stream's symbols reach exactly one
+//! batches over [`orp_core::lane`]s, the bounded, buffer-recycling
+//! hand-off every pipeline shares. A stream's symbols reach exactly one
 //! worker, in collection order, whatever the batch size — so batch
 //! boundaries and thread scheduling are unobservable in the output.
 //!
 //! # In-flight memory
 //!
-//! A lane's buffers are the ones queued (at most [`QUEUE_BATCHES`]),
-//! the one its worker is applying, and one pending batch per stream
-//! routed to it; a recycled buffer is one of those parked on the
-//! return channel, and a fresh one is allocated only when that channel
-//! is empty *after* a send. So a one-stream lane never holds more than
+//! By the lane budget, a one-stream lane never holds more than
 //! [`LANE_BUFFERS`] buffers of [`SYMBOL_BATCH`] symbols: 4 × 2048 × 8 B
-//! = 64 KiB per dimension, 256 KiB for the four WHOMP lanes (DESIGN.md
-//! §13 has the measurements behind the constants).
+//! = 64 KiB per dimension, 256 KiB for the four WHOMP lanes; each
+//! further stream on a lane adds its pending buffer (DESIGN.md
+//! "Bounded lanes" and §13 have the measurements behind the constants).
 //!
 //! # Checkpoint barrier
 //!
 //! [`PipelinedWhomp`] is a [`SessionSink`](orp_core::SessionSink):
-//! `quiesce` flushes the pending batches, then `save_state` sends each
-//! lane a snapshot request *behind* those batches. A worker answers
+//! `quiesce` flushes the pending batches, then `save_state` queues a
+//! snapshot request on each lane *behind* those batches. A worker answers
 //! only after applying everything queued before the request, so the
 //! serialized grammars are exactly the sequential profiler's at the
 //! same tuple — the checkpoint bytes are identical to
@@ -52,30 +48,24 @@
 //!
 //! Sequitur is a deterministic function of its input stream. Each
 //! dimension's stream arrives at one worker complete and in order, so
-//! every per-dimension grammar — and therefore the OMSG/RASG
-//! container bytes — is byte-identical to sequential construction.
-//! The differential tests and golden fixtures pin this down.
+//! every per-dimension grammar — and therefore the OMSG/RASG container
+//! bytes — is byte-identical to sequential construction. The
+//! differential tests and golden fixtures pin this down.
 //!
 //! # Degraded shutdown
 //!
-//! A grammar worker's death cannot be salvaged the way a dead *shard*
-//! lane can (PR 5): the in-progress grammar state dies with the
-//! worker's thread, and a replacement could not re-derive it without
-//! the already-consumed prefix. The pipeline therefore reuses the
-//! salvage path's *containment* contract instead: the feed side keeps
-//! accepting (and dropping) symbols after a worker dies — no deadlock,
-//! no cascading panic mid-collection — and the failure surfaces as a
-//! [`PipelineError`] naming the worker at join, as a dead shard lane
-//! does in [`ShardedCdc::join`](orp_core::ShardedCdc::join). A
-//! checkpoint taken after the death fails with an [`io::Error`] instead
-//! of writing a grammar with a hole in it.
+//! A dead grammar worker cannot be salvaged like a dead shard lane: its
+//! grammar dies with its thread and cannot be re-derived without the
+//! consumed prefix. The feed side only keeps accepting (and dropping)
+//! symbols — no deadlock, no cascading panic — and the failure surfaces
+//! at join as a [`PipelineError`] naming the worker. A checkpoint taken
+//! after the death fails with an [`io::Error`] instead of writing a
+//! grammar with a hole in it.
 
 use std::io;
 use std::time::Instant;
 
-use orp_core::sharded::panic_message;
-use orp_core::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use orp_core::sync::thread::{self, JoinHandle};
+use orp_core::lane::{self, LaneSender, Msg, Reply, Worker};
 use orp_core::{OrSink, OrTuple, PipelineError};
 use orp_obs::Recorder;
 use orp_sequitur::Sequitur;
@@ -94,7 +84,7 @@ const SYMBOL_BATCH: usize = 2048;
 #[cfg(loom)]
 const SYMBOL_BATCH: usize = 2;
 
-/// Bounded queue depth, in batches, of every grammar-worker channel.
+/// Queue depth, in batches, of every grammar lane.
 /// Two batches cover a worker's scheduling jitter (depth 1 lost ~5%
 /// throughput); deeper queues only hold more memory — depth 32 with
 /// 8192-symbol batches nearly doubled the replay's peak RSS.
@@ -109,10 +99,7 @@ const QUEUE_BATCHES: usize = 1;
 /// feed side (each further stream on the lane adds its pending buffer).
 /// Written out rather than derived, so that raising the queue depth
 /// fails the lane-budget test instead of showing up only as RSS.
-#[cfg(not(loom))]
 const LANE_BUFFERS: usize = 4;
-#[cfg(loom)]
-const LANE_BUFFERS: usize = QUEUE_BATCHES + 2;
 const _: () = assert!(QUEUE_BATCHES + 2 <= LANE_BUFFERS);
 
 /// The OMSG dimension names, in stream order.
@@ -192,12 +179,6 @@ impl GrammarPipelineStats {
             }
         }
     }
-
-    /// Total worker-busy nanoseconds across all streams.
-    #[must_use]
-    pub fn total_busy_ns(&self) -> u64 {
-        self.streams.iter().map(|s| s.busy_ns).sum()
-    }
 }
 
 /// What a grammar worker hands back at shutdown: each stream it owned,
@@ -213,87 +194,33 @@ struct WorkerStream {
 /// one `(stream, Sequitur state)` pair per stream it owns.
 type SnapshotReply = io::Result<Vec<(u8, Vec<u8>)>>;
 
-/// What travels down a grammar lane.
+/// The grammar lanes' control message, the checkpoint barrier:
+/// serialize every owned grammar once all batches queued ahead of this
+/// request have been applied.
 #[derive(Debug)]
-enum LaneMsg {
-    /// Symbols for one stream, in collection order.
-    Batch(u8, Vec<u64>),
-    /// The checkpoint barrier: serialize every owned grammar once all
-    /// batches queued ahead of this request have been applied.
-    Snapshot(SyncSender<SnapshotReply>),
-}
+struct Snapshot(Reply<SnapshotReply>);
 
-/// Sends `msg` on a bounded lane, counting it in `batches` — or in
-/// `stalls` too when the queue was full and the send had to block
-/// (collection out-ran grammar construction). A hung-up worker clears
-/// `tx`; the message is dropped and the panic surfaces at join.
-fn send_counted<T>(tx: &mut Option<SyncSender<T>>, msg: T, batches: &mut u64, stalls: &mut u64) {
-    let Some(sender) = tx else {
-        return;
-    };
-    // Non-blocking first, so a full queue is observable as a stall
-    // before the blocking send parks this thread.
-    let delivered = match sender.try_send(msg) {
-        Ok(()) => true,
-        Err(TrySendError::Full(msg)) => {
-            *stalls += 1;
-            sender.send(msg).is_ok()
-        }
-        Err(TrySendError::Disconnected(_)) => false,
-    };
-    if delivered {
-        *batches += 1;
-    } else {
-        *tx = None;
-    }
-}
+/// One worker's inbound lane of symbol batches, tagged by stream.
+type SymbolLane = LaneSender<u64, Snapshot>;
 
-/// The replacement buffer after a send: a recycled one when the return
-/// channel has any, else a fresh allocation counted in `allocated`.
-/// Called only *after* the send, so a full queue has already been
-/// waited out and the lane holds at most [`LANE_BUFFERS`] buffers.
-fn recycle_or_alloc<T>(recycled: &Receiver<Vec<T>>, allocated: &mut usize) -> Vec<T> {
-    recycled.try_recv().unwrap_or_else(|_| {
-        *allocated += 1;
-        Vec::with_capacity(SYMBOL_BATCH)
-    })
-}
+/// A grammar worker, handing back the streams it owned.
+type GrammarWorker = Worker<Vec<WorkerStream>>;
 
-/// One worker's inbound lane: its message channel (`None` once the
-/// worker hung up), the buffer-recycling return channel, and how many
-/// buffers the lane has allocated.
-#[derive(Debug)]
-struct SymbolLane {
-    tx: Option<SyncSender<LaneMsg>>,
-    recycled: Receiver<Vec<u64>>,
-    allocated: usize,
-}
-
-impl SymbolLane {
-    /// Ships `batch` for stream `stream`, returning an empty buffer for
-    /// the next one. Stall and batch totals land in `stats`; a dead
-    /// worker marks the lane and the batch is dropped — the panic
-    /// surfaces at join.
-    fn ship(&mut self, stream: u8, batch: Vec<u64>, stats: &mut GrammarStreamStats) -> Vec<u64> {
-        let msg = LaneMsg::Batch(stream, batch);
-        send_counted(&mut self.tx, msg, &mut stats.batches, &mut stats.stalls);
-        recycle_or_alloc(&self.recycled, &mut self.allocated)
-    }
-
-    /// Queues a snapshot request behind every batch already shipped,
-    /// returning the channel the worker will answer on.
-    fn request_snapshot(&self, index: usize) -> io::Result<Receiver<SnapshotReply>> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let sent = self
-            .tx
-            .as_ref()
-            .is_some_and(|tx| tx.send(LaneMsg::Snapshot(reply_tx)).is_ok());
-        if sent {
-            Ok(reply_rx)
-        } else {
-            Err(dead_worker(index))
-        }
-    }
+/// Ships `batch` for stream `stream`, returning an empty buffer for the
+/// next one, and adds the lane's batch and stall counts to the stream's
+/// `stats`. A dead worker's batch is dropped; the panic surfaces at
+/// join.
+fn ship(
+    lane: &mut SymbolLane,
+    stream: u8,
+    batch: Vec<u64>,
+    stats: &mut GrammarStreamStats,
+) -> Vec<u64> {
+    let (batches, stalls) = (lane.stats().batches, lane.stats().stalls);
+    let next = lane.ship(stream, batch, |_| {});
+    stats.batches += lane.stats().batches - batches;
+    stats.stalls += lane.stats().stalls - stalls;
+    next
 }
 
 /// The checkpoint error for a grammar worker that is gone: its grammar
@@ -308,90 +235,47 @@ fn dead_worker(index: usize) -> io::Error {
 /// pairs; it drains its lane, feeds each batch to the right grammar
 /// with [`Sequitur::push_batch`], answers snapshot requests in lane
 /// order, and returns the streams at shutdown.
-fn spawn_grammar_worker(
-    index: usize,
-    streams: Vec<(u8, Sequitur)>,
-) -> (SymbolLane, JoinHandle<Vec<WorkerStream>>) {
-    let (tx, rx) = mpsc::sync_channel::<LaneMsg>(QUEUE_BATCHES);
-    // Mid-ship the feed side holds no buffer for the stream it is
-    // shipping, so all of that stream's buffers but the worker's own can
-    // be parked here: two slots more than the queue, and recycling never
-    // drops (and later reallocates) one.
-    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<u64>>(QUEUE_BATCHES + 2);
-    let handle = thread::Builder::new()
-        .name(format!("orp-grammar-{index}"))
-        .spawn(move || {
-            let mut streams: Vec<WorkerStream> = streams
-                .into_iter()
-                .map(|(stream, seq)| WorkerStream {
-                    stream,
-                    seq,
-                    busy_ns: 0,
-                })
-                .collect();
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    LaneMsg::Batch(stream, batch) => {
-                        let slot = streams
-                            .iter_mut()
-                            .find(|s| s.stream == stream)
-                            .expect("batch routed to a worker that does not own its stream");
-                        let start = Instant::now();
-                        slot.seq.push_batch(&batch);
-                        slot.busy_ns +=
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        let mut spent = batch;
-                        spent.clear();
-                        let _ = recycle_tx.try_send(spent);
-                    }
-                    LaneMsg::Snapshot(reply) => {
-                        let states = streams
-                            .iter()
-                            .map(|s| {
-                                let mut state = Vec::new();
-                                s.seq.save_state(&mut state).map(|()| (s.stream, state))
-                            })
-                            .collect();
-                        let _ = reply.send(states);
-                    }
-                }
+fn spawn_grammar_worker(index: usize, streams: Vec<(u8, Sequitur)>) -> (SymbolLane, GrammarWorker) {
+    let name = format!("grammar worker {index}");
+    lane::spawn(name, QUEUE_BATCHES, SYMBOL_BATCH, move |rx| {
+        let mut streams: Vec<WorkerStream> = streams
+            .into_iter()
+            .map(|(stream, seq)| WorkerStream {
+                stream,
+                seq,
+                busy_ns: 0,
+            })
+            .collect();
+        rx.drain(|msg| match msg {
+            Msg::Batch(stream, batch) => {
+                let slot = streams
+                    .iter_mut()
+                    .find(|s| s.stream == stream)
+                    .expect("batch routed to a worker that does not own its stream");
+                let start = Instant::now();
+                slot.seq.push_batch(batch);
+                slot.busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             }
-            streams
-        })
-        .expect("spawn grammar worker");
-    (
-        SymbolLane {
-            tx: Some(tx),
-            recycled: recycle_rx,
-            allocated: 0,
-        },
-        handle,
-    )
+            Msg::Control(Snapshot(reply)) => reply.send(
+                streams
+                    .iter()
+                    .map(|s| {
+                        let mut state = Vec::new();
+                        s.seq.save_state(&mut state).map(|()| (s.stream, state))
+                    })
+                    .collect(),
+            ),
+        });
+        streams
+    })
 }
 
-/// Joins grammar workers, reporting the first panic as a
-/// [`PipelineError`] named `grammar worker <i>`.
-fn join_grammar_workers(
-    workers: Vec<JoinHandle<Vec<WorkerStream>>>,
-) -> Result<Vec<WorkerStream>, PipelineError> {
-    let mut streams = Vec::new();
-    let mut first_error: Option<PipelineError> = None;
-    for (i, handle) in workers.into_iter().enumerate() {
-        match handle.join() {
-            Ok(mut s) => streams.append(&mut s),
-            Err(payload) => {
-                let err = PipelineError {
-                    worker: format!("grammar worker {i}"),
-                    message: panic_message(payload),
-                };
-                first_error.get_or_insert(err);
-            }
-        }
-    }
-    match first_error {
-        Some(err) => Err(err),
-        None => Ok(streams),
-    }
+/// Joins every grammar worker (hang up on their lanes first), reporting
+/// the first panic (`grammar worker <i>`).
+fn join_grammar_workers(workers: Vec<GrammarWorker>) -> Result<Vec<WorkerStream>, PipelineError> {
+    let joined: Vec<_> = workers.into_iter().map(Worker::join).collect();
+    let streams: Vec<Vec<WorkerStream>> = joined.into_iter().collect::<Result<_, _>>()?;
+    Ok(streams.into_iter().flatten().collect())
 }
 
 /// [`WhompProfiler`] with grammar construction moved onto worker
@@ -431,7 +315,7 @@ pub struct PipelinedWhomp {
     /// Which lane each dimension routes to (`dim % workers`).
     route: [usize; 4],
     lanes: Vec<SymbolLane>,
-    workers: Vec<JoinHandle<Vec<WorkerStream>>>,
+    workers: Vec<GrammarWorker>,
     tuples: u64,
 }
 
@@ -485,23 +369,20 @@ impl PipelinedWhomp {
             route[dim] = dim % workers;
             per_worker[dim % workers].push((dim as u8, seq));
         }
-        let mut lanes = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for (i, streams) in per_worker.into_iter().enumerate() {
-            let (lane, handle) = spawn_grammar_worker(i, streams);
-            lanes.push(lane);
-            handles.push(handle);
-        }
-        let mut stats = [GrammarStreamStats::default(); 4];
-        for (dim, s) in stats.iter_mut().enumerate() {
-            s.stream = DIMS[dim];
-        }
+        let (lanes, workers) = per_worker
+            .into_iter()
+            .enumerate()
+            .map(|(i, streams)| spawn_grammar_worker(i, streams))
+            .unzip();
         PipelinedWhomp {
             pending: std::array::from_fn(|_| Vec::with_capacity(SYMBOL_BATCH)),
-            stats,
+            stats: DIMS.map(|stream| GrammarStreamStats {
+                stream,
+                ..GrammarStreamStats::default()
+            }),
             route,
             lanes,
-            workers: handles,
+            workers,
             tuples,
         }
     }
@@ -520,8 +401,8 @@ impl PipelinedWhomp {
                 continue;
             }
             let batch = std::mem::take(&mut self.pending[dim]);
-            self.pending[dim] =
-                self.lanes[self.route[dim]].ship(dim as u8, batch, &mut self.stats[dim]);
+            let lane = &mut self.lanes[self.route[dim]];
+            self.pending[dim] = ship(lane, dim as u8, batch, &mut self.stats[dim]);
         }
     }
 
@@ -545,7 +426,7 @@ impl PipelinedWhomp {
             .lanes
             .iter()
             .enumerate()
-            .map(|(i, lane)| lane.request_snapshot(i))
+            .map(|(i, lane)| lane.request(Snapshot).ok_or_else(|| dead_worker(i)))
             .collect::<io::Result<_>>()?;
         let mut dims: [Vec<u8>; 4] = Default::default();
         for (i, reply) in replies.into_iter().enumerate() {
@@ -570,9 +451,7 @@ impl PipelinedWhomp {
     /// worker panicked (see the module docs on degraded shutdown).
     pub fn try_join(mut self) -> Result<(WhompProfiler, GrammarPipelineStats), PipelineError> {
         self.flush();
-        for lane in &mut self.lanes {
-            drop(lane.tx.take());
-        }
+        self.lanes.iter_mut().for_each(SymbolLane::hang_up);
         let streams = join_grammar_workers(std::mem::take(&mut self.workers))?;
         let mut stats = GrammarPipelineStats {
             workers: self.lanes.len() as u64,
@@ -622,12 +501,8 @@ impl OrSink for PipelinedWhomp {
 impl Drop for PipelinedWhomp {
     fn drop(&mut self) {
         // Unblock and reap the workers if `try_join` was never called.
-        for lane in &mut self.lanes {
-            drop(lane.tx.take());
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.lanes.iter_mut().for_each(SymbolLane::hang_up);
+        let _ = join_grammar_workers(std::mem::take(&mut self.workers));
     }
 }
 
@@ -641,7 +516,7 @@ pub struct PipelinedRasg {
     pending: Vec<u64>,
     stats: GrammarStreamStats,
     lane: SymbolLane,
-    worker: Option<JoinHandle<Vec<WorkerStream>>>,
+    worker: Option<GrammarWorker>,
     accesses: u64,
 }
 
@@ -672,7 +547,7 @@ impl PipelinedRasg {
             return;
         }
         let batch = std::mem::take(&mut self.pending);
-        self.pending = self.lane.ship(0, batch, &mut self.stats);
+        self.pending = ship(&mut self.lane, 0, batch, &mut self.stats);
     }
 
     /// Flushes remaining records, shuts the worker down and returns
@@ -683,7 +558,7 @@ impl PipelinedRasg {
     /// Returns a [`PipelineError`] when the grammar worker panicked.
     pub fn try_join(mut self) -> Result<(RasgProfiler, GrammarPipelineStats), PipelineError> {
         self.flush();
-        drop(self.lane.tx.take());
+        self.lane.hang_up();
         let mut streams = join_grammar_workers(self.worker.take().into_iter().collect())?;
         let ws = streams.pop().expect("the RASG worker owns one stream");
         let mut stats = self.stats;
@@ -718,10 +593,8 @@ impl ProbeSink for PipelinedRasg {
 
 impl Drop for PipelinedRasg {
     fn drop(&mut self) {
-        drop(self.lane.tx.take());
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
+        self.lane.hang_up();
+        let _ = join_grammar_workers(self.worker.take().into_iter().collect());
     }
 }
 
@@ -745,16 +618,16 @@ mod tests {
 
         // Stream 7 is not owned by this worker: the routing `expect`
         // inside the worker loop panics it.
-        lane.ship(7, vec![1, 2, 3], &mut stats);
+        ship(&mut lane, 7, vec![1, 2, 3], &mut stats);
 
         // The feed side keeps shipping into the dying lane without
         // panicking or deadlocking; once the hangup is observed the
         // lane is marked dead and batches are dropped.
         for _ in 0..64 {
-            lane.ship(0, vec![4, 5], &mut stats);
+            ship(&mut lane, 0, vec![4, 5], &mut stats);
         }
 
-        drop(lane.tx.take());
+        lane.hang_up();
         let err = join_grammar_workers(vec![handle]).expect_err("worker panicked");
         assert_eq!(err.worker, "grammar worker 0");
         assert!(
@@ -781,9 +654,9 @@ mod tests {
         for chunk in symbols.chunks(9) {
             buf.clear();
             buf.extend_from_slice(chunk);
-            buf = lane.ship(3, std::mem::take(&mut buf), &mut stats);
+            buf = ship(&mut lane, 3, std::mem::take(&mut buf), &mut stats);
         }
-        drop(lane.tx.take());
+        lane.hang_up();
         let streams = join_grammar_workers(vec![handle]).expect("healthy worker");
         assert_eq!(streams.len(), 1);
         assert_eq!(streams[0].stream, 3);
@@ -845,7 +718,7 @@ mod tests {
             pipe.finish();
             for (lane, l) in pipe.lanes.iter().enumerate() {
                 let streams = pipe.route.iter().filter(|&&r| r == lane).count();
-                let live = streams + l.allocated;
+                let live = streams + l.stats().allocated as usize;
                 assert!(
                     live < LANE_BUFFERS + streams,
                     "{workers} workers, lane {lane}: {live} buffers for {streams} streams"
@@ -869,7 +742,12 @@ mod tests {
                 pipe.tuple(t);
             }
             // Stream 9 belongs to no worker: lane 2's worker panics on it.
-            let poison = pipe.lanes[2].ship(9, vec![1], &mut GrammarStreamStats::default());
+            let poison = ship(
+                &mut pipe.lanes[2],
+                9,
+                vec![1],
+                &mut GrammarStreamStats::default(),
+            );
             drop(poison);
             let mut session = Session::from_cdc(Cdc::new(Omc::new(), pipe));
             let mut first = Vec::new();

@@ -7,8 +7,8 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p orp-whomp --test loom_grammar --release
 //! ```
 //!
-//! The models drive the real pipeline code — `orp_core::sync` resolves
-//! to loom's instrumented channels and threads, and the batch/queue
+//! The models drive the real pipeline code — `orp_core::lane` runs on
+//! loom's instrumented channels and threads, and the batch/queue
 //! constants shrink to 2/1 so a handful of symbols crosses every
 //! boundary. Checked under *all* interleavings: feed → flush → drop
 //! senders → join reassembles a profiler whose serialized state is

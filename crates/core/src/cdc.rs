@@ -62,8 +62,8 @@ impl<S: OrSink> Cdc<S> {
     }
 
     /// Mutable access to the sampling front-end (rate retargeting by
-    /// the controller).
-    pub fn sampler_mut(&mut self) -> &mut Sampler {
+    /// the session's budget).
+    pub(crate) fn sampler_mut(&mut self) -> &mut Sampler {
         &mut self.sampler
     }
 

@@ -215,7 +215,7 @@ struct GroupState {
 /// * [`Omc::translate`] — the page-index fast path: the address's
 ///   4 KiB page number selects a short, base-sorted list of the objects
 ///   overlapping that page, searched with one binary probe. Objects too
-///   large to page-index ([`MAX_INDEXED_PAGES`]) fall back to the
+///   large to page-index (over `MAX_INDEXED_PAGES` pages) fall back to the
 ///   reference path.
 /// * [`Omc::translate_cached`] — the page index fronted by a
 ///   per-instruction MRU memo: consecutive accesses from one static

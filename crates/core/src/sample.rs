@@ -51,6 +51,9 @@
 //! compares measured per-event cost against a native baseline and
 //! multiplicatively adjusts the periodic rate to hold the overhead
 //! budget, publishing its rate trajectory through `sample.*` metrics.
+//! It is session state ([`Session::with_budget`](crate::Session::with_budget)):
+//! the session that owns the sampler runs the control step, on whichever
+//! thread feeds it, and checkpoints the controller with the sampler.
 
 use std::io::{self, Read, Write};
 
@@ -393,17 +396,20 @@ impl RateController {
         }
     }
 
-    /// Whether the next control step is due at `events` fed.
-    #[inline]
-    #[must_use]
-    pub fn due(&self, events: u64) -> bool {
-        events >= self.next_check
+    /// The event count at which the next control step is due.
+    pub(crate) fn next_check(&self) -> u64 {
+        self.next_check
     }
 
     /// Runs one control step: measures overhead from `elapsed_nanos`
     /// over `events`, and returns the new rate when `current_rate`
     /// should change.
-    pub fn control(&mut self, events: u64, elapsed_nanos: u64, current_rate: u64) -> Option<u64> {
+    pub(crate) fn control(
+        &mut self,
+        events: u64,
+        elapsed_nanos: u64,
+        current_rate: u64,
+    ) -> Option<u64> {
         self.next_check = events.saturating_add(Self::CONTROL_INTERVAL);
         let baseline = events as f64 * self.baseline_event_nanos;
         if baseline <= 0.0 {
@@ -523,7 +529,7 @@ impl RateController {
     /// session's event count carries over, so the first post-resume
     /// control step must wait a full interval of *fresh* events before
     /// trusting a fresh elapsed measurement.
-    pub fn rebase(&mut self, events: u64) {
+    pub(crate) fn rebase(&mut self, events: u64) {
         self.next_check = events.saturating_add(Self::CONTROL_INTERVAL);
     }
 }
@@ -662,7 +668,7 @@ mod tests {
         // Baseline 100 ns/event, budget 25%.
         let mut c = RateController::new(25.0, 100.0);
         let events = RateController::CONTROL_INTERVAL;
-        assert!(c.due(events));
+        assert_eq!(c.next_check(), events);
         // Measured 2x native → 100% overhead → grow.
         let raised = c
             .control(events, events * 200, 1)
@@ -739,11 +745,12 @@ mod tests {
     fn rebase_defers_the_first_post_resume_control_step() {
         let mut c = RateController::new(25.0, 100.0);
         let resumed = 10 * RateController::CONTROL_INTERVAL;
-        assert!(c.due(resumed), "stale next_check fires immediately");
+        assert!(
+            c.next_check() <= resumed,
+            "stale next_check fires immediately"
+        );
         c.rebase(resumed);
-        assert!(!c.due(resumed));
-        assert!(!c.due(resumed + RateController::CONTROL_INTERVAL - 1));
-        assert!(c.due(resumed + RateController::CONTROL_INTERVAL));
+        assert_eq!(c.next_check(), resumed + RateController::CONTROL_INTERVAL);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! META  kind = checkpoint
 //! OMCK  canonical OMC state (groups, site map, live set, archive)
 //! CDCK  collection counters (time, untracked, probe anomalies, events)
-//! SMPK  sampling front-end state (policy, totals, per-key admission) —
+//! SMPK  sampling front-end state (policy, totals, per-key admission),
+//!       then the budget's controller when the session holds one —
 //!       written only when the sampler is on, so pre-sampling
 //!       checkpoints remain readable and unsampled checkpoints are
 //!       byte-identical to what earlier writers produced
@@ -42,7 +43,7 @@ use orp_format::{
 use orp_obs::{CountingWrite, Recorder, Stopwatch};
 use orp_trace::{ProbeEvent, ProbeSink};
 
-use crate::{Cdc, Omc, OrSink, RateController, Sampler, Timestamp};
+use crate::{Cdc, Omc, OrSink, RateController, Sampler, SamplingPolicy};
 
 /// A profiler whose in-progress state can be checkpointed and restored,
 /// making it usable behind a [`Session`].
@@ -110,15 +111,36 @@ pub struct SessionStats {
 /// The session implements [`ProbeSink`], so workloads and probe
 /// frontends drive it exactly like a bare CDC; [`Session::feed`] adds
 /// the batched entry point used by trace replay and by the sharded
-/// pipeline's translator.
+/// pipeline's translator. A session opened [with a
+/// budget](Session::with_budget) steers its own sampler from that
+/// event path.
 #[derive(Debug, Clone)]
 pub struct Session<S> {
     cdc: Cdc<S>,
     events: u64,
+    /// `events` at which the budget's next control step runs; `u64::MAX`
+    /// without a budget, so the event path's one compare never fires.
+    next_check: u64,
+    budget: Option<Budget>,
     stats: SessionStats,
     /// Set by a sharded join that lost shard lanes: the profile is
     /// salvaged but partial, so it must not be checkpointed.
     pub(crate) degraded: bool,
+}
+
+/// `--sample budget=` as session state: the controller, the clock its
+/// overhead is measured on, and the event count that clock started at.
+#[derive(Debug, Clone)]
+struct Budget {
+    controller: RateController,
+    clock: Stopwatch,
+    /// Session events when `clock` started. The controller sees only
+    /// the events fed since, because a resumed process restarts the
+    /// clock while the event count carries over.
+    origin: u64,
+    /// Replaces `clock` with elapsed nanoseconds as a function of the
+    /// events fed since `origin` ([`Session::set_budget_clock`]).
+    fake_clock: Option<fn(u64) -> u64>,
 }
 
 impl<S: OrSink> Session<S> {
@@ -143,9 +165,89 @@ impl<S: OrSink> Session<S> {
         Session {
             cdc,
             events: 0,
+            next_check: u64::MAX,
+            budget: None,
             stats: SessionStats::default(),
             degraded: false,
         }
+    }
+
+    /// Holds profiling overhead at `controller`'s budget: every
+    /// [`RateController::CONTROL_INTERVAL`] events the session compares
+    /// the wall time since this call against the controller's native
+    /// baseline and retargets its sampler's rate. The sampler must be
+    /// periodic (`Sampler::periodic(1)` starts lossless); the budget
+    /// stays with the session through [`Session::map_sink`], the
+    /// sharded pipeline and checkpoints.
+    #[must_use]
+    pub fn with_budget(mut self, controller: RateController) -> Self {
+        debug_assert!(
+            matches!(self.cdc.sampler().policy(), SamplingPolicy::Periodic { .. }),
+            "a budget steers a periodic sampler"
+        );
+        self.set_budget(controller);
+        self
+    }
+
+    /// Starts the budget's clock now. The first control step waits a
+    /// full interval of events fed from here on.
+    fn set_budget(&mut self, mut controller: RateController) {
+        controller.rebase(0);
+        self.next_check = self.events.saturating_add(controller.next_check());
+        self.budget = Some(Budget {
+            controller,
+            clock: Stopwatch::start(),
+            origin: self.events,
+            fake_clock: None,
+        });
+    }
+
+    /// The budget's controller, when the session holds one.
+    #[must_use]
+    pub fn budget(&self) -> Option<&RateController> {
+        self.budget.as_ref().map(|b| &b.controller)
+    }
+
+    /// Test hook: the budget reads `elapsed(events fed since its clock
+    /// started)` nanoseconds instead of the wall clock, so its control
+    /// decisions are a function of the event stream alone.
+    #[doc(hidden)]
+    pub fn set_budget_clock(&mut self, elapsed: fn(u64) -> u64) {
+        if let Some(budget) = &mut self.budget {
+            budget.fake_clock = Some(elapsed);
+        }
+    }
+
+    /// Counts one event fed, running the budget's control step when it
+    /// is due.
+    #[inline]
+    fn count_event(&mut self) {
+        self.events += 1;
+        if self.events >= self.next_check {
+            self.steer();
+        }
+    }
+
+    /// The budget's control step: measures overhead over the events fed
+    /// since its clock started and retargets the sampler's rate.
+    #[cold]
+    fn steer(&mut self) {
+        let Some(budget) = &mut self.budget else {
+            return;
+        };
+        let fed = self.events - budget.origin;
+        let elapsed = match budget.fake_clock {
+            Some(elapsed) => elapsed(fed),
+            None => budget.clock.elapsed_nanos(),
+        };
+        let sampler = self.cdc.sampler_mut();
+        if let Some(rate) = budget
+            .controller
+            .control(fed, elapsed, sampler.current_rate())
+        {
+            sampler.set_rate(rate);
+        }
+        self.next_check = budget.origin + budget.controller.next_check();
     }
 
     /// Feeds one bounded batch of probe events.
@@ -183,6 +285,8 @@ impl<S: OrSink> Session<S> {
         Session {
             cdc: self.cdc.map_sink(f),
             events: self.events,
+            next_check: self.next_check,
+            budget: self.budget,
             stats: self.stats,
             degraded: self.degraded,
         }
@@ -196,31 +300,15 @@ impl<S: OrSink> Session<S> {
 }
 
 impl<S: SessionSink> Session<S> {
-    /// Writes the complete collection state — OMC, counters, profiler —
-    /// as a checkpoint container. The session remains usable.
+    /// Writes the complete collection state — OMC, counters, sampler
+    /// and budget, profiler — as a checkpoint container. The session
+    /// remains usable.
     ///
     /// # Errors
     ///
     /// Propagates writer errors; refuses, before writing anything, a
     /// session joined from a sharded run that lost a lane.
     pub fn checkpoint(&mut self, w: &mut impl Write) -> io::Result<()> {
-        self.checkpoint_with(w, None)
-    }
-
-    /// [`Session::checkpoint`], additionally persisting a
-    /// [`RateController`]'s calibration into the `SMPK` chunk so a
-    /// budget-mode run can resume with its native baseline and control
-    /// history intact. Without a controller the chunk layout is
-    /// byte-identical to [`Session::checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::checkpoint`].
-    pub fn checkpoint_with(
-        &mut self,
-        w: &mut impl Write,
-        controller: Option<&RateController>,
-    ) -> io::Result<()> {
         if self.degraded {
             return Err(io::Error::other(
                 "a degraded session (a shard lane died) holds partial keys; refusing to checkpoint it",
@@ -242,9 +330,9 @@ impl<S: SessionSink> Session<S> {
         if !self.cdc.sampler().is_off() {
             let mut smpk = Vec::new();
             self.cdc.sampler().save_state(&mut smpk)?;
-            if let Some(controller) = controller {
+            if let Some(budget) = &self.budget {
                 write_varint(&mut smpk, 1)?;
-                controller.save_state(&mut smpk)?;
+                budget.controller.save_state(&mut smpk)?;
             }
             container.chunk(ChunkTag::SAMPLER_STATE, &smpk)?;
         }
@@ -276,11 +364,23 @@ impl<S: SessionSink> Session<S> {
         if self.stats.checkpoints > 0 {
             rec.span("session.checkpoint", self.stats.checkpoint_nanos);
         }
+        if let Some(budget) = &self.budget {
+            budget.controller.record_metrics(rec);
+        }
         self.cdc.record_metrics(rec);
     }
 
     /// Reopens a session from a checkpoint container, restoring the
-    /// OMC, the counters and the profiler state exactly.
+    /// OMC, the counters, the sampler, the budget and the profiler state
+    /// exactly. A budget restarts its clock here: the first control
+    /// step waits a full interval of events fed after the resume.
+    ///
+    /// The `SMPK` chunk is optional (absent means an unsampled run,
+    /// restored as a pass-through sampler), so checkpoints written
+    /// before sampling existed resume unchanged. After the sampler
+    /// state the chunk may carry a flagged [`RateController`] state
+    /// (budget-mode checkpoints); an empty remainder means no budget,
+    /// so pre-controller sampled checkpoints also resume unchanged.
     ///
     /// # Errors
     ///
@@ -288,30 +388,91 @@ impl<S: SessionSink> Session<S> {
     /// checkpoint belongs to a different profiler type or its state
     /// fails validation.
     pub fn resume(r: &mut impl Read) -> Result<Self, FormatError> {
-        Ok(Self::resume_with_controller(r)?.0)
-    }
+        let mut container = ContainerReader::new(r)?;
+        let kind = container.read_meta()?;
+        if kind != ProfileKind::Checkpoint {
+            return Err(FormatError::WrongKind { found: kind.code() });
+        }
+        let omck = container.expect_chunk(ChunkTag::OMC_STATE)?;
+        let mut cursor = omck.as_slice();
+        let omc = Omc::restore_state(&mut cursor)?;
+        if !cursor.is_empty() {
+            return Err(FormatError::Malformed("trailing bytes in OMC state"));
+        }
+        let cdck = container.expect_chunk(ChunkTag::CDC_STATE)?;
+        let mut cursor = cdck.as_slice();
+        let time = read_varint(&mut cursor)?;
+        let untracked = read_varint(&mut cursor)?;
+        let probe_anomalies = read_varint(&mut cursor)?;
+        let events = read_varint(&mut cursor)?;
+        if !cursor.is_empty() {
+            return Err(FormatError::Malformed("trailing bytes in CDC state"));
+        }
+        let chunk = container
+            .next_chunk()?
+            .ok_or(FormatError::MissingChunk(ChunkTag::SINK_STATE))?;
+        let (sampler, controller, snks) = match chunk.tag {
+            ChunkTag::SAMPLER_STATE => {
+                let mut cursor = chunk.payload.as_slice();
+                let sampler = Sampler::restore_state(&mut cursor)?;
+                let controller = if cursor.is_empty() {
+                    None
+                } else {
+                    match read_varint(&mut cursor)? {
+                        1 => Some(RateController::restore_state(&mut cursor)?),
+                        _ => {
+                            return Err(FormatError::Malformed(
+                                "unknown extension flag in sampler state",
+                            ))
+                        }
+                    }
+                };
+                if !cursor.is_empty() {
+                    return Err(FormatError::Malformed("trailing bytes in sampler state"));
+                }
+                (
+                    sampler,
+                    controller,
+                    container.expect_chunk(ChunkTag::SINK_STATE)?,
+                )
+            }
+            ChunkTag::SINK_STATE => (Sampler::off(), None, chunk.payload),
+            other => {
+                return Err(FormatError::UnexpectedChunk {
+                    expected: ChunkTag::SINK_STATE,
+                    found: other,
+                })
+            }
+        };
+        let mut cursor = snks.as_slice();
+        let name_len = usize::try_from(read_varint(&mut cursor)?)
+            .map_err(|_| FormatError::Malformed("sink name length does not fit"))?;
+        if cursor.len() < name_len {
+            return Err(FormatError::Truncated);
+        }
+        let (name, rest) = cursor.split_at(name_len);
+        if name != S::STATE_NAME.as_bytes() {
+            return Err(FormatError::Malformed(
+                "checkpoint holds a different profiler's state",
+            ));
+        }
+        let mut cursor = rest;
+        let sink = S::restore_state(&mut cursor)?;
+        if !cursor.is_empty() {
+            return Err(FormatError::Malformed("trailing bytes in sink state"));
+        }
+        container.drain()?;
 
-    /// [`Session::resume`], also surfacing the [`RateController`] state
-    /// a budget-mode checkpoint carried (written by
-    /// [`Session::checkpoint_with`]). `None` for checkpoints written
-    /// without a controller — unsampled, fixed-rate, or pre-controller
-    /// ones — so every old checkpoint still resumes.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::resume`].
-    pub fn resume_with_controller(
-        r: &mut impl Read,
-    ) -> Result<(Self, Option<RateController>), FormatError> {
-        let (omc, time, untracked, probe_anomalies, events, sampler, controller, sink) =
-            read_checkpoint::<S, _>(r)?;
         let mut cdc = Cdc::with_sampler(omc, sink, sampler);
-        cdc.time = time.0;
+        cdc.time = time;
         cdc.untracked = untracked;
         cdc.probe_anomalies = probe_anomalies;
         let mut session = Session::from_cdc(cdc);
         session.events = events;
-        Ok((session, controller))
+        if let Some(controller) = controller {
+            session.set_budget(controller);
+        }
+        Ok(session)
     }
 
     /// [`Session::resume`] with double-resume protection: registers the
@@ -438,129 +599,20 @@ impl From<FormatError> for ResumeError {
     }
 }
 
-/// Reads a checkpoint container's chunks, verifying the sink name. The
-/// `SMPK` chunk is optional (absent means an unsampled run, restored as
-/// a pass-through sampler), so checkpoints written before sampling
-/// existed resume unchanged. After the sampler state the chunk may
-/// carry a flagged [`RateController`] state (budget-mode checkpoints);
-/// an empty remainder means no controller, so pre-controller sampled
-/// checkpoints also resume unchanged.
-#[allow(clippy::type_complexity)]
-fn read_checkpoint<S: SessionSink, R: Read>(
-    r: &mut R,
-) -> Result<
-    (
-        Omc,
-        Timestamp,
-        u64,
-        u64,
-        u64,
-        Sampler,
-        Option<RateController>,
-        S,
-    ),
-    FormatError,
-> {
-    let mut container = ContainerReader::new(r)?;
-    let kind = container.read_meta()?;
-    if kind != ProfileKind::Checkpoint {
-        return Err(FormatError::WrongKind { found: kind.code() });
-    }
-    let omck = container.expect_chunk(ChunkTag::OMC_STATE)?;
-    let mut cursor = omck.as_slice();
-    let omc = Omc::restore_state(&mut cursor)?;
-    if !cursor.is_empty() {
-        return Err(FormatError::Malformed("trailing bytes in OMC state"));
-    }
-    let cdck = container.expect_chunk(ChunkTag::CDC_STATE)?;
-    let mut cursor = cdck.as_slice();
-    let time = Timestamp(read_varint(&mut cursor)?);
-    let untracked = read_varint(&mut cursor)?;
-    let probe_anomalies = read_varint(&mut cursor)?;
-    let events = read_varint(&mut cursor)?;
-    if !cursor.is_empty() {
-        return Err(FormatError::Malformed("trailing bytes in CDC state"));
-    }
-    let chunk = container
-        .next_chunk()?
-        .ok_or(FormatError::MissingChunk(ChunkTag::SINK_STATE))?;
-    let (sampler, controller, snks) = match chunk.tag {
-        ChunkTag::SAMPLER_STATE => {
-            let mut cursor = chunk.payload.as_slice();
-            let sampler = Sampler::restore_state(&mut cursor)?;
-            let controller = if cursor.is_empty() {
-                None
-            } else {
-                match read_varint(&mut cursor)? {
-                    1 => Some(RateController::restore_state(&mut cursor)?),
-                    _ => {
-                        return Err(FormatError::Malformed(
-                            "unknown extension flag in sampler state",
-                        ))
-                    }
-                }
-            };
-            if !cursor.is_empty() {
-                return Err(FormatError::Malformed("trailing bytes in sampler state"));
-            }
-            (
-                sampler,
-                controller,
-                container.expect_chunk(ChunkTag::SINK_STATE)?,
-            )
-        }
-        ChunkTag::SINK_STATE => (Sampler::off(), None, chunk.payload),
-        other => {
-            return Err(FormatError::UnexpectedChunk {
-                expected: ChunkTag::SINK_STATE,
-                found: other,
-            })
-        }
-    };
-    let mut cursor = snks.as_slice();
-    let name_len = usize::try_from(read_varint(&mut cursor)?)
-        .map_err(|_| FormatError::Malformed("sink name length does not fit"))?;
-    if cursor.len() < name_len {
-        return Err(FormatError::Truncated);
-    }
-    let (name, rest) = cursor.split_at(name_len);
-    if name != S::STATE_NAME.as_bytes() {
-        return Err(FormatError::Malformed(
-            "checkpoint holds a different profiler's state",
-        ));
-    }
-    let mut cursor = rest;
-    let sink = S::restore_state(&mut cursor)?;
-    if !cursor.is_empty() {
-        return Err(FormatError::Malformed("trailing bytes in sink state"));
-    }
-    container.drain()?;
-    Ok((
-        omc,
-        time,
-        untracked,
-        probe_anomalies,
-        events,
-        sampler,
-        controller,
-        sink,
-    ))
-}
-
 impl<S: OrSink> ProbeSink for Session<S> {
     fn access(&mut self, ev: orp_trace::AccessEvent) {
-        self.events += 1;
         self.cdc.access(ev);
+        self.count_event();
     }
 
     fn alloc(&mut self, ev: orp_trace::AllocEvent) {
-        self.events += 1;
         self.cdc.alloc(ev);
+        self.count_event();
     }
 
     fn free(&mut self, ev: orp_trace::FreeEvent) {
-        self.events += 1;
         self.cdc.free(ev);
+        self.count_event();
     }
 
     fn finish(&mut self) {
@@ -571,7 +623,7 @@ impl<S: OrSink> ProbeSink for Session<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GroupId, ObjectSerial, OrTuple, VecOrSink};
+    use crate::{GroupId, ObjectSerial, OrTuple, Timestamp, VecOrSink};
     use orp_trace::{
         AccessEvent, AccessKind, AllocEvent, AllocSiteId, FreeEvent, InstrId, RawAddress,
     };
@@ -779,43 +831,68 @@ mod tests {
 
     #[test]
     fn budget_checkpoint_carries_and_restores_the_controller() {
+        const INTERVAL: u64 = RateController::CONTROL_INTERVAL;
+        // Profiling at 2x native against a 25% budget: every control
+        // step is over budget and raises the rate.
+        let over_budget = |fed: u64| fed * 200;
         let mut session = Session::from_cdc(Cdc::with_sampler(
+            Omc::new(),
+            VecOrSink::new(),
+            Sampler::periodic(1),
+        ))
+        .with_budget(RateController::new(25.0, 100.0));
+        session.set_budget_clock(over_budget);
+        let events = churn_events(64, 1100);
+        assert!(events.len() as u64 > INTERVAL, "one control step must run");
+        session.feed(&events);
+        let controller = session.budget().expect("budgeted").clone();
+        assert_eq!(controller.adjustments(), 1);
+        assert_eq!(session.cdc().sampler().current_rate(), 4);
+
+        let mut snapshot = Vec::new();
+        session.checkpoint(&mut snapshot).unwrap();
+        let mut resumed = Session::<VecOrSink>::resume(&mut snapshot.as_slice()).unwrap();
+        let restored = resumed
+            .budget()
+            .expect("the controller must survive the checkpoint");
+        assert_eq!(resumed.events(), session.events());
+        assert_eq!(restored.adjustments(), controller.adjustments());
+        assert_eq!(restored.trajectory(), controller.trajectory());
+        assert_eq!(resumed.cdc().sampler().current_rate(), 4);
+
+        // The resumed session keeps steering, one full interval of
+        // fresh events after the resume.
+        resumed.set_budget_clock(over_budget);
+        let more = churn_events(64, 1000);
+        let step = usize::try_from(INTERVAL).unwrap();
+        resumed.feed(&more[..step - 1]);
+        assert_eq!(resumed.budget().unwrap().adjustments(), 1);
+        resumed.feed(&more[step - 1..step]);
+        assert_eq!(resumed.budget().unwrap().adjustments(), 2);
+        assert_eq!(resumed.cdc().sampler().current_rate(), 16);
+        let mut rec = orp_obs::StatsRecorder::default();
+        resumed.record_metrics(&mut rec);
+        assert_eq!(rec.counter_value("sample.adjustments"), 2);
+        assert_eq!(rec.histograms()["sample.rate_trajectory"].count(), 2);
+
+        // A sampled session without a budget checkpoints none, and
+        // resumes without one.
+        let mut plain = Session::from_cdc(Cdc::with_sampler(
             Omc::new(),
             VecOrSink::new(),
             Sampler::periodic(2),
         ));
-        session.feed(&churn_events(6, 4));
-        let mut controller = RateController::new(25.0, 100.0);
-        let events = RateController::CONTROL_INTERVAL;
-        controller.control(events, events * 200, 1).expect("adjust");
-
-        let mut snapshot = Vec::new();
-        session
-            .checkpoint_with(&mut snapshot, Some(&controller))
-            .unwrap();
-        let (resumed, restored) =
-            Session::<VecOrSink>::resume_with_controller(&mut snapshot.as_slice()).unwrap();
-        let restored = restored.expect("controller must survive the checkpoint");
-        assert_eq!(resumed.events(), session.events());
-        assert_eq!(restored.adjustments(), controller.adjustments());
-        assert_eq!(restored.trajectory(), controller.trajectory());
-
-        // Without a controller the chunk layout (and the whole
-        // container) is byte-identical to the plain checkpoint, and
-        // resume reports no controller.
-        let mut plain = Vec::new();
-        session.checkpoint(&mut plain).unwrap();
-        let mut with_none = Vec::new();
-        session.checkpoint_with(&mut with_none, None).unwrap();
-        assert_eq!(plain, with_none);
-        let (_, none) =
-            Session::<VecOrSink>::resume_with_controller(&mut plain.as_slice()).unwrap();
-        assert!(none.is_none(), "plain checkpoints carry no controller");
+        plain.feed(&churn_events(6, 4));
+        let mut bent = Vec::new();
+        plain.checkpoint(&mut bent).unwrap();
+        let unbudgeted = Session::<VecOrSink>::resume(&mut bent.as_slice()).unwrap();
+        assert!(
+            unbudgeted.budget().is_none(),
+            "plain checkpoints carry no budget"
+        );
 
         // An unknown extension flag after the sampler state is a typed
         // error, not a panic or a silent skip.
-        let mut bent = Vec::new();
-        session.checkpoint(&mut bent).unwrap();
         // Rewrite the SMPK chunk with a bogus extension flag appended.
         let mut cursor = bent.as_slice();
         let mut container = ContainerReader::new(&mut cursor).unwrap();

@@ -70,11 +70,13 @@ pub const EVENT_BATCH: usize = 8192;
 #[cfg(loom)]
 pub const EVENT_BATCH: usize = 2;
 
-/// Translated tuples per batch shipped to a lane worker.
+/// Translated tuples per batch shipped to a lane worker (and, for a
+/// dead lane, diverted to the fallback sink).
 #[cfg(not(loom))]
-const TUPLE_BATCH: usize = 8192;
+pub const TUPLE_BATCH: usize = 8192;
+/// Model-checking build: tiny batches, as for [`EVENT_BATCH`].
 #[cfg(loom)]
-const TUPLE_BATCH: usize = 2;
+pub const TUPLE_BATCH: usize = 2;
 
 /// Queue depth, in batches, of the probe lane and every tuple lane:
 /// two batches cover a worker's scheduling jitter, deeper queues only

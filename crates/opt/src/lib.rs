@@ -14,7 +14,7 @@
 //!   objects to co-allocate (cache-conscious clustering);
 //! * [`remap`] — cross-group whole-object affinity for global-variable
 //!   re-mapping (placing co-used statics adjacently);
-//! * [`hot_streams`] — extraction of *hot data streams* (frequently
+//! * [`hot_streams`](mod@hot_streams) — extraction of *hot data streams* (frequently
 //!   repeated access subsequences) straight from a WHOMP grammar: a
 //!   Sequitur rule's dynamic frequency times its expansion length is
 //!   its prefetch value, following Chilimbi-style stream prefetching.
@@ -31,7 +31,7 @@
 //! `orp-allocsim`, and is measured by `orp-cache` — the full
 //! profile → advise → plan → apply → re-simulate → report loop.
 //! [`tier`] adds the fourth adviser: OBASE-style hot/cold object
-//! tiering fed by [`hot_streams`].
+//! tiering fed by [`hot_streams`](mod@hot_streams).
 
 #![forbid(unsafe_code)]
 

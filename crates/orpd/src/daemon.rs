@@ -20,7 +20,9 @@ use std::thread::JoinHandle;
 
 use orp_core::lane::{self, LaneReceiver, Msg};
 use orp_core::Session;
-use orp_format::{write_varint, AtomicFile, ChunkTag, ContainerReader, FormatError, Hello};
+use orp_format::{
+    read_varint, write_varint, AtomicFile, ChunkTag, ContainerReader, FormatError, Hello,
+};
 use orp_leap::LeapProfiler;
 use orp_obs::Stopwatch;
 use orp_trace::{decode_batch, ProbeEvent, VecSink};
@@ -298,6 +300,14 @@ fn serve_tenant(
         match container.next_chunk() {
             Ok(Some(chunk)) => match chunk.tag {
                 ChunkTag::TRACE => {
+                    // The credit window bounds frames, not their size: a
+                    // frame announcing more than FRAME_EVENTS events is
+                    // refused before any of them lands in the lane buffer.
+                    match read_varint(&mut chunk.payload.as_slice()) {
+                        Ok(count) if count <= FRAME_EVENTS as u64 => {}
+                        Ok(_) => break Err(FormatError::Malformed("TRCE frame over FRAME_EVENTS")),
+                        Err(e) => break Err(FormatError::from(e)),
+                    }
                     let mut sink = VecSink::from(std::mem::take(&mut frame));
                     let n = match decode_batch(&chunk.payload, &mut sink) {
                         Ok(n) => n,

@@ -3,7 +3,7 @@
 //! The inline CLI owns one profiling session per process. `orpd` lifts
 //! the same session machinery behind a unix-domain socket so many
 //! producers ("tenants") can stream probe events concurrently, each
-//! into its own isolated [`Session`], with bounded per-tenant memory
+//! into its own isolated [`Session`](orp_core::Session), with bounded per-tenant memory
 //! and periodic durable checkpoints. See `DESIGN.md` §17 for the
 //! protocol rationale.
 //!
@@ -32,7 +32,7 @@
 //! them as salvaged) so the tenant's stream terminates cleanly, the
 //! tenant's last durable checkpoint survives untouched, and no other
 //! tenant notices. Artifacts are only ever replaced via
-//! [`AtomicFile`], so a `SIGKILL` at any instant leaves every
+//! [`AtomicFile`](orp_format::AtomicFile), so a `SIGKILL` at any instant leaves every
 //! tenant's `.orp` old-or-new, never torn.
 
 #![forbid(unsafe_code)]

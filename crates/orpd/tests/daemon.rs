@@ -1,18 +1,19 @@
 //! End-to-end daemon tests: many concurrent tenants, byte-identity with
-//! the inline session path, worker-death isolation, and
+//! the inline session path, worker-death isolation, hostile frames and
 //! disconnect/resume.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 use orp_core::Session;
-use orp_format::{ContainerReader, Hello};
+use orp_format::{read_varint, ChunkTag, ContainerReader, ContainerWriter, Hello};
 use orp_leap::LeapProfiler;
 use orp_orpd::{
     shutdown_daemon, ClientError, Daemon, DaemonConfig, OrpdStats, TenantClient, DONE_CLEAN,
-    DONE_DEGRADED, STATUS_BUSY,
+    DONE_DEGRADED, FRAME_EVENTS, STATUS_BUSY, STATUS_OK,
 };
-use orp_trace::{ProbeEvent, VecSink};
+use orp_trace::{encode_batch, ProbeEvent, VecSink};
 use orp_workloads::{micro, RunConfig, Workload};
 
 fn tmp(name: &str) -> PathBuf {
@@ -221,6 +222,92 @@ fn a_dying_worker_degrades_only_its_own_tenant() {
 
     let served = std::fs::read(dir.join("bystander.orp")).expect("bystander artifact");
     assert_eq!(served, expected, "bystander profile corrupted by victim");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Opens a raw connection for `tenant`, sends one `TRCE` chunk holding
+/// `payload`, and reads until the daemon closes the connection,
+/// returning what it sent after the ack.
+fn send_one_frame(socket: &std::path::Path, tenant: &str, payload: &[u8]) -> Vec<u8> {
+    let stream = UnixStream::connect(socket).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut writer = ContainerWriter::new(stream.try_clone().expect("clone")).expect("header");
+    Hello::new(tenant)
+        .expect("tenant name")
+        .encode(&mut writer)
+        .expect("handshake");
+    let mut reader = BufReader::new(stream);
+    let ack: Vec<u64> = (0..3)
+        .map(|_| read_varint(&mut reader).expect("ack"))
+        .collect();
+    assert_eq!(ack[0], STATUS_OK, "{tenant}");
+    writer.chunk(ChunkTag::TRACE, payload).expect("frame");
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("the daemon must end the connection, not wait on it");
+    rest
+}
+
+#[test]
+fn oversized_and_truncated_frames_end_only_their_own_connection() {
+    let dir = tmp("hostile");
+    let _ = std::fs::remove_dir_all(&dir);
+    let socket = dir.join("orpd.sock");
+    let daemon = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("daemon starts");
+
+    let events = workload_events(64, 3);
+    let expected = inline_profile(&events);
+    let bystander = std::thread::spawn({
+        let socket = socket.clone();
+        let events = events.clone();
+        move || {
+            let hello = Hello::new("bystander").expect("tenant name");
+            let mut client = TenantClient::connect(&socket, &hello)?;
+            for chunk in events.chunks(256) {
+                for &ev in chunk {
+                    client.event(ev)?;
+                }
+                client.flush_frame()?;
+            }
+            client.finish()
+        }
+    });
+
+    // A well-formed frame one event over the limit, and a frame whose
+    // event count promises more records than its bytes hold.
+    let oversized = encode_batch(&vec![events[1]; FRAME_EVENTS + 1]).expect("encode");
+    let mut truncated = encode_batch(&events[..64]).expect("encode");
+    truncated.truncate(truncated.len() - 3);
+    for (tenant, payload) in [("oversized", &oversized), ("truncated", &truncated)] {
+        let after_ack = send_one_frame(&socket, tenant, payload);
+        assert!(after_ack.is_empty(), "{tenant}: no grant, no DONE");
+        // The tenant is released before its connection closes, so a
+        // reconnect the moment it does is served, not refused busy.
+        let done = stream_tenant(&socket, tenant, &events).expect("immediate reconnect served");
+        assert_eq!(done.status, DONE_CLEAN, "{tenant}");
+    }
+
+    let done = bystander
+        .join()
+        .expect("bystander thread")
+        .expect("bystander streams");
+    assert_eq!(done.status, DONE_CLEAN);
+    let stats = daemon.stats();
+    assert_eq!(OrpdStats::get(&stats.sessions_disconnected), 2);
+    assert_eq!(OrpdStats::get(&stats.sessions_rejected), 0);
+    assert_eq!(OrpdStats::get(&stats.sessions_finished), 3);
+    daemon.stop().expect("daemon drains");
+
+    for tenant in ["bystander", "oversized", "truncated"] {
+        let served = std::fs::read(dir.join(format!("{tenant}.orp"))).expect("artifact");
+        assert_eq!(
+            served, expected,
+            "{tenant}'s profile differs from the inline path"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -202,10 +202,10 @@ impl Sequitur {
     /// Appends one terminal to the input sequence.
     ///
     /// The tail append is hand-specialized instead of going through
-    /// [`Sequitur::insert_after`]: a fresh node has no links, and the
+    /// `Sequitur::insert_after`: a fresh node has no links, and the
     /// previous tail's outgoing digram ends at the start rule's guard,
     /// so the digram-unindexing and run-restoration work the generic
-    /// [`Sequitur::join`] performs is statically a no-op here. Linking
+    /// `Sequitur::join` performs is statically a no-op here. Linking
     /// directly removes a dozen branchy loads from the single hottest
     /// call in grammar construction.
     #[inline]

@@ -282,8 +282,8 @@ fn join_grammar_workers(workers: Vec<GrammarWorker>) -> Result<Vec<WorkerStream>
 /// threads: an [`OrSink`] whose four dimension streams feed
 /// per-dimension Sequitur workers over bounded channels.
 ///
-/// Output is byte-identical to the sequential profiler (see the
-/// [module docs](self)); [`PipelinedWhomp::try_join`] hands the
+/// Output is byte-identical to the sequential profiler (DESIGN.md
+/// §13); [`PipelinedWhomp::try_join`] hands the
 /// reassembled [`WhompProfiler`] back, so finalization reuses the
 /// sequential path unchanged. As a [`SessionSink`](orp_core::SessionSink)
 /// it checkpoints mid-run through a barrier on every lane, writing the

@@ -24,7 +24,7 @@
 //! * **le-bytes** — byte-order framing (`from_le_bytes` & friends)
 //!   belongs in `orp-format`'s codecs; everything else reads/writes
 //!   through `read_u32_le`/`read_u64_le`/varints.
-//! * **chunk-match** — a `match` over [`ChunkTag`]s needs an explicit,
+//! * **chunk-match** — a `match` over `ChunkTag`s needs an explicit,
 //!   *non-empty* catch-all: the tag space is open (the KNOWN registry
 //!   grows), and silently dropping unknown chunks hides corruption.
 //! * **chunk-registry** — every `ChunkTag` const declared in

@@ -409,17 +409,11 @@ impl ProbeSink for CountingProbe<'_> {
 }
 
 /// What a `run` driver hands back: the finished session, how the drive
-/// went, pipeline stats when sharded, and the controller when
-/// `--sample budget=` was active.
-type RunOutput<S> = (
-    Session<S>,
-    DriveOutcome,
-    Option<PipelineStats>,
-    Option<RateController>,
-);
+/// went, and pipeline stats when sharded.
+type RunOutput<S> = (Session<S>, DriveOutcome, Option<PipelineStats>);
 
 /// A parsed `--sample` argument: a fixed periodic rate, or an adaptive
-/// overhead budget the [`RateController`] holds at run time.
+/// overhead budget the session's [`RateController`] holds at run time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SampleSpec {
     /// `rate=N` — keep 1-in-N accesses per (instruction, group) key.
@@ -497,100 +491,35 @@ fn baseline_event_nanos(parsed: &Parsed, ctx: &mut IoCtx) -> Result<f64, String>
     Ok(nanos as f64 / outcome.events as f64)
 }
 
-/// Feeds a session while closing the control loop: every
-/// [`RateController::CONTROL_INTERVAL`] events the measured overhead is
-/// compared against the budget and the sampler's rate retargeted.
-struct BudgetedProbe<'a, S: SessionSink> {
-    session: &'a mut Session<S>,
-    controller: &'a mut RateController,
-    clock: &'a Stopwatch,
-    events: u64,
-}
-
-impl<S: SessionSink> BudgetedProbe<'_, S> {
-    fn tick(&mut self) {
-        self.events += 1;
-        if self.controller.due(self.events) {
-            let current = self.session.cdc().sampler().current_rate();
-            if let Some(rate) =
-                self.controller
-                    .control(self.events, self.clock.elapsed_nanos(), current)
-            {
-                self.session.cdc_mut().sampler_mut().set_rate(rate);
-            }
-        }
-    }
-}
-
-impl<S: SessionSink> ProbeSink for BudgetedProbe<'_, S> {
-    fn access(&mut self, ev: AccessEvent) {
-        self.session.access(ev);
-        self.tick();
-    }
-
-    fn alloc(&mut self, ev: AllocEvent) {
-        self.session.alloc(ev);
-        self.tick();
-    }
-
-    fn free(&mut self, ev: FreeEvent) {
-        self.session.free(ev);
-        self.tick();
-    }
-
-    fn finish(&mut self) {
-        self.session.finish();
-    }
-}
-
-/// Runs a fresh single-shard session in budget mode: a native pre-pass
-/// calibrates per-event cost, then the profiled run re-tunes the
-/// sampling rate at every control interval to hold the overhead budget.
-fn run_budgeted<S: SessionSink>(
-    parsed: &Parsed,
-    ctx: &mut IoCtx,
-    budget_percent: f64,
-    fresh: impl FnOnce() -> S,
-) -> Result<(Session<S>, DriveOutcome, RateController), String> {
-    let baseline = baseline_event_nanos(parsed, ctx)?;
-    println!("sample budget {budget_percent}%: native baseline {baseline:.1} ns/event");
-    let mut session =
-        Session::from_cdc(Cdc::with_sampler(Omc::new(), fresh(), Sampler::periodic(1)));
-    let mut controller = RateController::new(budget_percent, baseline);
-    let clock = Stopwatch::start();
-    let mut probe = BudgetedProbe {
-        session: &mut session,
-        controller: &mut controller,
-        clock: &clock,
-        events: 0,
-    };
-    let outcome = drive(parsed, ctx, &mut probe)?;
-    let final_rate = session.cdc().sampler().current_rate();
-    println!(
-        "sample budget settled at rate {final_rate} \
-         ({:.1}% measured overhead, {} adjustments)",
-        controller.last_overhead() * 100.0,
-        controller.adjustments()
-    );
-    write_checkpoint(parsed, ctx, &mut session, Some(&controller))?;
-    Ok((session, outcome, controller))
-}
-
-/// Honors `--checkpoint`: the session (and, for budget runs, the
-/// controller's calibration) lands durably via the atomic-rename path —
-/// a crash mid-write leaves the predecessor checkpoint intact.
-fn write_checkpoint<S: SessionSink>(
+/// Reports where a budget left the sampling rate, then honors
+/// `--checkpoint` (unless `checkpoint` is false): the session — with
+/// its budget's calibration — lands durably via the atomic-rename path,
+/// so a crash mid-write leaves the predecessor checkpoint intact.
+fn finish_session<S: SessionSink>(
     parsed: &Parsed,
     ctx: &mut IoCtx,
     session: &mut Session<S>,
-    controller: Option<&RateController>,
+    checkpoint: bool,
 ) -> Result<(), String> {
-    let Some(path) = parsed.value("--checkpoint") else {
+    if let Some(controller) = session.budget() {
+        let how = if parsed.value("--resume").is_some() {
+            "resumed"
+        } else {
+            "settled"
+        };
+        println!(
+            "sample budget {how} at rate {} ({:.1}% measured overhead, {} adjustments)",
+            session.cdc().sampler().current_rate(),
+            controller.last_overhead() * 100.0,
+            controller.adjustments()
+        );
+    }
+    let Some(path) = parsed.value("--checkpoint").filter(|_| checkpoint) else {
         return Ok(());
     };
     let mut w = ctx.create_writer(path)?;
     session
-        .checkpoint_with(&mut w, controller)
+        .checkpoint(&mut w)
         .map_err(|e| format!("checkpoint {path}: {e}"))?;
     ctx.commit_writer(w, path)?;
     println!("checkpoint written to {path}");
@@ -678,81 +607,59 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
 /// checkpoint container. `open` builds the session's sink: from
 /// nothing, or around the profiler a checkpoint restored as `R` (how a
 /// WHOMP checkpoint continues on grammar workers). A fresh session is
-/// sampled per `sample`; a resumed one keeps the checkpoint's own
-/// sampler state (`--sample` + `--resume` is rejected before this
-/// runs), and a budget checkpoint also hands back its controller.
+/// sampled per `sample`, and a budget spec first calibrates the native
+/// baseline; a resumed one keeps the checkpoint's own sampler and
+/// budget (`--sample` + `--resume` is rejected before this runs).
 fn open_session<R: SessionSink, S: OrSink>(
     parsed: &Parsed,
     ctx: &mut IoCtx,
     sample: Option<SampleSpec>,
     open: impl FnOnce(Option<R>) -> S,
-) -> Result<(Session<S>, Option<RateController>), String> {
+) -> Result<Session<S>, String> {
     let Some(path) = parsed.value("--resume") else {
+        let controller = match sample {
+            Some(SampleSpec::Budget(pct)) => {
+                let baseline = baseline_event_nanos(parsed, ctx)?;
+                println!("sample budget {pct}%: native baseline {baseline:.1} ns/event");
+                Some(RateController::new(pct, baseline))
+            }
+            _ => None,
+        };
         let cdc = Cdc::with_sampler(Omc::new(), open(None), sampler_for(sample));
-        return Ok((Session::from_cdc(cdc), None));
+        let session = Session::from_cdc(cdc);
+        return Ok(match controller {
+            Some(controller) => session.with_budget(controller),
+            None => session,
+        });
     };
     let mut reader = ctx.open_reader(path)?;
-    let (session, controller) = Session::<R>::resume_with_controller(&mut reader)
-        .map_err(|e| format!("resume {path}: {e}"))?;
+    let session = Session::<R>::resume(&mut reader).map_err(|e| format!("resume {path}: {e}"))?;
     ctx.harvest_reader(&reader);
     println!("resumed from checkpoint {path}");
-    Ok((session.map_sink(|p| open(Some(p))), controller))
+    Ok(session.map_sink(|p| open(Some(p))))
 }
 
 /// Runs a profiling session inline: opens it ([`open_session`]),
-/// drives it, and honors `--checkpoint`. A budget spec routes through
-/// [`run_budgeted`] (its controller comes back for metrics), and a
-/// resumed budget checkpoint keeps holding its budget.
+/// drives it, and honors `--checkpoint`.
 fn run_session<R: SessionSink, S: SessionSink>(
     parsed: &Parsed,
     ctx: &mut IoCtx,
     sample: Option<SampleSpec>,
     open: impl FnOnce(Option<R>) -> S,
-) -> Result<(Session<S>, DriveOutcome, Option<RateController>), String> {
-    if let Some(SampleSpec::Budget(pct)) = sample {
-        let (session, outcome, controller) = run_budgeted(parsed, ctx, pct, || open(None))?;
-        return Ok((session, outcome, Some(controller)));
-    }
-    let (mut session, restored) = open_session(parsed, ctx, sample, open)?;
-    let (outcome, controller) = match restored {
-        Some(mut controller) => {
-            // A budget checkpoint: keep closing the control loop against
-            // the persisted calibration. Overhead is measured per
-            // process — fresh clock, fresh event count — so the
-            // controller's `events x baseline` math stays consistent,
-            // and the first control step is deferred one full interval.
-            controller.rebase(0);
-            let clock = Stopwatch::start();
-            let mut probe = BudgetedProbe {
-                session: &mut session,
-                controller: &mut controller,
-                clock: &clock,
-                events: 0,
-            };
-            let outcome = drive(parsed, ctx, &mut probe)?;
-            let rate = session.cdc().sampler().current_rate();
-            println!(
-                "sample budget resumed at rate {rate} \
-                 ({:.1}% measured overhead, {} adjustments)",
-                controller.last_overhead() * 100.0,
-                controller.adjustments()
-            );
-            (outcome, Some(controller))
-        }
-        None => (drive(parsed, ctx, &mut session)?, None),
-    };
-    write_checkpoint(parsed, ctx, &mut session, controller.as_ref())?;
-    Ok((session, outcome, controller))
+) -> Result<(Session<S>, DriveOutcome), String> {
+    let mut session = open_session(parsed, ctx, sample, open)?;
+    let outcome = drive(parsed, ctx, &mut session)?;
+    finish_session(parsed, ctx, &mut session, true)?;
+    Ok((session, outcome))
 }
 
 /// Runs a shardable profiler on `shards` collection lanes (one lane
 /// when `--salvage` asks for the pipeline without `--shards`): the
-/// session opens and checkpoints exactly as [`run_session`]'s does. A
-/// dead lane fails the run, or with `--salvage` degrades it — the dead
-/// lane's later tuples divert to a fallback sink, and a degraded
-/// session writes no checkpoint. A resumed budget checkpoint runs at
-/// its checkpointed rate (the controller steers only an inline
-/// sampler) and carries the controller into the next checkpoint.
+/// session opens and checkpoints exactly as [`run_session`]'s does, and
+/// its budget steers the sampler on the translator thread. A dead lane
+/// fails the run, or with `--salvage` degrades it — the dead lane's
+/// later tuples divert to a fallback sink, and a degraded session
+/// writes no checkpoint.
 fn run_sharded<S: SessionSink + ShardableSink>(
     parsed: &Parsed,
     ctx: &mut IoCtx,
@@ -760,26 +667,23 @@ fn run_sharded<S: SessionSink + ShardableSink>(
     sample: Option<SampleSpec>,
     mut fresh: impl FnMut(usize) -> S,
 ) -> Result<(Session<S>, DriveOutcome, PipelineStats), String> {
-    let (session, controller) = open_session(parsed, ctx, sample, |restored: Option<S>| {
+    let session = open_session(parsed, ctx, sample, |restored: Option<S>| {
         restored.unwrap_or_else(|| fresh(0))
     })?;
     let mut pipe = ShardedCdc::spawn(session, shards, fresh);
     let outcome = drive(parsed, ctx, &mut pipe)?;
     let joined = pipe.join().map_err(|e| e.to_string())?;
     let mut session = joined.session;
-    if let Some(err) = joined.degraded.first() {
+    for err in &joined.degraded {
         if !parsed.has("--salvage") {
             return Err(err.to_string());
         }
-        for err in &joined.degraded {
-            eprintln!(
-                "warning: {err}; continuing degraded (salvaged {} tuples, no checkpoint)",
-                joined.stats.salvaged_tuples()
-            );
-        }
-    } else {
-        write_checkpoint(parsed, ctx, &mut session, controller.as_ref())?;
+        eprintln!(
+            "warning: {err}; continuing degraded (salvaged {} tuples, no checkpoint)",
+            joined.stats.salvaged_tuples()
+        );
     }
+    finish_session(parsed, ctx, &mut session, joined.degraded.is_empty())?;
     Ok((session, outcome, joined.stats))
 }
 
@@ -794,13 +698,20 @@ fn run_maybe_sharded<S: SessionSink + ShardableSink>(
     mut fresh: impl FnMut(usize) -> S,
 ) -> Result<RunOutput<S>, String> {
     if shards == 1 && !parsed.has("--salvage") {
-        let (session, outcome, controller) = run_session(parsed, ctx, sample, |restored| {
+        let (session, outcome) = run_session(parsed, ctx, sample, |restored| {
             restored.unwrap_or_else(|| fresh(0))
         })?;
-        Ok((session, outcome, None, controller))
+        Ok((session, outcome, None))
     } else {
-        run_sharded(parsed, ctx, shards, sample, fresh).map(|(s, o, p)| (s, o, Some(p), None))
+        run_sharded(parsed, ctx, shards, sample, fresh).map(|(s, o, p)| (s, o, Some(p)))
     }
+}
+
+/// Publishes a finished session's metrics and returns its budget's
+/// last measured overhead, the `sample.overhead` ratio.
+fn record_session<S: SessionSink>(session: &Session<S>, rec: &mut StatsRecorder) -> Option<f64> {
+    session.record_metrics(rec);
+    session.budget().map(RateController::last_overhead)
 }
 
 fn absorb_trace_io(rec: &mut StatsRecorder, outcome: &DriveOutcome) {
@@ -955,25 +866,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 .to_owned(),
         );
     }
-    if matches!(sample, Some(SampleSpec::Budget(_))) {
+    if matches!(sample, Some(SampleSpec::Budget(_))) && parsed.value("--workload").is_none() {
         // The controller calibrates against a native re-run of the
-        // workload, so a replay has nothing to calibrate on. It steers
-        // the sampler from the probe thread, and a sharded run's
-        // sampler lives on the translator thread: lifting that needs
-        // the rate handed across threads, which nothing does yet.
-        // Grammar workers sit behind the sampler, so they compose.
-        if parsed.value("--workload").is_none() {
-            return Err("--sample budget= requires a live --workload run \
-                        (the native baseline pre-pass re-runs it)"
-                .to_owned());
-        }
-        if shards > 1 || parsed.has("--salvage") {
-            return Err("--sample budget= requires a single-shard run \
-                        (omit --shards/--salvage, or use rate=)"
-                .to_owned());
-        }
+        // workload, so a replay has nothing to calibrate on.
+        return Err("--sample budget= requires a live --workload run \
+                    (the native baseline pre-pass re-runs it)"
+            .to_owned());
     }
-    let mut controller: Option<RateController> = None;
+    let mut overhead = None;
 
     let mut rec = StatsRecorder::default();
     let mut report = RunReport::new("run");
@@ -984,10 +884,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let profile_bytes = match profiler.as_str() {
         "leap" => {
             no_grammar_workers("leap builds no grammars")?;
-            let (session, outcome, pstats, ctrl) =
+            let (session, outcome, pstats) =
                 run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| LeapProfiler::new())?;
-            controller = ctrl;
-            session.record_metrics(&mut rec);
+            overhead = record_session(&session, &mut rec);
             report.events = outcome.events;
             absorb_trace_io(&mut rec, &outcome);
             if let Some(p) = &pstats {
@@ -1013,8 +912,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "whomp" => {
             no_shards("whomp's global grammars")?;
             let workers = grammar_workers.unwrap_or_else(PipelinedWhomp::default_workers);
-            let (profiler, outcome, ctrl) = if workers > 0 {
-                let (session, outcome, ctrl) = run_session(
+            let (profiler, outcome) = if workers > 0 {
+                let (session, outcome) = run_session(
                     &parsed,
                     &mut ctx,
                     sample,
@@ -1022,22 +921,21 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                         PipelinedWhomp::from_profiler(restored.unwrap_or_default(), workers)
                     },
                 )?;
-                session.record_metrics(&mut rec);
+                overhead = record_session(&session, &mut rec);
                 let pipe = session.into_cdc().into_parts().1;
                 let (profiler, gstats) = pipe.try_join().map_err(|e| e.to_string())?;
                 gstats.record_metrics(&mut rec);
-                (profiler, outcome, ctrl)
+                (profiler, outcome)
             } else {
-                let (session, outcome, ctrl) = run_session(
+                let (session, outcome) = run_session(
                     &parsed,
                     &mut ctx,
                     sample,
                     Option::<WhompProfiler>::unwrap_or_default,
                 )?;
-                session.record_metrics(&mut rec);
-                (session.into_cdc().into_parts().1, outcome, ctrl)
+                overhead = record_session(&session, &mut rec);
+                (session.into_cdc().into_parts().1, outcome)
             };
-            controller = ctrl;
             report.events = outcome.events;
             absorb_trace_io(&mut rec, &outcome);
             profiler.record_grammar_metrics(&mut rec);
@@ -1053,10 +951,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         "hybrid" => {
             no_grammar_workers("hybrid grows its per-instruction grammars on --shards lanes")?;
-            let (session, outcome, pstats, ctrl) =
+            let (session, outcome, pstats) =
                 run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| HybridProfiler::new())?;
-            controller = ctrl;
-            session.record_metrics(&mut rec);
+            overhead = record_session(&session, &mut rec);
             report.events = outcome.events;
             absorb_trace_io(&mut rec, &outcome);
             if let Some(p) = &pstats {
@@ -1125,17 +1022,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         println!("profile written to {path}");
     }
     rec.counter("io.retries", ctx.retries);
-    if let Some(c) = &controller {
-        c.record_metrics(&mut rec);
-    }
 
     report.wall_nanos = clock.elapsed_nanos();
     report.absorb(&rec);
     derive_ratios(&mut report);
-    if let Some(c) = &controller {
-        report
-            .ratios
-            .insert("sample.overhead".to_owned(), c.last_overhead());
+    if let Some(overhead) = overhead {
+        report.ratios.insert("sample.overhead".to_owned(), overhead);
     }
     emit_report(&parsed, &mut ctx, &report)?;
 

@@ -977,31 +977,38 @@ fn sampled_runs_are_byte_identical_across_inline_and_sharded() {
     }
 }
 
+/// The budget is session state, so it steers inline, on sharded
+/// lanes and under `--salvage` alike.
 #[test]
 fn budget_mode_reports_controller_metrics() {
     let json = tmp("budget.json");
-    let out = cli()
-        .args([
-            "run",
-            "--workload",
-            "micro.matrix",
-            "--profiler",
-            "leap",
-            "--sample",
-            "budget=50%",
-            "--metrics-out",
-            json.to_str().unwrap(),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = std::fs::read_to_string(&json).unwrap();
-    for key in ["sample.adjustments", "sample.overhead", "sample.kept"] {
-        assert!(doc.contains(key), "missing {key} in:\n{doc}");
+    for engine in [&[][..], &["--shards", "2"], &["--salvage"]] {
+        let out = cli()
+            .args([
+                "run",
+                "--workload",
+                "micro.matrix",
+                "--profiler",
+                "leap",
+                "--sample",
+                "budget=50%",
+                "--metrics-out",
+                json.to_str().unwrap(),
+            ])
+            .args(engine)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{engine:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("sample budget settled at rate"), "{text}");
+        let doc = std::fs::read_to_string(&json).unwrap();
+        for key in ["sample.adjustments", "sample.overhead", "sample.kept"] {
+            assert!(doc.contains(key), "{engine:?}: missing {key} in:\n{doc}");
+        }
     }
     let _ = std::fs::remove_file(json);
 }
@@ -1058,7 +1065,7 @@ fn reservoir_sampling_is_reachable_from_the_cli() {
 /// Regression (issue 10): budget runs used to reject `--checkpoint`
 /// because the controller's calibration wasn't serializable. Now the
 /// checkpoint carries the controller and a plain `--resume` keeps
-/// holding the budget.
+/// holding the budget, inline or on lanes.
 #[test]
 fn budget_checkpoint_resumes_with_its_controller() {
     let ckpt = tmp("budget-resume.orp");
@@ -1082,31 +1089,35 @@ fn budget_checkpoint_resumes_with_its_controller() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    // Resumed inline or onto lanes, the checkpoint's budget steers.
     let json = tmp("budget-resume.json");
-    let out = cli()
-        .args([
-            "run",
-            "--workload",
-            "micro.matrix",
-            "--profiler",
-            "leap",
-            "--resume",
-            ckpt.to_str().unwrap(),
-            "--metrics-out",
-            json.to_str().unwrap(),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("sample budget resumed at rate"), "{text}");
-    let doc = std::fs::read_to_string(&json).unwrap();
-    for key in ["sample.adjustments", "sample.overhead"] {
-        assert!(doc.contains(key), "missing {key} in:\n{doc}");
+    for engine in [&[][..], &["--shards", "2"]] {
+        let out = cli()
+            .args([
+                "run",
+                "--workload",
+                "micro.matrix",
+                "--profiler",
+                "leap",
+                "--resume",
+                ckpt.to_str().unwrap(),
+                "--metrics-out",
+                json.to_str().unwrap(),
+            ])
+            .args(engine)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{engine:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("sample budget resumed at rate"), "{text}");
+        let doc = std::fs::read_to_string(&json).unwrap();
+        for key in ["sample.adjustments", "sample.overhead"] {
+            assert!(doc.contains(key), "{engine:?}: missing {key} in:\n{doc}");
+        }
     }
     for p in [ckpt, json] {
         let _ = std::fs::remove_file(p);
@@ -1121,14 +1132,6 @@ fn sample_flag_rejects_incoherent_combinations() {
         &["--profiler", "leap", "--sample", "reservoir=0"],
         &["--profiler", "rasg", "--sample", "reservoir=8"],
         &["--profiler", "rasg", "--sample", "rate=4"],
-        &[
-            "--profiler",
-            "leap",
-            "--sample",
-            "budget=10%",
-            "--shards",
-            "2",
-        ],
         &[
             "--profiler",
             "leap",

@@ -3,7 +3,7 @@
 //! collected (inline, on 1..4 sharded lanes, or split across a
 //! checkpoint/resume), and rate 1 is exactly lossless.
 
-use orprof::core::{Cdc, Omc, Sampler, Session, ShardedCdc, VecOrSink};
+use orprof::core::{Cdc, Omc, RateController, Sampler, Session, ShardedCdc, VecOrSink};
 use orprof::leap::LeapProfiler;
 use orprof::trace::{
     AccessEvent, AllocEvent, AllocSiteId, FreeEvent, InstrId, ProbeEvent, ProbeSink, RawAddress,
@@ -130,88 +130,87 @@ fn sampled_checkpoint_resume_is_byte_identical_to_a_straight_run() {
     }
 }
 
-/// Regression (issue 10): the budget controller's calibration now rides
-/// in the checkpoint (an extension of the sampler-state chunk), so a
-/// budget run cut at a checkpoint and resumed makes the same rate
-/// decisions — and admits the same accesses — as a straight-through
-/// run, given the same deterministic control inputs.
+/// The budget controller is session state and rides in the checkpoint
+/// (an extension of the sampler-state chunk). With the wall clock
+/// replaced by a fixed function of events fed, a budget run cut at a
+/// checkpoint and resumed, or spawned onto sharded lanes, makes the
+/// same rate decisions — and admits the same accesses — as a
+/// straight-through inline run.
 #[test]
 fn budget_checkpoint_resume_is_byte_identical_to_a_straight_run() {
-    use orprof::core::RateController;
-
-    let events = recorded_events(&micro::HashChurn::new(96, 4));
-    assert!(events.len() > 64, "workload too small to cut");
-
-    // Deterministic stand-in for wall-clock: profiling pretends to run
-    // at 3x native, so every control step is over budget and keeps
-    // backing the rate off.
-    const BASELINE: f64 = 100.0;
-    const STEP: usize = 32;
-    let elapsed = |fed: u64| fed * 300;
-
+    const INTERVAL: usize = RateController::CONTROL_INTERVAL as usize;
+    // Profiling pretends to run at 3x native against a 10% budget, so
+    // every control step is over budget and keeps backing the rate
+    // off. The overhead is the same over any span of events, so a
+    // resumed session's restarted clock measures what the straight
+    // run's does.
+    fn three_times_native(fed: u64) -> u64 {
+        fed * 300
+    }
     let budget_session = || {
-        Session::from_cdc(Cdc::with_sampler(
+        let mut session = Session::from_cdc(Cdc::with_sampler(
             Omc::new(),
             LeapProfiler::new(),
             Sampler::periodic(1),
         ))
-    };
-    // Feeds events[range] while running a control step at every
-    // absolute STEP boundary, exactly as a budgeted run would.
-    let drive = |session: &mut Session<LeapProfiler>,
-                 controller: &mut RateController,
-                 range: std::ops::Range<usize>| {
-        for i in range {
-            match events[i] {
-                ProbeEvent::Access(e) => session.access(e),
-                ProbeEvent::Alloc(e) => session.alloc(e),
-                ProbeEvent::Free(e) => session.free(e),
-            }
-            let fed = (i + 1) as u64;
-            if (i + 1) % STEP == 0 {
-                let current = session.cdc().sampler().current_rate();
-                if let Some(rate) = controller.control(fed, elapsed(fed), current) {
-                    session.cdc_mut().sampler_mut().set_rate(rate);
-                }
-            }
-        }
+        .with_budget(RateController::new(10.0, 100.0));
+        session.set_budget_clock(three_times_native);
+        session
     };
 
+    let events = recorded_events(&micro::HashChurn::new(512, 300));
+    assert!(events.len() > 4 * INTERVAL, "workload too small to cut");
+
     let mut straight = budget_session();
-    let mut straight_ctrl = RateController::new(10.0, BASELINE);
-    drive(&mut straight, &mut straight_ctrl, 0..events.len());
-    straight.finish();
+    feed(&mut straight, &events);
+    let controller = straight.budget().expect("budgeted").clone();
     assert!(
-        straight_ctrl.adjustments() > 0,
+        controller.adjustments() > 1,
         "the synthetic overhead must force rate adjustments"
     );
     let reference = leap_bytes(straight.into_cdc());
 
-    for cut in [STEP - 1, STEP, events.len() / 3, events.len() / 2] {
+    // A resumed budget waits a full interval of fresh events before its
+    // first control step, so cuts on control boundaries continue the
+    // straight run's schedule.
+    for cut in [0, INTERVAL, 2 * INTERVAL, 3 * INTERVAL] {
         let mut first = budget_session();
-        let mut ctrl = RateController::new(10.0, BASELINE);
-        drive(&mut first, &mut ctrl, 0..cut);
+        first.feed(&events[..cut]);
         let mut checkpoint = Vec::new();
-        first
-            .checkpoint_with(&mut checkpoint, Some(&ctrl))
-            .expect("checkpoint");
+        first.checkpoint(&mut checkpoint).expect("checkpoint");
 
-        let (mut resumed, restored) =
-            Session::<LeapProfiler>::resume_with_controller(&mut checkpoint.as_slice())
-                .expect("resume");
-        let mut restored = restored.expect("checkpoint must carry the controller");
-        drive(&mut resumed, &mut restored, cut..events.len());
-        resumed.finish();
+        let mut resumed =
+            Session::<LeapProfiler>::resume(&mut checkpoint.as_slice()).expect("resume");
+        resumed.set_budget_clock(three_times_native);
+        feed(&mut resumed, &events[cut..]);
+        let restored = resumed
+            .budget()
+            .expect("checkpoint must carry the controller");
         assert_eq!(
             restored.adjustments(),
-            straight_ctrl.adjustments(),
+            controller.adjustments(),
             "resume at event {cut} lost controller history"
         );
-        assert_eq!(restored.trajectory(), straight_ctrl.trajectory());
+        assert_eq!(restored.trajectory(), controller.trajectory());
         assert_eq!(
             leap_bytes(resumed.into_cdc()),
             reference,
             "budget resume at event {cut} diverged from the straight-through run"
+        );
+    }
+
+    // The translator thread's session steers its own sampler.
+    for lanes in 1..=3 {
+        let mut sharded = ShardedCdc::spawn(budget_session(), lanes, |_| LeapProfiler::new());
+        feed(&mut sharded, &events);
+        let session = sharded.join().expect("pipeline healthy").session;
+        let steered = session.budget().expect("the budget survives the join");
+        assert_eq!(steered.adjustments(), controller.adjustments(), "{lanes}");
+        assert_eq!(steered.trajectory(), controller.trajectory(), "{lanes}");
+        assert_eq!(
+            leap_bytes(session.into_cdc()),
+            reference,
+            "budget run on {lanes} lanes diverged from the inline run"
         );
     }
 }

@@ -2,7 +2,7 @@
 //! **byte-identical** to single-threaded collection — the determinism
 //! contract that makes sharding a pure throughput change.
 
-use orprof::core::sharded::ShardedCdc;
+use orprof::core::sharded::{ShardedCdc, TUPLE_BATCH};
 use orprof::core::{Cdc, Omc, OrSink, OrTuple, Session, ShardableSink, VecOrSink};
 use orprof::leap::LeapProfiler;
 use orprof::trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeSink, RawAddress};
@@ -123,9 +123,10 @@ impl ShardableSink for SalvageChain {
 /// translator (and every lane's counters) down with it.
 #[test]
 fn salvaged_counter_survives_a_dying_fallback_sink() {
-    // Tuples ship to workers (and to the fallback) in batches of 8192;
-    // the fuse admits one full batch and trips inside the second.
-    const BATCH: usize = 8192;
+    // Tuples ship to workers (and to the fallback) in batches of
+    // TUPLE_BATCH; the fuse admits one full batch and trips inside the
+    // second.
+    const BATCH: usize = TUPLE_BATCH;
 
     let alloc = AllocEvent {
         site: AllocSiteId(0),

@@ -141,6 +141,9 @@ struct Budget {
     /// Replaces `clock` with elapsed nanoseconds as a function of the
     /// events fed since `origin` ([`Session::set_budget_clock`]).
     fake_clock: Option<fn(u64) -> u64>,
+    /// Control steps run since `clock` started. Not checkpointed: a
+    /// resumed process has measured nothing yet.
+    steps: u64,
 }
 
 impl<S: OrSink> Session<S> {
@@ -199,6 +202,7 @@ impl<S: OrSink> Session<S> {
             clock: Stopwatch::start(),
             origin: self.events,
             fake_clock: None,
+            steps: 0,
         });
     }
 
@@ -206,6 +210,14 @@ impl<S: OrSink> Session<S> {
     #[must_use]
     pub fn budget(&self) -> Option<&RateController> {
         self.budget.as_ref().map(|b| &b.controller)
+    }
+
+    /// Control steps the budget has run since this session was opened
+    /// or resumed; `None` without a budget. At 0 the controller has
+    /// measured no overhead in this process.
+    #[must_use]
+    pub fn budget_control_steps(&self) -> Option<u64> {
+        self.budget.as_ref().map(|b| b.steps)
     }
 
     /// Test hook: the budget reads `elapsed(events fed since its clock
@@ -235,6 +247,7 @@ impl<S: OrSink> Session<S> {
         let Some(budget) = &mut self.budget else {
             return;
         };
+        budget.steps += 1;
         let fed = self.events - budget.origin;
         let elapsed = match budget.fake_clock {
             Some(elapsed) => elapsed(fed),
@@ -366,6 +379,7 @@ impl<S: SessionSink> Session<S> {
         }
         if let Some(budget) = &self.budget {
             budget.controller.record_metrics(rec);
+            rec.counter("sample.control_steps", budget.steps);
         }
         self.cdc.record_metrics(rec);
     }
@@ -925,6 +939,42 @@ mod tests {
             Session::<VecOrSink>::resume(&mut rebuilt.as_slice()),
             Err(FormatError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn control_steps_count_from_open_or_resume() {
+        const INTERVAL: u64 = RateController::CONTROL_INTERVAL;
+        let step = usize::try_from(INTERVAL).unwrap();
+        let events = churn_events(64, 2000);
+        let mut session = Session::from_cdc(Cdc::with_sampler(
+            Omc::new(),
+            VecOrSink::new(),
+            Sampler::periodic(1),
+        ))
+        .with_budget(RateController::new(25.0, 100.0));
+        session.set_budget_clock(|fed| fed * 100);
+        session.feed(&events[..step - 1]);
+        assert_eq!(session.budget_control_steps(), Some(0), "no step yet");
+        session.feed(&events[step - 1..step]);
+        assert_eq!(session.budget_control_steps(), Some(1));
+
+        let mut snapshot = Vec::new();
+        session.checkpoint(&mut snapshot).unwrap();
+        let mut resumed = Session::<VecOrSink>::resume(&mut snapshot.as_slice()).unwrap();
+        assert_eq!(
+            resumed.budget_control_steps(),
+            Some(0),
+            "a resumed process has measured nothing yet"
+        );
+        resumed.set_budget_clock(|fed| fed * 100);
+        resumed.feed(&events[step..2 * step]);
+        assert_eq!(resumed.budget_control_steps(), Some(1));
+        let mut rec = orp_obs::StatsRecorder::default();
+        resumed.record_metrics(&mut rec);
+        assert_eq!(rec.counter_value("sample.control_steps"), 1);
+        assert!(Session::new(VecOrSink::new())
+            .budget_control_steps()
+            .is_none());
     }
 
     #[test]

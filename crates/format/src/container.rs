@@ -20,7 +20,8 @@ pub const FORMAT_VERSION: u32 = 1;
 /// A corrupted length field must not drive allocation: readers reject
 /// anything larger with [`FormatError::Oversize`] before touching the
 /// payload. Producers batch large streams (traces) into many chunks,
-/// so the bound is generous but finite.
+/// so the bound is generous but finite; readers of such streams lower
+/// it to their frame size ([`ContainerReader::with_chunk_limit`]).
 pub const MAX_CHUNK_LEN: u64 = 1 << 30;
 
 /// Initial payload-buffer allocation cap: a lying length field should
@@ -147,6 +148,8 @@ pub struct ContainerReader<R: Read> {
     reader: R,
     version: u32,
     done: bool,
+    /// Largest payload length accepted.
+    limit: u64,
     stats: IoStats,
 }
 
@@ -174,11 +177,21 @@ impl<R: Read> ContainerReader<R> {
             reader,
             version,
             done: false,
+            limit: MAX_CHUNK_LEN,
             stats: IoStats {
                 chunks: 0,
                 bytes: (MAGIC.len() + 4) as u64,
             },
         })
+    }
+
+    /// Lowers the largest chunk payload this reader accepts to `max`
+    /// (never above [`MAX_CHUNK_LEN`]): a length field over it fails with
+    /// [`FormatError::Oversize`] before any payload byte is buffered.
+    #[must_use]
+    pub fn with_chunk_limit(mut self, max: u64) -> Self {
+        self.limit = max.min(MAX_CHUNK_LEN);
+        self
     }
 
     /// The container's format version.
@@ -197,9 +210,9 @@ impl<R: Read> ContainerReader<R> {
     ///
     /// # Errors
     ///
-    /// Typed [`FormatError`]s for truncation, oversize lengths, and
-    /// checksum mismatches. Never panics and never loops: every path
-    /// either consumes input or returns.
+    /// Typed [`FormatError`]s for truncation, lengths over the chunk
+    /// limit, and checksum mismatches. Never panics and never loops:
+    /// every path either consumes input or returns.
     pub fn next_chunk(&mut self) -> Result<Option<Chunk>, FormatError> {
         if self.done {
             return Ok(None);
@@ -208,7 +221,7 @@ impl<R: Read> ContainerReader<R> {
         self.reader.read_exact(&mut tag)?;
         let tag = ChunkTag(tag);
         let len = read_varint(&mut self.reader)?;
-        if len > MAX_CHUNK_LEN {
+        if len > self.limit {
             return Err(FormatError::Oversize { len });
         }
         // Cap the speculative allocation: a corrupt length field costs
@@ -492,6 +505,26 @@ mod tests {
         write_varint(&mut buf, MAX_CHUNK_LEN + 1).unwrap();
         let mut r = ContainerReader::new(buf.as_slice()).unwrap();
         assert!(matches!(r.next_chunk(), Err(FormatError::Oversize { .. })));
+    }
+
+    #[test]
+    fn a_lowered_chunk_limit_refuses_a_longer_length_without_its_payload() {
+        let buf = sample_container();
+        // META's 2-byte payload fits under 12; GRMR's 13-byte payload
+        // does not, and the reader stops at its length field.
+        let mut r = ContainerReader::new(buf.as_slice())
+            .unwrap()
+            .with_chunk_limit(12);
+        assert_eq!(r.read_meta().unwrap(), ProfileKind::Grammar);
+        assert!(matches!(
+            r.next_chunk(),
+            Err(FormatError::Oversize { len: 13 })
+        ));
+        let mut r = ContainerReader::new(buf.as_slice())
+            .unwrap()
+            .with_chunk_limit(13);
+        r.read_meta().unwrap();
+        assert_eq!(r.next_chunk().unwrap().unwrap().payload, b"grammar bytes");
     }
 
     #[test]

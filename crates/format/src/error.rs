@@ -28,7 +28,8 @@ pub enum FormatError {
         /// Tag of the damaged chunk.
         tag: ChunkTag,
     },
-    /// A chunk declared a payload longer than [`crate::MAX_CHUNK_LEN`].
+    /// A chunk declared a payload longer than the reader's chunk limit
+    /// ([`crate::MAX_CHUNK_LEN`] unless lowered).
     Oversize {
         /// The declared payload length.
         len: u64,

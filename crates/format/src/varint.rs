@@ -61,11 +61,11 @@ pub fn read_varint(r: &mut impl Read) -> io::Result<u64> {
 /// assert_eq!(orp_format::varint_len(u64::MAX), 10);
 /// ```
 #[must_use]
-pub fn varint_len(v: u64) -> u64 {
+pub const fn varint_len(v: u64) -> u64 {
     if v == 0 {
         return 1;
     }
-    u64::from(64 - v.leading_zeros()).div_ceil(7)
+    (64 - v.leading_zeros() as u64).div_ceil(7)
 }
 
 /// Maps a signed integer onto the unsigned varint space

@@ -93,8 +93,8 @@ pub struct TenantClient {
     writer: ContainerWriter<UnixStream>,
     grants: BufReader<UnixStream>,
     ack: Ack,
+    /// Frames that may be sent before the next grant is needed.
     credits: u64,
-    outstanding: u64,
     pending: Vec<ProbeEvent>,
 }
 
@@ -119,7 +119,6 @@ impl TenantClient {
             grants,
             ack,
             credits: ack.credits.max(1),
-            outstanding: 0,
             pending: Vec::with_capacity(FRAME_EVENTS),
         })
     }
@@ -167,14 +166,12 @@ impl TenantClient {
         self.pending.clear();
         self.writer.chunk(ChunkTag::TRACE, &payload)?;
         self.credits -= 1;
-        self.outstanding += 1;
         Ok(())
     }
 
     fn take_grant(&mut self) -> Result<(), ClientError> {
         let _ = read_varint(&mut self.grants)?;
         self.credits += 1;
-        self.outstanding -= 1;
         Ok(())
     }
 
@@ -189,13 +186,14 @@ impl TenantClient {
         let TenantClient {
             writer,
             mut grants,
-            mut outstanding,
+            ack,
+            credits,
             ..
         } = self;
         writer.finish()?;
-        while outstanding > 0 {
+        // Drain the grants of the frames still in flight.
+        for _ in credits..ack.credits.max(1) {
             let _ = read_varint(&mut grants)?;
-            outstanding -= 1;
         }
         Ok(Done {
             status: read_varint(&mut grants)?,

@@ -20,12 +20,10 @@ use std::thread::JoinHandle;
 
 use orp_core::lane::{self, LaneReceiver, Msg};
 use orp_core::Session;
-use orp_format::{
-    read_varint, write_varint, AtomicFile, ChunkTag, ContainerReader, FormatError, Hello,
-};
+use orp_format::{write_varint, AtomicFile, ContainerReader, FormatError, Hello};
 use orp_leap::LeapProfiler;
 use orp_obs::Stopwatch;
-use orp_trace::{decode_batch, ProbeEvent, VecSink};
+use orp_trace::{next_frame, ProbeEvent, VecSink, MAX_FRAME_BYTES};
 
 use crate::stats::OrpdStats;
 use crate::{DONE_CLEAN, DONE_DEGRADED, FRAME_EVENTS, STATUS_BUSY, STATUS_OK, STATUS_SHUTDOWN};
@@ -217,7 +215,9 @@ fn serve_connection(stream: UnixStream, shared: &Arc<Shared>) {
         return;
     };
     let disconnected = || OrpdStats::add(&shared.stats.sessions_disconnected, 1);
-    let Ok(mut container) = ContainerReader::new(BufReader::new(stream)) else {
+    let Ok(mut container) = ContainerReader::new(BufReader::new(stream))
+        .map(|reader| reader.with_chunk_limit(MAX_FRAME_BYTES))
+    else {
         disconnected();
         return;
     };
@@ -297,48 +297,30 @@ fn serve_tenant(
 
     let mut frame = Vec::with_capacity(FRAME_EVENTS);
     let streamed = loop {
-        match container.next_chunk() {
-            Ok(Some(chunk)) => match chunk.tag {
-                ChunkTag::TRACE => {
-                    // The credit window bounds frames, not their size: a
-                    // frame announcing more than FRAME_EVENTS events is
-                    // refused before any of them lands in the lane buffer.
-                    match read_varint(&mut chunk.payload.as_slice()) {
-                        Ok(count) if count <= FRAME_EVENTS as u64 => {}
-                        Ok(_) => break Err(FormatError::Malformed("TRCE frame over FRAME_EVENTS")),
-                        Err(e) => break Err(FormatError::from(e)),
-                    }
-                    let mut sink = VecSink::from(std::mem::take(&mut frame));
-                    let n = match decode_batch(&chunk.payload, &mut sink) {
-                        Ok(n) => n,
-                        Err(e) => break Err(e),
-                    };
-                    OrpdStats::add(&shared.stats.frames, 1);
-                    OrpdStats::add(&shared.stats.events, n);
-                    // A full lane is the backpressure stall: the grant
-                    // below is delayed until the worker catches up. A
-                    // dead worker's frame is dropped (the session ends
-                    // degraded).
-                    let stalls = frames.stats().stalls;
-                    frame = frames.ship(0, sink.into_events(), |_| {});
-                    if frames.stats().stalls > stalls {
-                        OrpdStats::add(&shared.stats.stalls, 1);
-                    }
-                    // No `?` past this point: an error must break into
-                    // the join path below, or the tenant would be
-                    // released while its worker still runs (and
-                    // checkpoints).
-                    if let Err(e) = write_varint(&mut *out, 1).and_then(|()| out.flush()) {
-                        break Err(FormatError::from(e));
-                    }
-                }
-                // Anything but probe-event frames after the handshake
-                // is a protocol violation; the connection ends unclean
-                // and the tenant's durable state stays as-is.
-                other => break Err(FormatError::UnknownChunk(other)),
-            },
+        // A frame the rule refuses (anything but `TRCE`, an oversized
+        // length or count, a malformed record) ends the connection
+        // unclean; the tenant's durable state stays as-is.
+        let mut sink = VecSink::from(std::mem::take(&mut frame));
+        let n = match next_frame(container, &mut sink) {
+            Ok(Some(n)) => n,
             Ok(None) => break Ok(()),
             Err(e) => break Err(e),
+        };
+        OrpdStats::add(&shared.stats.frames, 1);
+        OrpdStats::add(&shared.stats.events, n);
+        // A full lane is the backpressure stall: the grant below is
+        // delayed until the worker catches up. A dead worker's frame is
+        // dropped (the session ends degraded).
+        let stalls = frames.stats().stalls;
+        frame = frames.ship(0, sink.into_events(), |_| {});
+        if frames.stats().stalls > stalls {
+            OrpdStats::add(&shared.stats.stalls, 1);
+        }
+        // No `?` past this point: an error must break into the join
+        // path below, or the tenant would be released while its worker
+        // still runs (and checkpoints).
+        if let Err(e) = write_varint(&mut *out, 1).and_then(|()| out.flush()) {
+            break Err(FormatError::from(e));
         }
     };
     if streamed.is_ok() {

@@ -20,9 +20,9 @@
 //! `grant` varint is issued per ingested frame; a client holds at most
 //! `credits` ungranted frames in flight, so a slow tenant worker
 //! backpressures its own producer without unbounding daemon memory.
-//! The stream reuses the `TRCE` record codec ([`orp_trace::encode_batch`] /
-//! [`orp_trace::decode_batch`]) — the bytes a tenant sends are the
-//! bytes a recorded trace file holds.
+//! `TRCE` frames follow [the frame rule of trace files](orp_trace::io) —
+//! the bytes a tenant sends are the bytes a recorded trace file holds,
+//! and the daemon reads them with the same [`orp_trace::next_frame`].
 //!
 //! ## Isolation
 //!
@@ -58,6 +58,4 @@ pub const DONE_CLEAN: u64 = 0;
 /// (salvaged) and the last durable checkpoint was left in place.
 pub const DONE_DEGRADED: u64 = 1;
 
-/// Events per wire frame the client packs (mirrors the trace file's
-/// batch size).
-pub const FRAME_EVENTS: usize = 4096;
+pub use orp_trace::FRAME_EVENTS;

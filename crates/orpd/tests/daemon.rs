@@ -2,18 +2,18 @@
 //! the inline session path, worker-death isolation, hostile frames and
 //! disconnect/resume.
 
-use std::io::{BufReader, Read};
+use std::io::{BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 use orp_core::Session;
-use orp_format::{read_varint, ChunkTag, ContainerReader, ContainerWriter, Hello};
+use orp_format::{read_varint, write_varint, ChunkTag, ContainerReader, ContainerWriter, Hello};
 use orp_leap::LeapProfiler;
 use orp_orpd::{
     shutdown_daemon, ClientError, Daemon, DaemonConfig, OrpdStats, TenantClient, DONE_CLEAN,
     DONE_DEGRADED, FRAME_EVENTS, STATUS_BUSY, STATUS_OK,
 };
-use orp_trace::{encode_batch, ProbeEvent, VecSink};
+use orp_trace::{encode_batch, ProbeEvent, VecSink, MAX_FRAME_BYTES};
 use orp_workloads::{micro, RunConfig, Workload};
 
 fn tmp(name: &str) -> PathBuf {
@@ -229,6 +229,19 @@ fn a_dying_worker_degrades_only_its_own_tenant() {
 /// `payload`, and reads until the daemon closes the connection,
 /// returning what it sent after the ack.
 fn send_one_frame(socket: &std::path::Path, tenant: &str, payload: &[u8]) -> Vec<u8> {
+    send_after_handshake(socket, tenant, |writer| {
+        writer.chunk(ChunkTag::TRACE, payload)
+    })
+}
+
+/// Handshakes as `tenant`, lets `send` write to the stream, and returns
+/// everything the daemon answers after its ack, up to the connection's
+/// end. The client's end stays open until then.
+fn send_after_handshake(
+    socket: &std::path::Path,
+    tenant: &str,
+    send: impl FnOnce(&mut ContainerWriter<UnixStream>) -> std::io::Result<()>,
+) -> Vec<u8> {
     let stream = UnixStream::connect(socket).expect("connect");
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(20)))
@@ -243,7 +256,7 @@ fn send_one_frame(socket: &std::path::Path, tenant: &str, payload: &[u8]) -> Vec
         .map(|_| read_varint(&mut reader).expect("ack"))
         .collect();
     assert_eq!(ack[0], STATUS_OK, "{tenant}");
-    writer.chunk(ChunkTag::TRACE, payload).expect("frame");
+    send(&mut writer).expect("frame");
     let mut rest = Vec::new();
     reader
         .read_to_end(&mut rest)
@@ -289,6 +302,17 @@ fn oversized_and_truncated_frames_end_only_their_own_connection() {
         let done = stream_tenant(&socket, tenant, &events).expect("immediate reconnect served");
         assert_eq!(done.status, DONE_CLEAN, "{tenant}");
     }
+    // A chunk header whose length exceeds MAX_FRAME_BYTES, with no
+    // payload behind it while the socket stays open: the daemon must
+    // refuse the length, not wait for the bytes it announces.
+    let after_ack = send_after_handshake(&socket, "overlong", |writer| {
+        let mut header = ChunkTag::TRACE.0.to_vec();
+        write_varint(&mut header, MAX_FRAME_BYTES + 1)?;
+        writer.get_mut().write_all(&header)
+    });
+    assert!(after_ack.is_empty(), "overlong: no grant, no DONE");
+    let done = stream_tenant(&socket, "overlong", &events).expect("immediate reconnect served");
+    assert_eq!(done.status, DONE_CLEAN, "overlong");
 
     let done = bystander
         .join()
@@ -296,12 +320,12 @@ fn oversized_and_truncated_frames_end_only_their_own_connection() {
         .expect("bystander streams");
     assert_eq!(done.status, DONE_CLEAN);
     let stats = daemon.stats();
-    assert_eq!(OrpdStats::get(&stats.sessions_disconnected), 2);
+    assert_eq!(OrpdStats::get(&stats.sessions_disconnected), 3);
     assert_eq!(OrpdStats::get(&stats.sessions_rejected), 0);
-    assert_eq!(OrpdStats::get(&stats.sessions_finished), 3);
+    assert_eq!(OrpdStats::get(&stats.sessions_finished), 4);
     daemon.stop().expect("daemon drains");
 
-    for tenant in ["bystander", "oversized", "truncated"] {
+    for tenant in ["bystander", "oversized", "truncated", "overlong"] {
         let served = std::fs::read(dir.join(format!("{tenant}.orp"))).expect("artifact");
         assert_eq!(
             served, expected,

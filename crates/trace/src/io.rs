@@ -7,7 +7,7 @@
 //! `orprof-cli` uses it for its record/replay commands.
 //!
 //! A trace file is a `.orp` container ([`orp_format`]) of kind
-//! `Trace`: a `META` chunk, then one `TRCE` chunk per batch of events,
+//! `Trace`: a `META` chunk, then one `TRCE` frame per batch of events,
 //! then the terminator. Each `TRCE` payload is `varint(record_count)`
 //! followed by one fixed-width little-endian record per event:
 //!
@@ -17,15 +17,23 @@
 //! 0x03 base:u64                                (free)
 //! ```
 //!
-//! Batching bounds writer memory and gives the container's CRC-32
-//! granular coverage: a bit flip spoils one batch, detectably, before
-//! any record is parsed.
+//! # The frame rule
+//!
+//! The same frames carry events over the `orpd` wire, under one rule:
+//! a frame holds at most [`FRAME_EVENTS`] records, so its payload is at
+//! most [`MAX_FRAME_BYTES`]. Readers open their container with that
+//! bound ([`ContainerReader::with_chunk_limit`]), so a longer length
+//! field fails with [`FormatError::Oversize`] before any payload byte
+//! is buffered, and read through [`next_frame`], which refuses a
+//! non-`TRCE` chunk and a count over `FRAME_EVENTS` before decoding a
+//! record. Framing bounds writer memory and gives the CRC-32 granular
+//! coverage: a bit flip spoils one frame, detectably.
 
 use std::io::{self, Read, Write};
 
 use orp_format::{
-    read_varint, u32_from_le, u64_from_le, write_u32_le, write_u64_le, write_varint, ChunkTag,
-    ContainerReader, ContainerWriter, FormatError, IoStats, ProfileKind,
+    read_varint, u32_from_le, u64_from_le, varint_len, write_u32_le, write_u64_le, write_varint,
+    ChunkTag, ContainerReader, ContainerWriter, FormatError, IoStats, ProfileKind,
 };
 
 use crate::{
@@ -42,13 +50,18 @@ const ACCESS_LEN: usize = 14;
 const ALLOC_LEN: usize = 20;
 const FREE_LEN: usize = 8;
 
-/// Events per `TRCE` chunk.
-const BATCH_EVENTS: u64 = 4096;
+/// Most records one `TRCE` frame carries; writers fill frames to it.
+pub const FRAME_EVENTS: usize = 4096;
+
+/// Largest `TRCE` payload a frame can need: the count varint plus
+/// [`FRAME_EVENTS`] of the widest record (2 + 4096 × 21 = 86,018 B).
+pub const MAX_FRAME_BYTES: u64 =
+    varint_len(FRAME_EVENTS as u64) + FRAME_EVENTS as u64 * (1 + ALLOC_LEN as u64);
 
 /// A [`ProbeSink`] that writes every event to a trace container.
 ///
 /// Call [`TraceWriter::into_inner`] when done: it writes the final
-/// batch and the container terminator. A dropped writer leaves a
+/// frame and the container terminator. A dropped writer leaves a
 /// truncated container, which readers reject — by design, since the
 /// trace would be incomplete.
 ///
@@ -61,8 +74,8 @@ const BATCH_EVENTS: u64 = 4096;
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     container: ContainerWriter<W>,
-    batch: Vec<u8>,
-    batch_events: u64,
+    /// Events of the frame being filled.
+    frame: Vec<ProbeEvent>,
     events: u64,
     /// First write failure, held until `into_inner`.
     error: Option<io::Error>,
@@ -80,8 +93,7 @@ impl<W: Write> TraceWriter<W> {
         container.meta(ProfileKind::Trace)?;
         Ok(TraceWriter {
             container,
-            batch: Vec::new(),
-            batch_events: 0,
+            frame: Vec::with_capacity(FRAME_EVENTS),
             events: 0,
             error: None,
         })
@@ -94,7 +106,7 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Container-level write totals so far (chunks flushed, bytes
-    /// framed). The unflushed in-memory batch is not counted.
+    /// framed). The unflushed in-memory frame is not counted.
     #[must_use]
     pub fn io_stats(&self) -> IoStats {
         self.container.io_stats()
@@ -107,7 +119,7 @@ impl<W: Write> TraceWriter<W> {
         self.error.as_ref()
     }
 
-    /// Writes the final batch and the container terminator, returning
+    /// Writes the final frame and the container terminator, returning
     /// the underlying writer.
     ///
     /// # Errors
@@ -115,43 +127,30 @@ impl<W: Write> TraceWriter<W> {
     /// Surfaces a latched mid-stream failure first, then any error
     /// from the final writes.
     pub fn into_inner(mut self) -> io::Result<W> {
+        self.flush_frame();
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        self.flush_batch()?;
         self.container.finish()
     }
 
-    fn flush_batch(&mut self) -> io::Result<()> {
-        if self.batch_events == 0 {
-            return Ok(());
+    /// Writes the buffered frame, latching the first failure; after one,
+    /// no further bytes move.
+    fn flush_frame(&mut self) {
+        if self.error.is_none() && !self.frame.is_empty() {
+            let written = encode_batch(&self.frame)
+                .and_then(|payload| self.container.chunk(ChunkTag::TRACE, &payload));
+            self.frame.clear();
+            self.error = written.err();
         }
-        let mut payload = Vec::with_capacity(self.batch.len() + 3);
-        write_varint(&mut payload, self.batch_events)?;
-        payload.extend_from_slice(&self.batch);
-        self.container.chunk(ChunkTag::TRACE, &payload)?;
-        self.batch.clear();
-        self.batch_events = 0;
-        Ok(())
     }
 
-    fn record(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) {
+    fn record(&mut self, ev: ProbeEvent) {
         self.events += 1;
-        if self.error.is_some() {
-            // A previous write failed; stop moving bytes and let the
-            // latched error surface at `into_inner`.
-            return;
-        }
-        if let Err(e) = encode(&mut self.batch) {
-            // Encoding into a Vec cannot fail in practice; latch it
-            // anyway rather than panicking inside a workload.
-            self.error = Some(e);
-            return;
-        }
-        self.batch_events += 1;
-        if self.batch_events >= BATCH_EVENTS {
-            if let Err(e) = self.flush_batch() {
-                self.error = Some(e);
+        if self.error.is_none() {
+            self.frame.push(ev);
+            if self.frame.len() >= FRAME_EVENTS {
+                self.flush_frame();
             }
         }
     }
@@ -159,24 +158,19 @@ impl<W: Write> TraceWriter<W> {
 
 impl<W: Write> ProbeSink for TraceWriter<W> {
     fn access(&mut self, ev: AccessEvent) {
-        self.record(|b| encode_record(b, &ProbeEvent::Access(ev)));
+        self.record(ProbeEvent::Access(ev));
     }
 
     fn alloc(&mut self, ev: AllocEvent) {
-        self.record(|b| encode_record(b, &ProbeEvent::Alloc(ev)));
+        self.record(ProbeEvent::Alloc(ev));
     }
 
     fn free(&mut self, ev: FreeEvent) {
-        self.record(|b| encode_record(b, &ProbeEvent::Free(ev)));
+        self.record(ProbeEvent::Free(ev));
     }
 
     fn finish(&mut self) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = self.flush_batch() {
-            self.error = Some(e);
-        }
+        self.flush_frame();
     }
 }
 
@@ -203,16 +197,15 @@ fn encode_record(b: &mut Vec<u8>, ev: &ProbeEvent) -> io::Result<()> {
     }
 }
 
-/// Encodes a batch of probe events as one `TRCE` chunk payload —
-/// the same record format [`TraceWriter`] emits, exposed so streaming
-/// transports (the `orpd` wire protocol) can frame event batches
-/// without owning a whole container.
+/// Encodes a batch of probe events as one `TRCE` frame payload — the
+/// framer of both [`TraceWriter`] and the `orpd` client.
 ///
 /// # Errors
 ///
 /// Propagates writer errors (none in practice for an in-memory buffer).
 pub fn encode_batch(events: &[ProbeEvent]) -> io::Result<Vec<u8>> {
-    let mut payload = Vec::new();
+    // Room for the longest count varint and every record at its widest.
+    let mut payload = Vec::with_capacity(10 + events.len() * (1 + ALLOC_LEN));
     write_varint(&mut payload, events.len() as u64)?;
     for ev in events {
         encode_record(&mut payload, ev)?;
@@ -220,8 +213,8 @@ pub fn encode_batch(events: &[ProbeEvent]) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Decodes one `TRCE` chunk payload into `sink`, returning the record
-/// count. Inverse of [`encode_batch`]; [`replay`] uses it per chunk.
+/// Decodes one `TRCE` payload into `sink`, returning the record count.
+/// Inverse of [`encode_batch`]; [`next_frame`] runs it per frame.
 ///
 /// # Errors
 ///
@@ -298,6 +291,32 @@ fn short_access(rest: &[u8]) -> FormatError {
     }
 }
 
+/// The read step of trace replay and the `orpd` reader: decodes the
+/// next frame into `sink` and returns its record count, or `None` at
+/// the terminator. Open `container` with [`MAX_FRAME_BYTES`] as its
+/// chunk limit.
+///
+/// # Errors
+///
+/// [`FormatError::UnknownChunk`] for any chunk but `TRCE`,
+/// [`FormatError::Malformed`] for a count over [`FRAME_EVENTS`], and
+/// everything `next_chunk` and [`decode_batch`] return.
+pub fn next_frame<R: Read>(
+    container: &mut ContainerReader<R>,
+    sink: &mut dyn ProbeSink,
+) -> Result<Option<u64>, FormatError> {
+    let Some(chunk) = container.next_chunk()? else {
+        return Ok(None);
+    };
+    if chunk.tag != ChunkTag::TRACE {
+        return Err(FormatError::UnknownChunk(chunk.tag));
+    }
+    if read_varint(&mut chunk.payload.as_slice())? > FRAME_EVENTS as u64 {
+        return Err(FormatError::Malformed("TRCE frame over FRAME_EVENTS"));
+    }
+    decode_batch(&chunk.payload, sink).map(Some)
+}
+
 /// Replays a trace container into any probe sink, returning the number
 /// of events replayed.
 ///
@@ -319,43 +338,23 @@ pub fn replay_counted(
     r: &mut impl Read,
     sink: &mut dyn ProbeSink,
 ) -> Result<(u64, IoStats), FormatError> {
-    let mut container = ContainerReader::new(&mut *r)?;
+    let mut container = ContainerReader::new(&mut *r)?.with_chunk_limit(MAX_FRAME_BYTES);
     let kind = container.read_meta()?;
     if kind != ProfileKind::Trace {
         return Err(FormatError::WrongKind { found: kind.code() });
     }
     let mut events = 0u64;
-    while let Some(chunk) = container.next_chunk()? {
-        if chunk.tag != ChunkTag::TRACE {
-            return Err(FormatError::UnknownChunk(chunk.tag));
-        }
-        events += decode_batch(&chunk.payload, sink)?;
+    while let Some(n) = next_frame(&mut container, sink)? {
+        events += n;
     }
     let stats = container.io_stats();
     // A trace file holds exactly one container; anything after the
     // terminator is damage.
-    let mut trailing = [0u8; 1];
-    match r.read(&mut trailing) {
-        Ok(0) => {}
-        Ok(_) => return Err(FormatError::Malformed("trailing data after terminator")),
-        Err(e) => return Err(FormatError::Io(e)),
+    if r.read(&mut [0u8; 1])? != 0 {
+        return Err(FormatError::Malformed("trailing data after terminator"));
     }
     sink.finish();
     Ok((events, stats))
-}
-
-/// Serializes a slice of probe events to a byte vector (convenience
-/// wrapper over [`TraceWriter`]).
-///
-/// # Errors
-///
-/// Propagates writer errors.
-pub fn to_bytes(events: &[ProbeEvent]) -> io::Result<Vec<u8>> {
-    let mut writer = TraceWriter::new(Vec::new())?;
-    for &ev in events {
-        writer.event(ev);
-    }
-    writer.into_inner()
 }
 
 #[cfg(test)]
@@ -363,6 +362,15 @@ mod tests {
     use super::*;
     use crate::VecSink;
     use orp_format::{read_u32_le, read_u64_le};
+
+    /// Serializes a slice of probe events through a [`TraceWriter`].
+    fn to_bytes(events: &[ProbeEvent]) -> io::Result<Vec<u8>> {
+        let mut writer = TraceWriter::new(Vec::new())?;
+        for &ev in events {
+            writer.event(ev);
+        }
+        writer.into_inner()
+    }
 
     /// The field-by-field `read_exact` decoder the slice parser
     /// replaced, kept as the error-parity reference.
@@ -526,7 +534,7 @@ mod tests {
     fn multi_batch_trace_roundtrips() {
         // Enough events to cross the batch boundary at least twice.
         let mut events = Vec::new();
-        for i in 0..(2 * BATCH_EVENTS + 17) {
+        for i in 0..(2 * FRAME_EVENTS as u64 + 17) {
             events.push(ProbeEvent::Access(AccessEvent::load(
                 InstrId(i as u32),
                 RawAddress(0x1000 + i * 8),
@@ -605,6 +613,53 @@ mod tests {
         ));
     }
 
+    /// A trace container holding one `TRCE` chunk with `payload`.
+    fn one_frame_trace(payload: &[u8]) -> Vec<u8> {
+        let mut container = ContainerWriter::new(Vec::new()).unwrap();
+        container.meta(ProfileKind::Trace).unwrap();
+        container.chunk(ChunkTag::TRACE, payload).unwrap();
+        container.finish().unwrap()
+    }
+
+    #[test]
+    fn a_full_frame_of_the_widest_record_fills_max_frame_bytes() {
+        assert_eq!(MAX_FRAME_BYTES, 86_018);
+        let alloc = sample_events()[0];
+        let payload = encode_batch(&vec![alloc; FRAME_EVENTS]).unwrap();
+        assert_eq!(payload.len() as u64, MAX_FRAME_BYTES);
+        let mut sink = VecSink::new();
+        let n = replay(&mut one_frame_trace(&payload).as_slice(), &mut sink).unwrap();
+        assert_eq!(n, FRAME_EVENTS as u64);
+    }
+
+    #[test]
+    fn a_frame_over_frame_events_is_refused_before_decoding() {
+        let free = sample_events()[3];
+        let payload = encode_batch(&vec![free; FRAME_EVENTS + 1]).unwrap();
+        let mut sink = VecSink::new();
+        assert!(matches!(
+            replay(&mut one_frame_trace(&payload).as_slice(), &mut sink),
+            Err(FormatError::Malformed("TRCE frame over FRAME_EVENTS"))
+        ));
+        assert!(sink.is_empty(), "no record of the refused frame is fed");
+    }
+
+    #[test]
+    fn a_chunk_length_over_max_frame_bytes_is_refused_without_its_payload() {
+        // The length field alone: the reader must refuse it without
+        // waiting for (or buffering) the payload it announces.
+        let mut container = ContainerWriter::new(Vec::new()).unwrap();
+        container.meta(ProfileKind::Trace).unwrap();
+        let mut bytes = container.get_mut().clone();
+        bytes.extend_from_slice(&ChunkTag::TRACE.0);
+        write_varint(&mut bytes, MAX_FRAME_BYTES + 1).unwrap();
+        let mut sink = VecSink::new();
+        assert!(matches!(
+            replay(&mut bytes.as_slice(), &mut sink),
+            Err(FormatError::Oversize { len }) if len == MAX_FRAME_BYTES + 1
+        ));
+    }
+
     #[test]
     fn wrong_profile_kind_is_rejected() {
         let mut buf = Vec::new();
@@ -629,7 +684,7 @@ mod tests {
         let plan = FaultPlan::parse(&format!("io-error@n={}", header_ops + 1)).unwrap();
         let mut w = TraceWriter::new(FailingWrite::new(Vec::new(), plan)).unwrap();
         assert!(w.error().is_none());
-        for i in 0..(2 * BATCH_EVENTS) {
+        for i in 0..(2 * FRAME_EVENTS as u64) {
             w.event(ProbeEvent::Access(AccessEvent::load(
                 InstrId(i as u32),
                 RawAddress(0x1000),
@@ -639,7 +694,7 @@ mod tests {
         // The first flush failed and latched; later events were counted
         // but not written, and no panic escaped into the probe side.
         assert!(w.error().is_some());
-        assert_eq!(w.events(), 2 * BATCH_EVENTS);
+        assert_eq!(w.events(), 2 * FRAME_EVENTS as u64);
         w.finish();
         let err = w.into_inner().expect_err("latched error must surface");
         assert!(err.to_string().contains("injected"), "{err}");

@@ -38,7 +38,10 @@ mod sink;
 mod stats;
 
 pub use event::{AccessEvent, AccessKind, AllocEvent, AllocSiteId, FreeEvent, ProbeEvent};
-pub use io::{decode_batch, encode_batch, replay, replay_counted, TraceWriter};
+pub use io::{
+    decode_batch, encode_batch, next_frame, replay, replay_counted, TraceWriter, FRAME_EVENTS,
+    MAX_FRAME_BYTES,
+};
 pub use registry::{InstrInfo, InstrRegistry, SiteInfo, SiteRegistry};
 pub use sink::{CountingSink, NullSink, ProbeSink, TeeSink, VecSink};
 pub use stats::TraceStats;

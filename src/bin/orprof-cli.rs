@@ -46,8 +46,8 @@ use std::process::ExitCode;
 use orprof::allocsim::AllocatorKind;
 use orprof::cache::evaluate::{evaluate_plan, extents_from_records, EvalConfig};
 use orprof::core::{
-    Cdc, Omc, OrSink, OrTuple, PipelineStats, RateController, Sampler, Session, SessionSink,
-    ShardableSink, ShardedCdc,
+    Cdc, Omc, OrSink, OrTuple, PipelineStats, RateController, SampleStats, Sampler, SamplingPolicy,
+    Session, SessionSink, ShardableSink, ShardedCdc,
 };
 use orprof::format::{
     read_varint, AtomicFile, ChunkTag, ContainerReader, FailingRead, FaultPlan, Hello, IoStats,
@@ -60,7 +60,7 @@ use orprof::opt::{AdvisorSet, LayoutPlan};
 use orprof::orpd::{Daemon, DaemonConfig, OrpdStats};
 use orprof::phase::PhaseDetector;
 use orprof::sequitur::Grammar;
-use orprof::trace::{AccessEvent, AllocEvent, CountingSink, FreeEvent, ProbeSink};
+use orprof::trace::{AccessEvent, AllocEvent, CountingSink, FreeEvent, NullSink, ProbeSink};
 use orprof::whomp::{
     HybridProfile, HybridProfiler, Omsg, PipelinedRasg, PipelinedWhomp, Rasg, RasgProfiler,
     WhompProfiler,
@@ -475,15 +475,8 @@ fn sampler_for(sample: Option<SampleSpec>) -> Sampler {
 /// into a do-nothing sink. The budget controller needs this baseline —
 /// overhead is profiling cost *relative to the uninstrumented run*.
 fn baseline_event_nanos(parsed: &Parsed, ctx: &mut IoCtx) -> Result<f64, String> {
-    struct NullProbe;
-    impl ProbeSink for NullProbe {
-        fn access(&mut self, _: AccessEvent) {}
-        fn alloc(&mut self, _: AllocEvent) {}
-        fn free(&mut self, _: FreeEvent) {}
-        fn finish(&mut self) {}
-    }
     let clock = Stopwatch::start();
-    let outcome = drive(parsed, ctx, &mut NullProbe)?;
+    let outcome = drive(parsed, ctx, &mut NullSink)?;
     let nanos = clock.elapsed_nanos();
     if outcome.events == 0 {
         return Err("--sample budget=: the workload produced no events to calibrate on".to_owned());
@@ -502,17 +495,24 @@ fn finish_session<S: SessionSink>(
     checkpoint: bool,
 ) -> Result<(), String> {
     if let Some(controller) = session.budget() {
-        let how = if parsed.value("--resume").is_some() {
-            "resumed"
+        let rate = session.cdc().sampler().current_rate();
+        if session.budget_control_steps() == Some(0) {
+            println!(
+                "sample budget unmeasured at rate {rate} \
+                 (no control step: fewer than 65,536 events fed)"
+            );
         } else {
-            "settled"
-        };
-        println!(
-            "sample budget {how} at rate {} ({:.1}% measured overhead, {} adjustments)",
-            session.cdc().sampler().current_rate(),
-            controller.last_overhead() * 100.0,
-            controller.adjustments()
-        );
+            let how = if parsed.value("--resume").is_some() {
+                "resumed"
+            } else {
+                "settled"
+            };
+            println!(
+                "sample budget {how} at rate {rate} ({:.1}% measured overhead, {} adjustments)",
+                controller.last_overhead() * 100.0,
+                controller.adjustments()
+            );
+        }
     }
     let Some(path) = parsed.value("--checkpoint").filter(|_| checkpoint) else {
         return Ok(());
@@ -708,9 +708,13 @@ fn run_maybe_sharded<S: SessionSink + ShardableSink>(
 }
 
 /// Publishes a finished session's metrics and returns its budget's
-/// last measured overhead, the `sample.overhead` ratio.
+/// last measured overhead, the `sample.overhead` ratio — `None` when no
+/// control step ran, so no overhead was measured.
 fn record_session<S: SessionSink>(session: &Session<S>, rec: &mut StatsRecorder) -> Option<f64> {
     session.record_metrics(rec);
+    if session.budget_control_steps()? == 0 {
+        return None;
+    }
     session.budget().map(RateController::last_overhead)
 }
 
@@ -1172,18 +1176,17 @@ fn print_container(path: &str) -> Result<ProfileKind, String> {
                 }
             }
             ChunkTag::SAMPLER_STATE => {
-                if let (Ok(tag), Ok(param), Ok(considered), Ok(kept)) = (
-                    read_varint(&mut cursor),
-                    read_varint(&mut cursor),
-                    read_varint(&mut cursor),
-                    read_varint(&mut cursor),
-                ) {
-                    let policy = match tag {
-                        0 => "off".to_owned(),
-                        1 => format!("periodic 1-in-{param}"),
-                        2 => format!("reservoir capacity {param}"),
-                        other => format!("unknown policy {other}"),
+                if let Ok(sampler) = Sampler::restore_state(&mut cursor) {
+                    let policy = match sampler.policy() {
+                        SamplingPolicy::Off => "off".to_owned(),
+                        SamplingPolicy::Periodic { rate } => format!("periodic 1-in-{rate}"),
+                        SamplingPolicy::Reservoir { capacity } => {
+                            format!("reservoir capacity {capacity}")
+                        }
                     };
+                    let SampleStats {
+                        considered, kept, ..
+                    } = sampler.stats();
                     println!("       sampling {policy}: kept {kept} of {considered} considered");
                 }
             }

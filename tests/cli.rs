@@ -1013,6 +1013,48 @@ fn budget_mode_reports_controller_metrics() {
     let _ = std::fs::remove_file(json);
 }
 
+/// A run shorter than one control interval never measures its overhead:
+/// it says so, reports no `sample.overhead`, and counts zero control
+/// steps in a schema-valid report.
+#[test]
+fn budget_without_a_control_step_reports_unmeasured() {
+    let json = tmp("budget-unmeasured.json");
+    let out = cli()
+        .args([
+            "run",
+            "--workload",
+            "164.gzip",
+            "--profiler",
+            "leap",
+            "--sample",
+            "budget=50%",
+            "--metrics-out",
+            json.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains(
+            "sample budget unmeasured at rate 1 \
+             (no control step: fewer than 65,536 events fed)"
+        ),
+        "{text}"
+    );
+    assert!(!text.contains("sample budget settled"), "{text}");
+    let doc = std::fs::read_to_string(&json).unwrap();
+    assert!(!doc.contains("sample.overhead"), "{doc}");
+    assert!(doc.contains("\"sample.control_steps\": 0"), "{doc}");
+    let schema = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("schemas/run_report.schema");
+    xtask::validate_report(&json, &schema).unwrap_or_else(|problems| panic!("{problems:#?}"));
+    let _ = std::fs::remove_file(json);
+}
+
 /// Regression (issue 10): `SamplingPolicy::Reservoir` existed in the
 /// library but no CLI flag reached it — `--sample reservoir=<k>` must
 /// open a reservoir-sampled session whose checkpoint inspects as one.

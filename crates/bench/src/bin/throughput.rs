@@ -22,8 +22,9 @@
 //!   hybrid grammars;
 //! * **WHOMP grammar pipeline** — end-to-end OMSG grammar mode with the
 //!   four dimension grammars built inline vs on 1/2/4 pipelined grammar
-//!   workers (`--grammar-workers`), including the grammar-vs-collection
-//!   gap;
+//!   workers (`PipelinedWhomp::spawn(n)`; `run --profiler whomp` takes
+//!   `PipelinedWhomp::default_workers()`), including the
+//!   grammar-vs-collection gap;
 //! * **LEAP collection** — the same stream into the LMAD profiler.
 //!
 //! The collection baseline ("single shard") is the **seed-equivalent**
@@ -733,7 +734,7 @@ fn main() -> std::process::ExitCode {
             "  \"benchmark\": \"throughput\",\n",
             "  \"available_parallelism\": {},\n",
             "  \"baseline\": \"seed-equivalent single-worker collection pipeline (bounded-channel ThreadedCdc translating via Omc::translate_reference); inline reference and fast-path collectors reported alongside\",\n",
-            "  \"note\": \"the whomp_grammar_pipeline section measures end-to-end OMSG grammar mode with construction moved off the collection thread (--grammar-workers) plus the Fx digram hasher, packed symbols and batched push; the sharded collection sections isolate the translation/collection stages; on a host with available_parallelism=1 the pipelined path degrades to inline by design, so the speedup-over-seed there reflects the serial Sequitur rewrite alone\",\n",
+            "  \"note\": \"the whomp_grammar_pipeline section measures end-to-end OMSG grammar mode with construction moved off the collection thread (PipelinedWhomp grammar workers) plus the Fx digram hasher, packed symbols and batched push; the sharded collection sections isolate the translation/collection stages; on a host with available_parallelism=1 the pipelined path degrades to inline by design, so the speedup-over-seed there reflects the serial Sequitur rewrite alone\",\n",
             "  \"workload\": {{ \"live_objects\": {}, \"chased_nodes\": {}, \"fields_per_node\": {}, \"timed_events\": {} }},\n",
             "  \"raw_translate\": {{\n",
             "    \"pointer_chase\": {},\n",

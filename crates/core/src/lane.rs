@@ -23,6 +23,26 @@
 use crate::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use crate::sync::thread::{self, JoinHandle};
 
+/// Queue depth, in batches, of every collection and grammar lane: two
+/// batches cover a worker's scheduling jitter (depth 1 lost ~5% of the
+/// WHOMP replay's throughput); deeper queues only hold more memory —
+/// depth 32 with 8192-symbol batches nearly doubled its peak RSS
+/// (DESIGN.md "Bounded lanes" and §13). Batch sizes stay per caller.
+#[cfg(not(loom))]
+pub const QUEUE_BATCHES: usize = 2;
+/// Model-checking build: depth 1 makes back-pressure (a full queue
+/// blocking the sender) reachable within a few items.
+#[cfg(loom)]
+pub const QUEUE_BATCHES: usize = 1;
+
+/// The most buffers a lane fed from one pending batch ever holds:
+/// [`QUEUE_BATCHES`] queued, one inside the worker, one pending on the
+/// feed side (see "Budget" above). Written out rather than derived, so
+/// that raising the depth fails the callers' lane-budget tests instead
+/// of showing up only as RSS.
+pub const LANE_BUFFERS: usize = 4;
+const _: () = assert!(QUEUE_BATCHES + 2 <= LANE_BUFFERS);
+
 /// A worker thread of a pipeline died by panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineError {

@@ -58,7 +58,7 @@ use orp_trace::{AccessEvent, AllocEvent, FreeEvent, InstrId, ProbeEvent, ProbeSi
 
 use orp_obs::Recorder;
 
-use crate::lane::{self, LaneSender, Msg, PipelineError, Worker};
+use crate::lane::{self, LaneSender, Msg, PipelineError, Worker, QUEUE_BATCHES};
 use crate::omc::FastU64Map;
 use crate::{GroupId, OrSink, OrTuple, Session};
 
@@ -77,23 +77,6 @@ pub const TUPLE_BATCH: usize = 8192;
 /// Model-checking build: tiny batches, as for [`EVENT_BATCH`].
 #[cfg(loom)]
 pub const TUPLE_BATCH: usize = 2;
-
-/// Queue depth, in batches, of the probe lane and every tuple lane:
-/// two batches cover a worker's scheduling jitter, deeper queues only
-/// hold more memory (DESIGN.md "Bounded lanes").
-#[cfg(not(loom))]
-const QUEUE_BATCHES: usize = 2;
-/// Model-checking build: depth 1 makes back-pressure (a full queue
-/// blocking the sender) reachable within a few events.
-#[cfg(loom)]
-const QUEUE_BATCHES: usize = 1;
-
-/// The most buffers one lane ever holds: [`QUEUE_BATCHES`] queued, one
-/// inside the worker, one pending on the feed side. Written out rather
-/// than derived, so that raising the depth fails the budget test
-/// instead of showing up only as RSS.
-const LANE_BUFFERS: usize = 4;
-const _: () = assert!(QUEUE_BATCHES + 2 <= LANE_BUFFERS);
 
 /// A profiler whose state is partitioned by a vertical-decomposition
 /// key, making it collectable on sharded workers.
@@ -599,6 +582,7 @@ impl<S: ShardableSink> Drop for ShardedCdc<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::LANE_BUFFERS;
     use crate::{SessionSink, VecOrSink};
     use orp_trace::{AllocSiteId, RawAddress};
 

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::io::{self, BufReader, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -32,7 +33,8 @@ use crate::{DONE_CLEAN, DONE_DEGRADED, FRAME_EVENTS, STATUS_BUSY, STATUS_OK, STA
 /// artifacts live, and how aggressively it checkpoints.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Unix-domain socket path to listen on (replaced if stale).
+    /// Unix-domain socket path to listen on. A stale socket (one nobody
+    /// listens on) is replaced; any other existing path is refused.
     pub socket: PathBuf,
     /// Directory for per-tenant artifacts: `<dir>/<tenant>.orp` holds
     /// the tenant's latest checkpoint while streaming and its final
@@ -104,14 +106,12 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Propagates socket and artifact-directory creation failures.
+    /// `AlreadyExists` when the socket path names something other than
+    /// a socket, `AddrInUse` when a daemon is listening on it; otherwise
+    /// propagates socket and artifact-directory creation failures.
     pub fn start(config: DaemonConfig) -> io::Result<Daemon> {
         std::fs::create_dir_all(&config.dir)?;
-        match std::fs::remove_file(&config.socket) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        clear_stale_socket(&config.socket)?;
         let listener = UnixListener::bind(&config.socket)?;
         let shared = Arc::new(Shared {
             config,
@@ -175,6 +175,34 @@ impl Daemon {
         crate::client::shutdown_daemon(self.socket())
             .map_err(|e| io::Error::other(e.to_string()))?;
         self.join()
+    }
+}
+
+/// Makes way for binding `path`. An absent path needs nothing, and a
+/// socket that refuses connections — a dead daemon's leftover — is
+/// unlinked. Anything else stays: a file that is not a socket
+/// (`AlreadyExists`), or the socket of a live daemon (`AddrInUse`),
+/// which would otherwise share its `--dir` with a second writer. The
+/// probe of a live daemon counts there as one disconnected session.
+fn clear_stale_socket(path: &Path) -> io::Result<()> {
+    let kind = match std::fs::symlink_metadata(path) {
+        Ok(meta) => meta.file_type(),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    if !kind.is_socket() {
+        return Err(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            format!("{} exists and is not a socket", path.display()),
+        ));
+    }
+    match UnixStream::connect(path) {
+        Ok(_) => Err(io::Error::new(
+            io::ErrorKind::AddrInUse,
+            format!("a daemon is already listening on {}", path.display()),
+        )),
+        Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => std::fs::remove_file(path),
+        Err(e) => Err(e),
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end daemon tests: many concurrent tenants, byte-identity with
 //! the inline session path, worker-death isolation, hostile frames and
-//! disconnect/resume.
+//! disconnect/resume, and which socket paths a daemon may take over.
 
 use std::io::{BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -402,5 +402,65 @@ fn shutdown_refuses_new_work_and_join_returns() {
     let daemon = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("daemon starts");
     shutdown_daemon(&socket).expect("shutdown handshake");
     daemon.join().expect("accept loop drains");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn start_refuses_a_socket_path_that_names_a_regular_file() {
+    let dir = tmp("not-a-socket");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("dir");
+    let victim = dir.join("victim.orp");
+    std::fs::write(&victim, b"precious").expect("victim file");
+    let Err(err) = Daemon::start(DaemonConfig::new(&victim, &dir)) else {
+        panic!("a regular file must not be replaced by a socket");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists, "{err}");
+    assert_eq!(
+        std::fs::read(&victim).expect("victim survives"),
+        b"precious"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_second_daemon_on_a_live_socket_is_refused_and_the_first_keeps_serving() {
+    let dir = tmp("live-socket");
+    let _ = std::fs::remove_dir_all(&dir);
+    let socket = dir.join("orpd.sock");
+    let daemon = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("daemon starts");
+    let Err(err) = Daemon::start(DaemonConfig::new(&socket, &dir)) else {
+        panic!("two daemons must not own one socket");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+
+    let events = workload_events(64, 3);
+    let done = stream_tenant(&socket, "survivor", &events).expect("first daemon still serves");
+    assert_eq!(done.status, DONE_CLEAN);
+    daemon.stop().expect("daemon drains");
+    let served = std::fs::read(dir.join("survivor.orp")).expect("artifact");
+    assert_eq!(served, inline_profile(&events));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stopped_daemons_stale_socket_is_replaced() {
+    let dir = tmp("stale-socket");
+    let _ = std::fs::remove_dir_all(&dir);
+    let socket = dir.join("orpd.sock");
+    let first = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("daemon starts");
+    first.stop().expect("daemon drains");
+    assert!(socket.exists(), "a stopped daemon leaves its socket behind");
+
+    let second = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("stale socket replaced");
+    // The replacement is the heir's live socket, guarded like any other.
+    let Err(err) = Daemon::start(DaemonConfig::new(&socket, &dir)) else {
+        panic!("the heir's socket must not be taken over in turn");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    let events = workload_events(16, 2);
+    let done = stream_tenant(&socket, "heir", &events).expect("second daemon serves");
+    assert_eq!(done.status, DONE_CLEAN);
+    second.stop().expect("daemon drains");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -44,7 +44,7 @@ mod pipeline;
 mod session;
 
 pub use hybrid::{HybridProfile, HybridProfiler, InstrGrammars};
-pub use pipeline::{GrammarPipelineStats, GrammarStreamStats, PipelinedRasg, PipelinedWhomp};
+pub use pipeline::{GrammarPipelineStats, GrammarStreamStats, PipelinedWhomp};
 
 use orp_core::{OrSink, OrTuple};
 use orp_sequitur::{Grammar, Sequitur};

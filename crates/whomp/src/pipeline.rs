@@ -6,11 +6,16 @@
 //! not move it. This module parallelizes the grammar stage itself,
 //! exploiting the decomposition structure the paper already gives us:
 //!
-//! * WHOMP's OMSG keeps one **independent** Sequitur per horizontal
-//!   dimension (instruction/group/object/offset) — four embarrassingly
-//!   parallel consumers ([`PipelinedWhomp`]);
-//! * RASG keeps a single record grammar, which still overlaps with the
-//!   probe side when moved off-thread ([`PipelinedRasg`]).
+//! WHOMP's OMSG keeps one **independent** Sequitur per horizontal
+//! dimension (instruction/group/object/offset) — four embarrassingly
+//! parallel consumers ([`PipelinedWhomp`]). The host picks the engine:
+//! [`PipelinedWhomp::default_workers`] runs one worker per dimension on
+//! a multi-CPU host and inline construction on one CPU.
+//!
+//! RASG, the paper's baseline, keeps a single record grammar and always
+//! grows it inline: one worker can only take batches handed to it, and
+//! it measured no faster than inline construction (EXPERIMENTS.md,
+//! "RASG on a grammar worker").
 //!
 //! The hybrid profiler needs no pipeline of its own: it is partitioned
 //! by instruction, a [`ShardableSink`](orp_core::ShardableSink), so it
@@ -29,8 +34,9 @@
 //! # In-flight memory
 //!
 //! By the lane budget, a one-stream lane never holds more than
-//! [`LANE_BUFFERS`] buffers of [`SYMBOL_BATCH`] symbols: 4 × 2048 × 8 B
-//! = 64 KiB per dimension, 256 KiB for the four WHOMP lanes; each
+//! [`LANE_BUFFERS`](orp_core::lane::LANE_BUFFERS) buffers of
+//! [`SYMBOL_BATCH`] symbols: 4 × 2048 × 8 B = 64 KiB per dimension,
+//! 256 KiB for the four WHOMP lanes; each
 //! further stream on a lane adds its pending buffer (DESIGN.md
 //! "Bounded lanes" and §13 have the measurements behind the constants).
 //!
@@ -48,7 +54,7 @@
 //!
 //! Sequitur is a deterministic function of its input stream. Each
 //! dimension's stream arrives at one worker complete and in order, so
-//! every per-dimension grammar — and therefore the OMSG/RASG container
+//! every per-dimension grammar — and therefore the OMSG container
 //! bytes — is byte-identical to sequential construction. The
 //! differential tests and golden fixtures pin this down.
 //!
@@ -65,13 +71,12 @@
 use std::io;
 use std::time::Instant;
 
-use orp_core::lane::{self, LaneSender, Msg, Reply, Worker};
+use orp_core::lane::{self, LaneSender, Msg, Reply, Worker, QUEUE_BATCHES};
 use orp_core::{OrSink, OrTuple, PipelineError};
 use orp_obs::Recorder;
 use orp_sequitur::Sequitur;
-use orp_trace::{AccessEvent, ProbeSink};
 
-use crate::{fuse, RasgProfiler, WhompProfiler};
+use crate::WhompProfiler;
 
 /// Symbols per batch shipped to a grammar worker. On the seven-trace
 /// WHOMP replay (DESIGN.md §13) 2048 matched 4096 in throughput at
@@ -84,24 +89,6 @@ const SYMBOL_BATCH: usize = 2048;
 #[cfg(loom)]
 const SYMBOL_BATCH: usize = 2;
 
-/// Queue depth, in batches, of every grammar lane.
-/// Two batches cover a worker's scheduling jitter (depth 1 lost ~5%
-/// throughput); deeper queues only hold more memory — depth 32 with
-/// 8192-symbol batches nearly doubled the replay's peak RSS.
-#[cfg(not(loom))]
-const QUEUE_BATCHES: usize = 2;
-/// Model-checking build: depth 1 makes back-pressure reachable.
-#[cfg(loom)]
-const QUEUE_BATCHES: usize = 1;
-
-/// The most buffers a lane serving one stream ever holds: the
-/// [`QUEUE_BATCHES`] queued, one inside the worker, one pending on the
-/// feed side (each further stream on the lane adds its pending buffer).
-/// Written out rather than derived, so that raising the queue depth
-/// fails the lane-budget test instead of showing up only as RSS.
-const LANE_BUFFERS: usize = 4;
-const _: () = assert!(QUEUE_BATCHES + 2 <= LANE_BUFFERS);
-
 /// The OMSG dimension names, in stream order.
 pub(crate) const DIMS: [&str; 4] = ["instruction", "group", "object", "offset"];
 
@@ -109,7 +96,7 @@ pub(crate) const DIMS: [&str; 4] = ["instruction", "group", "object", "offset"];
 /// thread; plain integers bumped inline, published only at join.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GrammarStreamStats {
-    /// Stream name: an OMSG dimension or `"records"` (RASG).
+    /// Stream name: an OMSG dimension.
     pub stream: &'static str,
     /// Symbols shipped into this stream's grammar.
     pub symbols: u64,
@@ -156,11 +143,6 @@ fn stream_counter_names(stream: &str) -> Option<(&'static str, &'static str, &'s
             "grammar.worker_busy_ns.offset",
             "grammar.batches.offset",
             "grammar.stalls.offset",
-        )),
-        "records" => Some((
-            "grammar.worker_busy_ns.records",
-            "grammar.batches.records",
-            "grammar.stalls.records",
         )),
         _ => None,
     }
@@ -506,101 +488,10 @@ impl Drop for PipelinedWhomp {
     }
 }
 
-/// [`RasgProfiler`] with grammar construction moved onto one worker
-/// thread, overlapping record-grammar growth with the probe side.
-///
-/// Implements [`ProbeSink`] directly, like the sequential RASG
-/// baseline — no object translation is involved.
-#[derive(Debug)]
-pub struct PipelinedRasg {
-    pending: Vec<u64>,
-    stats: GrammarStreamStats,
-    lane: SymbolLane,
-    worker: Option<GrammarWorker>,
-    accesses: u64,
-}
-
-impl PipelinedRasg {
-    /// Spawns an empty pipelined RASG profiler (always one worker —
-    /// there is a single record stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker thread cannot be spawned.
-    #[must_use]
-    pub fn spawn() -> Self {
-        let (lane, handle) = spawn_grammar_worker(0, vec![(0, Sequitur::new())]);
-        PipelinedRasg {
-            pending: Vec::with_capacity(SYMBOL_BATCH),
-            stats: GrammarStreamStats {
-                stream: "records",
-                ..GrammarStreamStats::default()
-            },
-            lane,
-            worker: Some(handle),
-            accesses: 0,
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.pending);
-        self.pending = ship(&mut self.lane, 0, batch, &mut self.stats);
-    }
-
-    /// Flushes remaining records, shuts the worker down and returns
-    /// the sequential [`RasgProfiler`] plus the worker totals.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] when the grammar worker panicked.
-    pub fn try_join(mut self) -> Result<(RasgProfiler, GrammarPipelineStats), PipelineError> {
-        self.flush();
-        self.lane.hang_up();
-        let mut streams = join_grammar_workers(self.worker.take().into_iter().collect())?;
-        let ws = streams.pop().expect("the RASG worker owns one stream");
-        let mut stats = self.stats;
-        stats.busy_ns = ws.busy_ns;
-        Ok((
-            RasgProfiler {
-                records: ws.seq,
-                accesses: self.accesses,
-            },
-            GrammarPipelineStats {
-                workers: 1,
-                streams: vec![stats],
-            },
-        ))
-    }
-}
-
-impl ProbeSink for PipelinedRasg {
-    fn access(&mut self, ev: AccessEvent) {
-        self.pending.push(fuse(ev.instr.0, ev.addr.0));
-        self.accesses += 1;
-        self.stats.symbols += 1;
-        if self.pending.len() >= SYMBOL_BATCH {
-            self.flush();
-        }
-    }
-
-    fn finish(&mut self) {
-        self.flush();
-    }
-}
-
-impl Drop for PipelinedRasg {
-    fn drop(&mut self) {
-        self.lane.hang_up();
-        let _ = join_grammar_workers(self.worker.take().into_iter().collect());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orp_core::lane::LANE_BUFFERS;
 
     /// A dead grammar worker must not take the feed side with it: the
     /// lane goes quiet (batches drop), later ships stay panic-free, and
@@ -611,10 +502,7 @@ mod tests {
     #[test]
     fn dead_worker_is_contained_and_named_at_join() {
         let (mut lane, handle) = spawn_grammar_worker(0, vec![(0, Sequitur::new())]);
-        let mut stats = GrammarStreamStats {
-            stream: "records",
-            ..GrammarStreamStats::default()
-        };
+        let mut stats = GrammarStreamStats::default();
 
         // Stream 7 is not owned by this worker: the routing `expect`
         // inside the worker loop panics it.
@@ -646,10 +534,7 @@ mod tests {
         reference.push_batch(&symbols);
 
         let (mut lane, handle) = spawn_grammar_worker(0, vec![(3, Sequitur::new())]);
-        let mut stats = GrammarStreamStats {
-            stream: "records",
-            ..GrammarStreamStats::default()
-        };
+        let mut stats = GrammarStreamStats::default();
         let mut buf = Vec::new();
         for chunk in symbols.chunks(9) {
             buf.clear();

@@ -1,4 +1,4 @@
-//! Differential tests: the pipelined grammar profilers (and the hybrid
+//! Differential tests: the pipelined WHOMP profiler (and the hybrid
 //! profiler on sharded lanes) must produce byte-identical output to
 //! sequential construction — container bytes,
 //! checkpoint state, checkpoints taken mid-run through the grammar
@@ -11,7 +11,7 @@ use orp_core::{
 use orp_trace::{
     AccessEvent, AccessKind, AllocEvent, AllocSiteId, InstrId, ProbeEvent, ProbeSink, RawAddress,
 };
-use orp_whomp::{HybridProfiler, PipelinedRasg, PipelinedWhomp, RasgProfiler, WhompProfiler};
+use orp_whomp::{HybridProfiler, PipelinedWhomp, WhompProfiler};
 use proptest::prelude::*;
 
 /// A probe script long enough to cross several symbol-batch boundaries
@@ -75,27 +75,6 @@ fn pipelined_whomp_omsg_bytes_match_sequential() {
             assert!(s.batches > 0, "stream {} never flushed", s.stream);
         }
     }
-}
-
-#[test]
-fn pipelined_rasg_bytes_match_sequential() {
-    let events = probe_events();
-
-    let mut inline = RasgProfiler::new();
-    drive(&mut inline, &events);
-    let mut reference = Vec::new();
-    inline.into_rasg().write_to(&mut reference).unwrap();
-
-    let mut pipe = PipelinedRasg::spawn();
-    drive(&mut pipe, &events);
-    let (profiler, stats) = pipe.try_join().expect("pipeline healthy");
-    let mut produced = Vec::new();
-    profiler.into_rasg().write_to(&mut produced).unwrap();
-    assert_eq!(produced, reference);
-
-    assert_eq!(stats.workers, 1);
-    assert_eq!(stats.streams[0].stream, "records");
-    assert_eq!(stats.streams[0].symbols, 25_600);
 }
 
 /// The hybrid profiler grows its grammars in parallel on the sharded

@@ -8,7 +8,6 @@
 //! orprof-cli run --from-trace gzip.orpt --profiler leap --out gzip.orp
 //! orprof-cli run --from-trace rest.orpt --resume ckpt.orp --profiler leap
 //! orprof-cli run --workload micro.matrix --profiler leap --shards 4
-//! orprof-cli run --workload micro.matrix --profiler whomp --grammar-workers 0   # inline grammars
 //! orprof-cli run --workload micro.matrix --profiler whomp --stats --metrics-out m.json
 //! orprof-cli record --workload 164.gzip --out gzip.orpt
 //! orprof-cli optimize --workload micro.linked-list --plan-out ll.plan.orp --stats
@@ -62,8 +61,7 @@ use orprof::phase::PhaseDetector;
 use orprof::sequitur::Grammar;
 use orprof::trace::{AccessEvent, AllocEvent, CountingSink, FreeEvent, NullSink, ProbeSink};
 use orprof::whomp::{
-    HybridProfile, HybridProfiler, Omsg, PipelinedRasg, PipelinedWhomp, Rasg, RasgProfiler,
-    WhompProfiler,
+    HybridProfile, HybridProfiler, Omsg, PipelinedWhomp, Rasg, RasgProfiler, WhompProfiler,
 };
 use orprof::workloads::{micro_suite, spec_suite, RunConfig, Tracer, Workload};
 
@@ -71,7 +69,7 @@ fn usage() -> &'static str {
     "usage:\n  orprof-cli list\n  orprof-cli run (--workload <name> | --from-trace <file>) \
      --profiler <whomp|rasg|leap|hybrid> [--out <file>] [--scale <n>] \
      [--allocator <bump|free-list|buddy|randomizing>] [--seed <n>] [--shards <n>] [--salvage] \
-     [--grammar-workers <n>] [--resume <checkpoint.orp>] [--checkpoint <file>] \
+     [--resume <checkpoint.orp>] [--checkpoint <file>] \
      [--sample rate=<n>|budget=<p>%|reservoir=<k>] \
      [--stats] [--metrics-out <file.json>] [--embed-report] [--fault-plan <spec>]\n  \
      orprof-cli record --workload <name> --out <file> [--scale <n>] [--allocator ..] [--seed <n>] \
@@ -79,13 +77,13 @@ fn usage() -> &'static str {
      orprof-cli optimize (--workload <name> | --from-trace <file>) [--scale <n>] \
      [--allocator ..] [--seed <n>] [--plan-out <file>] [--top <n>] \
      [--stats] [--metrics-out <file.json>] [--fault-plan <spec>]\n  \
-     orprof-cli serve --socket <path> --dir <path> [--checkpoint-events <n>] [--credits <n>] \
+     orprof-cli serve --socket <path> --dir <path> [--checkpoint-events <n>] \
      [--stats] [--metrics-out <file.json>] [--fault-plan <spec>]\n  \
      orprof-cli inspect <file>\n  orprof-cli report <file>\n\n\
      shards: leap and hybrid collect on N key-partitioned lanes, byte-identical to \
      --shards 1; sharded runs checkpoint and resume like inline ones\n\
-     grammar workers (whomp, rasg): 0 builds grammars inline; whomp defaults to one \
-     worker per dimension on a multi-CPU host, rasg to inline\n\
+     grammars: whomp grows its four dimension grammars on worker threads on a \
+     multi-CPU host and inline on one CPU; rasg grows its record grammar inline\n\
      fault plans (also via ORP_FAULT_PLAN): io-error@n=K, short-write@n=K, \
      interrupt@n=K[xT], would-block@n=K[xT], crash@byte=B"
 }
@@ -167,7 +165,6 @@ const RUN_FLAGS: FlagSpec = FlagSpec {
         "--allocator",
         "--seed",
         "--shards",
-        "--grammar-workers",
         "--resume",
         "--checkpoint",
         "--sample",
@@ -214,7 +211,6 @@ const SERVE_FLAGS: FlagSpec = FlagSpec {
         "--socket",
         "--dir",
         "--checkpoint-events",
-        "--credits",
         "--metrics-out",
         "--fault-plan",
     ],
@@ -775,13 +771,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(n) = parsed.value("--checkpoint-events") {
         config.checkpoint_events = n.parse().map_err(|_| "bad --checkpoint-events")?;
     }
-    if let Some(n) = parsed.value("--credits") {
-        let credits: usize = n.parse().map_err(|_| "bad --credits")?;
-        if credits == 0 {
-            return Err("--credits must be at least 1".to_owned());
-        }
-        config.credit_frames = credits;
-    }
     let daemon = Daemon::start(config).map_err(|e| format!("serve on {socket}: {e}"))?;
     println!("orpd listening on {socket}, tenant artifacts in {dir}");
     let stats = daemon.stats_handle();
@@ -844,22 +833,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         Ok(())
     };
-    // 0 = build grammars inline on the collection thread; N > 0 moves
-    // construction onto N pipelined grammar workers (see DESIGN.md §13).
-    // Unpinned, WHOMP takes one worker per dimension on a multi-CPU host
-    // and the other grammar profilers stay inline.
-    let grammar_workers: Option<usize> = parsed
-        .value("--grammar-workers")
-        .map(|s| s.parse().map_err(|_| "bad --grammar-workers"))
-        .transpose()?;
-    let no_grammar_workers = |why: &str| -> Result<(), String> {
-        if grammar_workers.is_some_and(|n| n > 0) {
-            return Err(format!(
-                "--grammar-workers applies to whomp and rasg; {why}"
-            ));
-        }
-        Ok(())
-    };
     let sample = parse_sample(&parsed)?;
     if sample.is_some() && parsed.value("--resume").is_some() {
         // A sampled checkpoint carries its own admission state; letting
@@ -887,7 +860,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let profile_bytes = match profiler.as_str() {
         "leap" => {
-            no_grammar_workers("leap builds no grammars")?;
             let (session, outcome, pstats) =
                 run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| LeapProfiler::new())?;
             overhead = record_session(&session, &mut rec);
@@ -915,7 +887,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         "whomp" => {
             no_shards("whomp's global grammars")?;
-            let workers = grammar_workers.unwrap_or_else(PipelinedWhomp::default_workers);
+            // The host picks the engine (DESIGN.md §13): one grammar
+            // worker per dimension on a multi-CPU host, inline on one.
+            let workers = PipelinedWhomp::default_workers();
             let (profiler, outcome) = if workers > 0 {
                 let (session, outcome) = run_session(
                     &parsed,
@@ -954,7 +928,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             serialize_profile(|w| omsg.write_to(w))?
         }
         "hybrid" => {
-            no_grammar_workers("hybrid grows its per-instruction grammars on --shards lanes")?;
             let (session, outcome, pstats) =
                 run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| HybridProfiler::new())?;
             overhead = record_session(&session, &mut rec);
@@ -987,23 +960,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                             object-relative profilers (leap, whomp, hybrid)"
                     .to_owned());
             }
-            let profiler = if grammar_workers.is_some_and(|n| n > 0) {
-                // The RASG record stream is one grammar; extra workers
-                // would idle, so the pipeline always spawns exactly one.
-                let mut pipe = PipelinedRasg::spawn();
-                let outcome = drive(&parsed, &mut ctx, &mut pipe)?;
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                let (profiler, gstats) = pipe.try_join().map_err(|e| e.to_string())?;
-                gstats.record_metrics(&mut rec);
-                profiler
-            } else {
-                let mut p = RasgProfiler::new();
-                let outcome = drive(&parsed, &mut ctx, &mut p)?;
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                p
-            };
+            let mut profiler = RasgProfiler::new();
+            let outcome = drive(&parsed, &mut ctx, &mut profiler)?;
+            report.events = outcome.events;
+            absorb_trace_io(&mut rec, &outcome);
             profiler.record_grammar_metrics(&mut rec);
             let rasg = profiler.into_rasg();
             println!(

@@ -683,80 +683,61 @@ fn inspect_rejects_garbage_files() {
     let _ = std::fs::remove_file(garbage);
 }
 
-#[test]
-fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
-    let seq = tmp("grammar-seq.orp");
-    let pipe = tmp("grammar-pipe.orp");
-    let json = tmp("grammar-pipe.json");
-    for (out_path, workers) in [(&seq, "0"), (&pipe, "4")] {
-        let out = cli()
-            .args([
-                "run",
-                "--workload",
-                "micro.matrix",
-                "--profiler",
-                "whomp",
-                "--out",
-                out_path.to_str().unwrap(),
-                "--metrics-out",
-                json.to_str().unwrap(),
-                "--grammar-workers",
-                workers,
-            ])
-            .output()
-            .expect("spawn");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    assert_eq!(
-        std::fs::read(&seq).unwrap(),
-        std::fs::read(&pipe).unwrap(),
-        "pipelined grammar construction must not change the profile"
-    );
-    let doc = std::fs::read_to_string(&json).unwrap();
-    assert!(doc.contains("grammar.workers"), "{doc}");
-    assert!(doc.contains("grammar.rules.offset"), "{doc}");
-    assert!(doc.contains("grammar.symbols.instruction"), "{doc}");
-    assert!(doc.contains("grammar.batches.object"), "{doc}");
-    assert!(doc.contains("grammar.worker_busy_ns.group"), "{doc}");
-    for p in [&seq, &pipe, &json] {
-        let _ = std::fs::remove_file(p);
-    }
+/// The inline reference every WHOMP engine must reproduce: a
+/// `Session<WhompProfiler>` built in-process, fresh or resumed from
+/// `resume`, fed `micro.matrix` as `run --workload micro.matrix` builds
+/// it. Returns its checkpoint and its profile.
+fn inline_whomp(resume: Option<&[u8]>) -> (Vec<u8>, Vec<u8>) {
+    use orprof::core::Session;
+    use orprof::whomp::WhompProfiler;
+    use orprof::workloads::{micro, RunConfig, Workload};
+    let mut session = match resume {
+        Some(mut ckpt) => Session::<WhompProfiler>::resume(&mut ckpt).expect("resume"),
+        None => Session::new(WhompProfiler::new()),
+    };
+    micro::Matrix::new(64, 8).run_with(&RunConfig::default(), &mut session);
+    let mut checkpoint = Vec::new();
+    session.checkpoint(&mut checkpoint).expect("checkpoint");
+    let mut profile = Vec::new();
+    let omsg = session.into_cdc().into_parts().1.into_omsg();
+    omsg.write_to(&mut profile).expect("profile");
+    (checkpoint, profile)
 }
 
+fn multi_cpu() -> bool {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
+}
+
+/// The CLI's default WHOMP engine — grammar workers on a multi-CPU
+/// host, inline on one — writes the inline profile byte for byte, and
+/// reports its workers when it ran them.
 #[test]
-fn grammar_workers_rejects_incompatible_flag_combinations() {
-    for args in [
-        &["--profiler", "leap", "--grammar-workers", "2"][..],
-        &["--profiler", "hybrid", "--grammar-workers", "2"][..],
-        &[
-            "--profiler",
-            "hybrid",
-            "--grammar-workers",
-            "2",
-            "--shards",
-            "2",
-        ][..],
-        &[
-            "--profiler",
-            "hybrid",
-            "--grammar-workers",
-            "2",
-            "--resume",
-            "x.orp",
-        ][..],
+fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
+    let profile = tmp("grammar-default.orp");
+    let json = tmp("grammar-default.json");
+    run_whomp(&[
+        "--out",
+        profile.to_str().unwrap(),
+        "--metrics-out",
+        json.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        std::fs::read(&profile).unwrap(),
+        inline_whomp(None).1,
+        "the default grammar engine must not change the profile"
+    );
+    let doc = std::fs::read_to_string(&json).unwrap();
+    assert!(doc.contains("grammar.rules.offset"), "{doc}");
+    assert!(doc.contains("grammar.symbols.instruction"), "{doc}");
+    for key in [
+        "grammar.workers",
+        "grammar.batches.object",
+        "grammar.worker_busy_ns.group",
     ] {
-        let out = cli()
-            .args(["run", "--workload", "micro.matrix"])
-            .args(args)
-            .output()
-            .expect("spawn");
-        assert!(!out.status.success(), "should reject: {args:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("error:"), "{err}");
+        assert_eq!(doc.contains(key), multi_cpu(), "{key}: {doc}");
+    }
+    for p in [&profile, &json] {
+        let _ = std::fs::remove_file(p);
     }
 }
 
@@ -777,80 +758,52 @@ fn run_whomp(extra: &[&str]) -> String {
 }
 
 /// A checkpoint is a barrier through the grammar workers, not a
-/// reason to refuse them: the default engine, pinned workers and the
-/// inline grammar all write the same checkpoint bytes.
+/// reason to refuse them: the default engine writes the inline
+/// session's checkpoint bytes.
 #[test]
 fn whomp_checkpoints_are_identical_on_every_grammar_engine() {
-    let paths: Vec<PathBuf> = ["default", "inline", "workers"]
-        .iter()
-        .map(|name| tmp(&format!("engine-ckpt-{name}.orp")))
-        .collect();
-    for (path, pin) in paths.iter().zip([None, Some("0"), Some("4")]) {
-        let mut args = vec!["--checkpoint", path.to_str().unwrap()];
-        if let Some(n) = pin {
-            args.extend(["--grammar-workers", n]);
-        }
-        run_whomp(&args);
-    }
-    let inline = std::fs::read(&paths[1]).unwrap();
-    assert_eq!(std::fs::read(&paths[0]).unwrap(), inline, "default engine");
+    let path = tmp("engine-ckpt.orp");
+    run_whomp(&["--checkpoint", path.to_str().unwrap()]);
     assert_eq!(
-        std::fs::read(&paths[2]).unwrap(),
-        inline,
-        "4 grammar workers"
+        std::fs::read(&path).unwrap(),
+        inline_whomp(None).0,
+        "default engine"
     );
-    for p in paths {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(path);
 }
 
-/// A checkpoint written on grammar workers resumes inline, and an
-/// inline one resumes on grammar workers, to the same final profile as
-/// an inline run resumed inline.
+/// A checkpoint written by the default engine resumes in an inline
+/// session, and an inline one resumes on the default engine, to the
+/// same final profile as an inline session resumed inline.
 #[test]
 fn whomp_checkpoints_resume_across_grammar_engines() {
-    let ckpt_inline = tmp("cross-inline.ckpt");
-    let ckpt_workers = tmp("cross-workers.ckpt");
-    run_whomp(&[
-        "--grammar-workers",
-        "0",
-        "--checkpoint",
-        ckpt_inline.to_str().unwrap(),
-    ]);
-    run_whomp(&[
-        "--grammar-workers",
-        "4",
-        "--checkpoint",
-        ckpt_workers.to_str().unwrap(),
-    ]);
+    let (inline_ckpt, _) = inline_whomp(None);
+    let reference = inline_whomp(Some(&inline_ckpt)).1;
 
-    let resume = |ckpt: &PathBuf, workers: &str, name: &str| {
-        let out = tmp(name);
-        let text = run_whomp(&[
-            "--resume",
-            ckpt.to_str().unwrap(),
-            "--grammar-workers",
-            workers,
-            "--out",
-            out.to_str().unwrap(),
-        ]);
-        assert!(text.contains("resumed from checkpoint"), "{text}");
-        let bytes = std::fs::read(&out).unwrap();
-        let _ = std::fs::remove_file(out);
-        bytes
-    };
-    let reference = resume(&ckpt_inline, "0", "cross-ref.orpw");
+    let cli_ckpt = tmp("cross-default.ckpt");
+    run_whomp(&["--checkpoint", cli_ckpt.to_str().unwrap()]);
     assert_eq!(
-        resume(&ckpt_workers, "0", "cross-w2i.orpw"),
+        inline_whomp(Some(&std::fs::read(&cli_ckpt).unwrap())).1,
         reference,
-        "worker checkpoint resumed inline"
+        "default-engine checkpoint resumed inline"
     );
+
+    let inline_path = tmp("cross-inline.ckpt");
+    let out = tmp("cross-i2d.orpw");
+    std::fs::write(&inline_path, &inline_ckpt).unwrap();
+    let text = run_whomp(&[
+        "--resume",
+        inline_path.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(text.contains("resumed from checkpoint"), "{text}");
     assert_eq!(
-        resume(&ckpt_inline, "2", "cross-i2w.orpw"),
+        std::fs::read(&out).unwrap(),
         reference,
-        "inline checkpoint resumed on grammar workers"
+        "inline checkpoint resumed on the default engine"
     );
-    for p in [ckpt_inline, ckpt_workers] {
+    for p in [cli_ckpt, inline_path, out] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -872,8 +825,7 @@ fn budget_sampled_whomp_runs_on_the_default_engine() {
     assert!(text.contains("sample budget settled at rate"), "{text}");
     let doc = std::fs::read_to_string(&json).unwrap();
     assert!(doc.contains("sample.adjustments"), "{doc}");
-    let multi_cpu = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
-    assert_eq!(doc.contains("grammar.workers"), multi_cpu, "{doc}");
+    assert_eq!(doc.contains("grammar.workers"), multi_cpu(), "{doc}");
 
     let out = cli()
         .args(["inspect", profile.to_str().unwrap()])
@@ -894,7 +846,7 @@ fn budget_sampled_whomp_runs_on_the_default_engine() {
 #[test]
 fn sequential_grammar_runs_also_report_grammar_shape() {
     // The grammar.rules/grammar.symbols families are profiler facts,
-    // not pipeline facts: they must appear without --grammar-workers.
+    // not pipeline facts: rasg, always inline, reports them too.
     let json = tmp("grammar-shape.json");
     let out = cli()
         .args([
@@ -917,6 +869,8 @@ fn sequential_grammar_runs_also_report_grammar_shape() {
     assert!(doc.contains("grammar.rules.records"), "{doc}");
     assert!(doc.contains("grammar.symbols.records"), "{doc}");
     assert!(!doc.contains("grammar.workers"), "{doc}");
+    let schema = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("schemas/run_report.schema");
+    xtask::validate_report(&json, &schema).unwrap_or_else(|problems| panic!("{problems:#?}"));
     let _ = std::fs::remove_file(json);
 }
 

@@ -16,7 +16,7 @@ use orp_core::{Cdc, Omc, Session, Timestamp};
 use orp_leap::LeapProfiler;
 use orp_lmad::LinearCompressor;
 use orp_obs::NoopRecorder;
-use orp_sequitur::{FxBuildHasher, Sequitur};
+use orp_sequitur::Sequitur;
 use orp_trace::{AllocSiteId, InstrId, NullSink, ProbeSink};
 use orp_whomp::{HybridProfiler, PipelinedWhomp, RasgProfiler, WhompProfiler};
 use orp_workloads::{micro, spec, RunConfig, Tracer, Workload};
@@ -304,33 +304,14 @@ fn bench_sequitur_push(c: &mut Criterion) {
         });
     });
 
-    // The digram-index workload in isolation: the same insert/lookup/
-    // remove mix Sequitur drives, on the default SipHash map vs the
-    // hand-rolled Fx map. (`Sym` is crate-private, so the key is the
-    // equivalent two-word tuple.)
-    let keys: Vec<(u64, u64)> = (0..n).map(|i| (i % 251, i % 241)).collect();
-    group.bench_function("digram_map_siphash", |b| {
+    // All-distinct terminals form no rule, so every digram stays
+    // live: the shape where the digram index is largest.
+    let distinct: Vec<u64> = (0..n).collect();
+    group.bench_function("push_batch_incompressible", |b| {
         b.iter(|| {
-            let mut map: std::collections::HashMap<(u64, u64), u32> =
-                std::collections::HashMap::new();
-            for (i, &k) in keys.iter().enumerate() {
-                if map.insert(k, i as u32).is_some() {
-                    map.remove(&k);
-                }
-            }
-            black_box(map.len())
-        });
-    });
-    group.bench_function("digram_map_fx", |b| {
-        b.iter(|| {
-            let mut map: std::collections::HashMap<(u64, u64), u32, FxBuildHasher> =
-                std::collections::HashMap::default();
-            for (i, &k) in keys.iter().enumerate() {
-                if map.insert(k, i as u32).is_some() {
-                    map.remove(&k);
-                }
-            }
-            black_box(map.len())
+            let mut seq = Sequitur::new();
+            seq.push_batch(&distinct);
+            black_box(seq.size())
         });
     });
     group.finish();

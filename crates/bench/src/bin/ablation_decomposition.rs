@@ -67,7 +67,8 @@ fn main() {
         let mut cdc = Cdc::new(Omc::new(), OrFused::default());
         run(workload.as_ref(), &cfg, &mut cdc);
         let fused_profiler = cdc.into_parts().1;
-        let or_fused = fused_profiler.seq.grammar().encoded_bytes() + fused_profiler.dict_bytes;
+        let or_fused =
+            fused_profiler.seq.into_grammar().encoded_bytes() + fused_profiler.dict_bytes;
 
         table.row_vec(vec![
             workload.name().to_owned(),

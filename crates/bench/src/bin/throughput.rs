@@ -733,8 +733,8 @@ fn main() -> std::process::ExitCode {
             "{{\n",
             "  \"benchmark\": \"throughput\",\n",
             "  \"available_parallelism\": {},\n",
-            "  \"baseline\": \"seed-equivalent single-worker collection pipeline (bounded-channel ThreadedCdc translating via Omc::translate_reference); inline reference and fast-path collectors reported alongside\",\n",
-            "  \"note\": \"the whomp_grammar_pipeline section measures end-to-end OMSG grammar mode with construction moved off the collection thread (PipelinedWhomp grammar workers) plus the Fx digram hasher, packed symbols and batched push; the sharded collection sections isolate the translation/collection stages; on a host with available_parallelism=1 the pipelined path degrades to inline by design, so the speedup-over-seed there reflects the serial Sequitur rewrite alone\",\n",
+            "  \"baseline\": \"seed-equivalent single-worker collection pipeline (the bench's ThreadedReferenceCdc: one worker on a bounded channel translating via Omc::translate_reference); inline reference and fast-path collectors reported alongside\",\n",
+            "  \"note\": \"the whomp_grammar_pipeline section measures end-to-end OMSG grammar mode with construction moved off the collection thread (PipelinedWhomp grammar workers) plus the arena-keyed digram index, packed symbols and batched push; the sharded collection sections isolate the translation/collection stages; on a host with available_parallelism=1 the pipelined path degrades to inline by design, so the speedup-over-seed there reflects the serial Sequitur rewrite alone\",\n",
             "  \"workload\": {{ \"live_objects\": {}, \"chased_nodes\": {}, \"fields_per_node\": {}, \"timed_events\": {} }},\n",
             "  \"raw_translate\": {{\n",
             "    \"pointer_chase\": {},\n",

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::io::{self, BufReader, Write};
-use std::os::unix::fs::FileTypeExt;
+use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -99,6 +99,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct Daemon {
     accept: JoinHandle<io::Result<()>>,
     shared: Arc<Shared>,
+    /// The bound socket file's `(dev, ino)`: a clean exit unlinks the
+    /// path only while it still names this daemon's own socket.
+    socket_id: (u64, u64),
 }
 
 impl Daemon {
@@ -113,6 +116,7 @@ impl Daemon {
         std::fs::create_dir_all(&config.dir)?;
         clear_stale_socket(&config.socket)?;
         let listener = UnixListener::bind(&config.socket)?;
+        let socket_id = file_id(&config.socket)?;
         let shared = Arc::new(Shared {
             config,
             stats: Arc::new(OrpdStats::default()),
@@ -124,7 +128,11 @@ impl Daemon {
             let shared = Arc::clone(&shared);
             move || accept_loop(&listener, &shared)
         });
-        Ok(Daemon { accept, shared })
+        Ok(Daemon {
+            accept,
+            shared,
+            socket_id,
+        })
     }
 
     /// The daemon's lifetime totals (live; atomically updated).
@@ -147,7 +155,8 @@ impl Daemon {
     }
 
     /// Waits for the accept loop to exit (a shutdown handshake) and for
-    /// every connection to drain.
+    /// every connection to drain, then, after a clean exit, unlinks the
+    /// socket file if the path still names the one this daemon bound.
     ///
     /// # Errors
     ///
@@ -161,6 +170,12 @@ impl Daemon {
         let conns = std::mem::take(&mut *lock(&self.shared.conns));
         for handle in conns {
             let _ = handle.join();
+        }
+        let socket = &self.shared.config.socket;
+        if result.is_ok() && file_id(socket).ok() == Some(self.socket_id) {
+            // Best effort: a path that vanished or was replaced in the
+            // meantime is not this daemon's to remove.
+            let _ = std::fs::remove_file(socket);
         }
         result
     }
@@ -176,6 +191,13 @@ impl Daemon {
             .map_err(|e| io::Error::other(e.to_string()))?;
         self.join()
     }
+}
+
+/// The `(dev, ino)` identity of the file at `path` (not following a
+/// symlink).
+fn file_id(path: &Path) -> io::Result<(u64, u64)> {
+    let meta = std::fs::symlink_metadata(path)?;
+    Ok((meta.dev(), meta.ino()))
 }
 
 /// Makes way for binding `path`. An absent path needs nothing, and a

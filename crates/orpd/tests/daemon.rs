@@ -450,7 +450,18 @@ fn a_stopped_daemons_stale_socket_is_replaced() {
     let socket = dir.join("orpd.sock");
     let first = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("daemon starts");
     first.stop().expect("daemon drains");
-    assert!(socket.exists(), "a stopped daemon leaves its socket behind");
+    assert!(
+        !socket.exists(),
+        "a cleanly stopped daemon unlinks its socket"
+    );
+
+    // A killed daemon's leftover: std does not unlink a socket file
+    // when its listener drops.
+    drop(std::os::unix::net::UnixListener::bind(&socket).expect("bind a stale socket"));
+    assert!(
+        socket.exists(),
+        "the dropped listener leaves its socket behind"
+    );
 
     let second = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("stale socket replaced");
     // The replacement is the heir's live socket, guarded like any other.

@@ -1,27 +1,27 @@
-//! A hand-rolled multiply-rotate hasher for the digram index.
+//! A hand-rolled multiply-rotate hasher for grammar construction.
 //!
 //! `std`'s default `HashMap` hasher is SipHash-1-3 — keyed and
-//! DoS-resistant, but ~10x slower than necessary for the digram index,
-//! whose keys are two fixed-size [`Sym`](crate::Sequitur)s built from
+//! DoS-resistant, but ~10x slower than necessary for keys built from
 //! profiler-internal ids (not attacker-controlled collision fodder).
-//! Every [`Sequitur::push`](crate::Sequitur::push) performs one to
-//! three digram-map operations, so the hasher sits squarely on the
-//! grammar-construction hot path; profiling showed it dominating the
-//! per-symbol cost (see DESIGN.md §13).
+//! When the digram index was a std `HashMap`, the hasher dominated the
+//! per-symbol cost of [`Sequitur::push`](crate::Sequitur::push)
+//! (DESIGN.md §13). Today the digram table (`digram.rs`) hashes its
+//! two-symbol keys with this fold directly, and the large-terminal
+//! intern map and the invariant checker use [`FxBuildHasher`].
 //!
-//! The replacement is the classic Fx/FNV-style word-at-a-time fold
-//! used by rustc's own hash maps: for each written word,
+//! The fold is the classic Fx/FNV-style word-at-a-time one used by
+//! rustc's own hash maps: for each written word,
 //! `state = (state <<< 5 ^ word) * K` with an odd 64-bit multiplier.
 //! It is implemented by hand here because the workspace takes no
 //! external dependencies.
 //!
-//! Swapping the hasher cannot change any grammar the compressor
-//! produces: the digram index is only ever read through point lookups
-//! (`get`/`insert`/`remove`), never iterated during construction, and
-//! checkpoint serialization sorts the entries by key
+//! The hasher cannot change any grammar the compressor produces: the
+//! digram index is only ever read through point lookups, never
+//! iterated during construction, and checkpoint serialization sorts
+//! the entries by key
 //! ([`Sequitur::save_state`](crate::Sequitur::save_state)). Hash
 //! order is therefore unobservable, and output stays byte-identical
-//! to the SipHash build — the differential and golden-fixture tests
+//! to a SipHash build — the differential and golden-fixture tests
 //! pin this down.
 
 use std::hash::{BuildHasher, Hasher};

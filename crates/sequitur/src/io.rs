@@ -23,6 +23,7 @@ use orp_format::{
     ProfileKind,
 };
 
+use crate::digram::{key_at, DigramTable};
 use crate::{Grammar, GrammarSymbol, Node, RuleId, RuleSlot, Sequitur, Sym, NIL};
 
 fn bad_data(msg: &'static str) -> io::Error {
@@ -222,6 +223,30 @@ impl Sequitur {
             _ => return Err(bad_data("unknown symbol tag")),
         })
     }
+
+    /// Validates a restored digram entry against the restored arena.
+    /// The index reads its keys back from the arena, so an entry whose
+    /// node is free, ends its rule, or starts a different digram would
+    /// make a later probe read garbage or index past the arena.
+    fn check_digram_entry(&self, (a, b): (Sym, Sym), node: u32) -> io::Result<()> {
+        let live = |s: Sym| s != Sym::FREE && !s.is_guard();
+        if !live(a) || !live(b) {
+            return Err(bad_data("digram key holds a guard or free symbol"));
+        }
+        let node_at = |n: u32| self.nodes.get(n as usize).map(|n| (n.sym, n.next));
+        let Some((first, next)) = node_at(node).filter(|&(sym, _)| sym != Sym::FREE) else {
+            return Err(bad_data("digram entry names a free node"));
+        };
+        let Some((second, _)) = node_at(next).filter(|&(sym, _)| live(sym)) else {
+            return Err(bad_data("digram entry's node starts no digram"));
+        };
+        if (first, second) != (a, b) {
+            return Err(bad_data(
+                "digram entry's key differs from its node's digram",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Reads a node/rule index that may be the `NIL` sentinel; anything
@@ -245,6 +270,19 @@ impl Sequitur {
     ///
     /// Propagates writer errors.
     pub fn save_state(&self, w: &mut impl Write) -> io::Result<()> {
+        self.write_arena(w)?;
+        let mut digrams: Vec<((Sym, Sym), u32)> = self
+            .digrams
+            .iter()
+            .map(|node| (key_at(&self.nodes, node), node))
+            .collect();
+        digrams.sort_by_key(|((a, b), _)| (self.sym_key(*a), self.sym_key(*b)));
+        self.write_digrams(w, &digrams)
+    }
+
+    /// The checkpoint's arena part: input length, nodes, free nodes,
+    /// rule slots and free rules.
+    fn write_arena(&self, w: &mut impl Write) -> io::Result<()> {
         write_varint(w, self.input_len)?;
         write_varint(w, self.nodes.len() as u64)?;
         for node in &self.nodes {
@@ -265,12 +303,15 @@ impl Sequitur {
         for &idx in &self.free_rules {
             write_varint(w, u64::from(idx))?;
         }
-        let mut digrams: Vec<(&(Sym, Sym), &u32)> = self.digrams.iter().collect();
-        digrams.sort_by_key(|((a, b), _)| (self.sym_key(*a), self.sym_key(*b)));
+        Ok(())
+    }
+
+    /// The checkpoint's digram part: the entries as given.
+    fn write_digrams(&self, w: &mut impl Write, digrams: &[((Sym, Sym), u32)]) -> io::Result<()> {
         write_varint(w, digrams.len() as u64)?;
-        for ((a, b), &node) in digrams {
-            self.write_sym(w, *a)?;
-            self.write_sym(w, *b)?;
+        for &((a, b), node) in digrams {
+            self.write_sym(w, a)?;
+            self.write_sym(w, b)?;
             write_varint(w, u64::from(node))?;
         }
         Ok(())
@@ -284,8 +325,9 @@ impl Sequitur {
     ///
     /// # Errors
     ///
-    /// Propagates reader errors; rejects out-of-range indices and
-    /// unknown symbol tags.
+    /// Propagates reader errors; rejects out-of-range indices, unknown
+    /// symbol tags, and digram entries that do not name a live node
+    /// starting exactly their digram.
     pub fn restore_state(r: &mut impl Read) -> io::Result<Self> {
         let mut seq = Sequitur::blank();
         seq.input_len = read_varint(r)?;
@@ -311,6 +353,9 @@ impl Sequitur {
             let idx = read_index(r, node_count)?;
             if idx == NIL {
                 return Err(bad_data("NIL on the free-node list"));
+            }
+            if seq.nodes.get(idx as usize).map(|n| n.sym) != Some(Sym::FREE) {
+                return Err(bad_data("free-node list names a live node"));
             }
             seq.free_nodes.push(idx);
         }
@@ -343,7 +388,7 @@ impl Sequitur {
         if digram_count > node_count {
             return Err(bad_data("more digrams than nodes"));
         }
-        seq.digrams.reserve(digram_count.min(1 << 20));
+        seq.digrams = DigramTable::with_capacity(digram_count.min(1 << 20));
         for _ in 0..digram_count {
             let a = seq.read_sym(r)?;
             let b = seq.read_sym(r)?;
@@ -351,7 +396,8 @@ impl Sequitur {
             if node == NIL {
                 return Err(bad_data("NIL digram node"));
             }
-            seq.digrams.insert((a, b), node);
+            seq.check_digram_entry((a, b), node)?;
+            seq.digrams.insert(&seq.nodes, (a, b), node);
         }
         let start_guard = seq.rules.first().map_or(NIL, |start| start.guard);
         if start_guard == NIL || (start_guard as usize) >= node_count {
@@ -524,6 +570,113 @@ mod tests {
         let mut grammar = Vec::new();
         write_varint(&mut grammar, u64::MAX).unwrap();
         assert!(Grammar::read_from(&mut grammar.as_slice()).is_err());
+    }
+
+    /// A checkpoint of `seq` whose digram section holds `entries`
+    /// instead of `seq`'s own index.
+    fn state_with_digrams(seq: &Sequitur, entries: &[((Sym, Sym), u32)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        seq.write_arena(&mut buf).unwrap();
+        seq.write_digrams(&mut buf, entries).unwrap();
+        buf
+    }
+
+    /// A compressor with a formed rule (so freed nodes exist), and the
+    /// first and last body nodes of its start rule.
+    fn hostile_base() -> (Sequitur, u32, u32) {
+        let mut seq = Sequitur::new();
+        seq.extend([1, 2, 3, 1, 2, 3, 4]);
+        assert!(!seq.free_nodes.is_empty());
+        let guard = seq.rules[0].guard;
+        let (first, last) = (
+            seq.nodes[guard as usize].next,
+            seq.nodes[guard as usize].prev,
+        );
+        (seq, first, last)
+    }
+
+    fn assert_rejected(state: &[u8], msg: &str) {
+        let err = Sequitur::restore_state(&mut &state[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(msg), "{err}");
+    }
+
+    #[test]
+    fn digram_section_rewriter_roundtrips_the_real_index() {
+        let (seq, _, _) = hostile_base();
+        let mut entries: Vec<_> = seq
+            .digrams
+            .iter()
+            .map(|n| (key_at(&seq.nodes, n), n))
+            .collect();
+        entries.sort_by_key(|((a, b), _)| (seq.sym_key(*a), seq.sym_key(*b)));
+        let mut saved = Vec::new();
+        seq.save_state(&mut saved).unwrap();
+        assert_eq!(state_with_digrams(&seq, &entries), saved);
+        Sequitur::restore_state(&mut saved.as_slice()).unwrap();
+    }
+
+    #[test]
+    fn free_list_naming_a_live_node_is_rejected() {
+        // A live node on the free list would be recycled under any
+        // digram entry that names it.
+        let (mut seq, first, _) = hostile_base();
+        seq.free_nodes.push(first);
+        let mut state = Vec::new();
+        seq.save_state(&mut state).unwrap();
+        assert_rejected(&state, "free-node list names a live node");
+    }
+
+    #[test]
+    fn digram_entry_naming_a_free_node_is_rejected() {
+        let (seq, _, _) = hostile_base();
+        let free = seq.free_nodes[0];
+        let state = state_with_digrams(&seq, &[((Sym(1), Sym(2)), free)]);
+        assert_rejected(&state, "names a free node");
+    }
+
+    #[test]
+    fn digram_entry_without_a_successor_digram_is_rejected() {
+        // The start rule's last node is followed by its guard.
+        let (mut seq, _, last) = hostile_base();
+        let key = (seq.sym(last), Sym(1));
+        assert_rejected(
+            &state_with_digrams(&seq, &[(key, last)]),
+            "starts no digram",
+        );
+        // A live node whose successor link is NIL.
+        seq.nodes[last as usize].next = NIL;
+        assert_rejected(
+            &state_with_digrams(&seq, &[(key, last)]),
+            "starts no digram",
+        );
+    }
+
+    #[test]
+    fn digram_entry_with_a_foreign_key_is_rejected() {
+        let (seq, first, _) = hostile_base();
+        let key = (seq.sym(first), Sym(99));
+        assert_rejected(
+            &state_with_digrams(&seq, &[(key, first)]),
+            "differs from its node's digram",
+        );
+    }
+
+    #[test]
+    fn digram_key_with_a_guard_or_free_symbol_is_rejected() {
+        let (seq, first, _) = hostile_base();
+        let (a, b) = key_at(&seq.nodes, first);
+        for key in [
+            (Sym::guard(0), b),
+            (a, Sym::guard(0)),
+            (Sym::FREE, b),
+            (a, Sym::FREE),
+        ] {
+            assert_rejected(
+                &state_with_digrams(&seq, &[(key, first)]),
+                "holds a guard or free symbol",
+            );
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 
+mod digram;
 mod fxhash;
 mod grammar;
 mod io;
@@ -50,11 +51,7 @@ pub use orp_format::{read_varint, varint_len, write_varint};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// The digram index: symbol pair → the node where that digram occurs.
-/// Keyed by trusted internal ids, hence the fast non-keyed hasher (see
-/// [`fxhash`](FxBuildHasher)); only ever read via point lookups, so the
-/// hasher cannot influence the constructed grammar.
-pub(crate) type DigramMap = HashMap<(Sym, Sym), u32, FxBuildHasher>;
+use digram::DigramTable;
 
 /// Sentinel index meaning "no node".
 const NIL: u32 = u32::MAX;
@@ -159,7 +156,9 @@ pub struct Sequitur {
     free_nodes: Vec<u32>,
     rules: Vec<RuleSlot>,
     free_rules: Vec<u32>,
-    digrams: DigramMap,
+    /// The digram index: each live digram → one node where it occurs,
+    /// keys read back from `nodes` (see [`digram`]).
+    digrams: DigramTable,
     /// Raw values of interned large terminals (tag [`Sym::TAG_BIG`]),
     /// indexed by symbol payload.
     big_terms: Vec<u64>,
@@ -186,7 +185,7 @@ impl Sequitur {
             free_nodes: Vec::new(),
             rules: Vec::new(),
             free_rules: Vec::new(),
-            digrams: DigramMap::default(),
+            digrams: DigramTable::default(),
             big_terms: Vec::new(),
             big_ids: HashMap::default(),
             input_len: 0,
@@ -325,6 +324,35 @@ impl Sequitur {
         self.rules.iter().filter(|r| r.guard != NIL).count()
     }
 
+    /// Capacity-based heap footprint in bytes: the node and rule
+    /// arenas, their free lists, the digram index and the intern
+    /// table. Hash-map capacity counts one control byte per entry.
+    #[must_use]
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let bytes = self.nodes.capacity() * size_of::<Node>()
+            + self.free_nodes.capacity() * size_of::<u32>()
+            + self.rules.capacity() * size_of::<RuleSlot>()
+            + self.free_rules.capacity() * size_of::<u32>()
+            + self.digrams.heap_bytes()
+            + self.big_terms.capacity() * size_of::<u64>()
+            + self.big_ids.capacity() * (size_of::<(u64, u32)>() + 1);
+        bytes as u64
+    }
+
+    /// Consumes the compressor into its grammar, releasing the digram
+    /// index (down to its minimum size), the free lists and the reverse
+    /// intern map first, so the snapshot is never held beside them.
+    /// Same grammar as [`Sequitur::grammar`].
+    #[must_use]
+    pub fn into_grammar(mut self) -> Grammar {
+        self.digrams = DigramTable::default();
+        self.free_nodes = Vec::new();
+        self.free_rules = Vec::new();
+        self.big_ids = HashMap::default();
+        self.grammar()
+    }
+
     /// Snapshots the inferred grammar with densely renumbered rules
     /// (rule 0 is the start rule).
     #[must_use]
@@ -369,13 +397,18 @@ impl Sequitur {
     /// # Panics
     ///
     /// Panics if digram uniqueness (modulo overlapping occurrences) or
-    /// rule utility is violated, or if a rule's recorded use count
-    /// disagrees with the actual number of uses.
+    /// rule utility is violated, if a rule's recorded use count
+    /// disagrees with the actual number of uses, or if the digram index
+    /// is out of step with the rule bodies: an entry whose node does not
+    /// start a body digram (a free node, a guard, or a rule's last
+    /// symbol), or a body digram indexed at none of its occurrences.
     pub fn assert_invariants(&self) {
-        // Count rule uses and collect digram occurrences.
+        // Count rule uses, collect every body digram occurrence as
+        // (digram, rule slot, position, node), and mark the nodes that
+        // start one.
         let mut uses: HashMap<u32, u32, FxBuildHasher> = HashMap::default();
-        let mut digram_sites: HashMap<(Sym, Sym), Vec<(usize, usize)>, FxBuildHasher> =
-            HashMap::default();
+        let mut sites: Vec<((u64, u64), usize, usize, u32)> = Vec::new();
+        let mut starts_digram = vec![false; self.nodes.len()];
         for (slot_idx, slot) in self.rules.iter().enumerate() {
             if slot.guard == NIL {
                 continue;
@@ -383,17 +416,16 @@ impl Sequitur {
             let mut body = Vec::new();
             let mut cur = self.nodes[slot.guard as usize].next;
             while cur != slot.guard {
-                body.push(self.nodes[cur as usize].sym);
+                body.push((self.nodes[cur as usize].sym, cur));
                 if let Some(r) = self.nodes[cur as usize].sym.as_rule() {
                     *uses.entry(r).or_insert(0) += 1;
                 }
                 cur = self.nodes[cur as usize].next;
             }
             for (pos, pair) in body.windows(2).enumerate() {
-                digram_sites
-                    .entry((pair[0], pair[1]))
-                    .or_default()
-                    .push((slot_idx, pos));
+                let ((a, node), (b, _)) = (pair[0], pair[1]);
+                sites.push(((a.0, b.0), slot_idx, pos, node));
+                starts_digram[node as usize] = true;
             }
         }
         for (i, slot) in self.rules.iter().enumerate() {
@@ -409,17 +441,41 @@ impl Sequitur {
                 );
             }
         }
-        for (digram, sites) in &digram_sites {
-            if sites.len() > 1 {
-                // Repeats are only legal when every occurrence overlaps the
-                // next (a run like aaa in one body).
-                for w in sites.windows(2) {
-                    let ((r0, p0), (r1, p1)) = (w[0], w[1]);
-                    assert!(
-                        r0 == r1 && p1 == p0 + 1 && digram.0 == digram.1,
-                        "digram {digram:?} repeats without overlap at {sites:?}"
-                    );
-                }
+        // Every index entry names a node that starts a body digram, and
+        // is filed under that digram: probing the key read back from
+        // the arena finds this very entry.
+        for node in self.digrams.iter() {
+            assert!(
+                starts_digram[node as usize],
+                "digram index entry at node {node} names a free node, a guard, \
+                 or a node whose digram ends its rule"
+            );
+            let key = digram::key_at(&self.nodes, node);
+            assert_eq!(
+                self.digrams.get(&self.nodes, key),
+                Some(node),
+                "digram index entry at node {node} is filed under another digram"
+            );
+        }
+        // Sorting groups each digram's occurrences in body order.
+        sites.sort_unstable();
+        for group in sites.chunk_by(|x, y| x.0 == y.0) {
+            let (a, b) = group[0].0;
+            let indexed = self.digrams.get(&self.nodes, (Sym(a), Sym(b)));
+            assert!(
+                indexed.is_some_and(|at| group.iter().any(|site| site.3 == at)),
+                "digram {:?} is not indexed at any occurrence",
+                (a, b)
+            );
+            // Repeats are only legal when every occurrence overlaps the
+            // next (a run like aaa in one body).
+            for w in group.windows(2) {
+                let ((_, r0, p0, _), (_, r1, p1, _)) = (w[0], w[1]);
+                assert!(
+                    r0 == r1 && p1 == p0 + 1 && a == b,
+                    "digram {:?} repeats without overlap at {group:?}",
+                    (a, b)
+                );
             }
         }
     }
@@ -505,13 +561,7 @@ impl Sequitur {
     #[inline]
     fn delete_digram(&mut self, n: u32) {
         if let Some(d) = self.digram_at(n) {
-            // Single-probe conditional removal: `get` + `remove` would
-            // walk the probe sequence twice.
-            if let Entry::Occupied(e) = self.digrams.entry(d) {
-                if *e.get() == n {
-                    e.remove();
-                }
-            }
+            self.digrams.remove_if_at(&self.nodes, d, n);
         }
     }
 
@@ -533,7 +583,7 @@ impl Sequitur {
                 && self.sym(right) == self.sym(rn)
             {
                 if let Some(d) = self.digram_at(right) {
-                    self.digrams.insert(d, right);
+                    self.digrams.insert(&self.nodes, d, right);
                 }
             }
             let (lp, ln) = (
@@ -546,7 +596,7 @@ impl Sequitur {
                 && self.sym(left) == self.sym(ln)
             {
                 if let Some(d) = self.digram_at(lp) {
-                    self.digrams.insert(d, lp);
+                    self.digrams.insert(&self.nodes, d, lp);
                 }
             }
         }
@@ -584,15 +634,10 @@ impl Sequitur {
         let Some(d) = self.digram_at(first) else {
             return false;
         };
-        // One probe covers both the miss (index the new digram at the
-        // already-located vacant slot) and the hit; the dominant
-        // new-digram path previously paid a `get` and then an `insert`.
-        let m = match self.digrams.entry(d) {
-            Entry::Vacant(slot) => {
-                slot.insert(first);
-                return false;
-            }
-            Entry::Occupied(slot) => *slot.get(),
+        // One probe covers both the hit and the dominant miss, which
+        // indexes the new digram at the empty slot the probe ended on.
+        let Some(m) = self.digrams.get_or_insert(&self.nodes, d, first) else {
+            return false;
         };
         if m == first {
             return false;
@@ -636,7 +681,7 @@ impl Sequitur {
             self.substitute(first, r);
             let body_first = self.nodes[self.rules[r as usize].guard as usize].next;
             if let Some(d) = self.digram_at(body_first) {
-                self.digrams.insert(d, body_first);
+                self.digrams.insert(&self.nodes, d, body_first);
             }
             r
         };
@@ -706,7 +751,7 @@ impl Sequitur {
         self.join(left, f);
         self.join(l, right);
         if let Some(d) = self.digram_at(l) {
-            self.digrams.insert(d, l);
+            self.digrams.insert(&self.nodes, d, l);
         }
     }
 }
@@ -728,7 +773,7 @@ impl Default for Sequitur {
 pub fn compress<I: IntoIterator<Item = u64>>(input: I) -> Grammar {
     let mut seq = Sequitur::new();
     seq.extend(input);
-    seq.grammar()
+    seq.into_grammar()
 }
 
 #[cfg(test)]
@@ -811,6 +856,29 @@ mod tests {
         let g = roundtrip(&input);
         assert_eq!(g.rule_count(), 1);
         assert_eq!(g.size(), 500);
+    }
+
+    #[test]
+    fn digram_index_of_an_incompressible_stream_stays_small() {
+        // 100,000 distinct terminals leave 99,999 live digrams: at most
+        // half load puts them in 262,144 slots of 5 bytes (1.25 MiB),
+        // where a key-storing map of 24-byte buckets needed ~3 MiB.
+        let mut seq = Sequitur::new();
+        seq.push_batch(&(0..100_000).collect::<Vec<u64>>());
+        assert_eq!(seq.digrams.iter().count(), 99_999);
+        assert!(seq.digrams.slots() <= 262_144, "{}", seq.digrams.slots());
+        assert!(seq.digrams.heap_bytes() <= 262_144 * 5);
+        assert!(seq.heap_bytes() >= seq.digrams.heap_bytes() as u64 + 100_000 * 16);
+    }
+
+    #[test]
+    fn into_grammar_matches_grammar() {
+        let input: Vec<u64> = "abcbcabcbcxyzxyz".bytes().map(u64::from).collect();
+        let mut seq = Sequitur::new();
+        seq.extend(input.iter().copied());
+        seq.push(u64::MAX); // an interned large terminal
+        let g = seq.grammar();
+        assert_eq!(seq.into_grammar(), g);
     }
 
     #[test]

@@ -18,8 +18,62 @@ fn check_input(input: &[u64]) {
     );
 }
 
+/// Pushes `input` one symbol at a time and checks every invariant,
+/// the digram index included, after each push — not only at the end.
+/// Then saves a second run at `cut`, restores it and continues: the
+/// grammar and the checkpoint bytes must match the straight run.
+fn check_stepwise(input: &[u64], cut: usize) {
+    let mut whole = Sequitur::new();
+    for &t in input {
+        whole.push(t);
+        whole.assert_invariants();
+    }
+    let cut = cut % (input.len() + 1);
+    let mut first = Sequitur::new();
+    first.extend(input[..cut].iter().copied());
+    let mut saved = Vec::new();
+    first.save_state(&mut saved).unwrap();
+    let mut resumed = Sequitur::restore_state(&mut saved.as_slice()).unwrap();
+    resumed.assert_invariants();
+    resumed.extend(input[cut..].iter().copied());
+    resumed.assert_invariants();
+    assert_eq!(resumed.grammar(), whole.grammar());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    whole.save_state(&mut a).unwrap();
+    resumed.save_state(&mut b).unwrap();
+    assert_eq!(a, b, "checkpoint drift after resuming at {cut}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn index_invariants_hold_after_every_push_binary(
+        input in proptest::collection::vec(0u64..2, 0..400),
+        cut in any::<usize>(),
+    ) {
+        check_stepwise(&input, cut);
+    }
+
+    #[test]
+    fn index_invariants_hold_after_every_push_small(
+        input in proptest::collection::vec(0u64..5, 0..400),
+        cut in any::<usize>(),
+    ) {
+        check_stepwise(&input, cut);
+    }
+
+    #[test]
+    fn index_invariants_hold_after_every_push_runs(
+        runs in proptest::collection::vec((0u64..3, 1usize..12), 0..40),
+        cut in any::<usize>(),
+    ) {
+        let input: Vec<u64> = runs
+            .iter()
+            .flat_map(|&(sym, len)| std::iter::repeat_n(sym, len))
+            .collect();
+        check_stepwise(&input, cut);
+    }
 
     #[test]
     fn roundtrip_binary_alphabet(input in proptest::collection::vec(0u64..2, 0..400)) {

@@ -64,20 +64,23 @@ impl HybridProfiler {
     }
 
     /// Publishes the grammar stage's shape (`grammar.*`) onto `rec`:
-    /// rules and right-hand-side symbols totalled across every
-    /// per-instruction grammar, including the time streams the hybrid
-    /// carries for global ordering.
+    /// rules, right-hand-side symbols and compressor heap bytes
+    /// totalled across every per-instruction grammar, including the
+    /// time streams the hybrid carries for global ordering.
     pub fn record_grammar_metrics(&self, rec: &mut dyn orp_obs::Recorder) {
         let mut rules = 0u64;
         let mut symbols = 0u64;
+        let mut heap = 0u64;
         for s in self.streams.values() {
             for seq in [&s.group, &s.object, &s.offset, &s.time] {
                 rules += seq.rule_count() as u64;
                 symbols += seq.size();
+                heap += seq.heap_bytes();
             }
         }
         rec.counter("grammar.rules.instructions", rules);
         rec.counter("grammar.symbols.instructions", symbols);
+        rec.counter("grammar.heap_bytes.instructions", heap);
     }
 
     /// Finalizes into per-instruction grammars.
@@ -91,10 +94,10 @@ impl HybridProfiler {
                     (
                         instr,
                         InstrGrammars {
-                            group: s.group.grammar(),
-                            object: s.object.grammar(),
-                            offset: s.offset.grammar(),
-                            time: s.time.grammar(),
+                            group: s.group.into_grammar(),
+                            object: s.object.into_grammar(),
+                            offset: s.offset.into_grammar(),
+                            time: s.time.into_grammar(),
                         },
                     )
                 })

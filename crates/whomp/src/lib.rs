@@ -95,9 +95,9 @@ impl WhompProfiler {
     }
 
     /// Publishes the grammar stage's per-dimension shape (`grammar.*`)
-    /// onto `rec`: live rules and right-hand-side symbols per
-    /// dimension. Works identically in sequential and pipelined runs —
-    /// worker timings come separately from
+    /// onto `rec`: live rules, right-hand-side symbols and compressor
+    /// heap bytes per dimension. Works identically in sequential and
+    /// pipelined runs — worker timings come separately from
     /// [`GrammarPipelineStats::record_metrics`].
     pub fn record_grammar_metrics(&self, rec: &mut dyn orp_obs::Recorder) {
         rec.counter("grammar.rules.instruction", self.instr.rule_count() as u64);
@@ -108,20 +108,23 @@ impl WhompProfiler {
         rec.counter("grammar.symbols.group", self.group.size());
         rec.counter("grammar.symbols.object", self.object.size());
         rec.counter("grammar.symbols.offset", self.offset.size());
+        rec.counter("grammar.heap_bytes.instruction", self.instr.heap_bytes());
+        rec.counter("grammar.heap_bytes.group", self.group.heap_bytes());
+        rec.counter("grammar.heap_bytes.object", self.object.heap_bytes());
+        rec.counter("grammar.heap_bytes.offset", self.offset.heap_bytes());
     }
 
     /// Finalizes the profile into an [`Omsg`].
     #[must_use]
     pub fn into_omsg(self) -> Omsg {
-        // Drop each compressor as soon as its grammar is built:
-        // holding all four beside all four grammars would set a WHOMP
-        // replay's peak RSS.
-        let finish = |seq: Sequitur| seq.grammar();
+        // Each compressor frees its digram index before its grammar is
+        // built and is dropped right after: holding all four beside all
+        // four grammars would set a WHOMP replay's peak RSS.
         Omsg {
-            instr: finish(self.instr),
-            group: finish(self.group),
-            object: finish(self.object),
-            offset: finish(self.offset),
+            instr: self.instr.into_grammar(),
+            group: self.group.into_grammar(),
+            object: self.object.into_grammar(),
+            offset: self.offset.into_grammar(),
             tuples: self.tuples,
         }
     }
@@ -296,13 +299,14 @@ impl RasgProfiler {
     pub fn record_grammar_metrics(&self, rec: &mut dyn orp_obs::Recorder) {
         rec.counter("grammar.rules.records", self.records.rule_count() as u64);
         rec.counter("grammar.symbols.records", self.records.size());
+        rec.counter("grammar.heap_bytes.records", self.records.heap_bytes());
     }
 
     /// Finalizes the profile into a [`Rasg`].
     #[must_use]
     pub fn into_rasg(self) -> Rasg {
         Rasg {
-            records: self.records.grammar(),
+            records: self.records.into_grammar(),
             accesses: self.accesses,
         }
     }

@@ -594,7 +594,7 @@ fn atomic_artifact_writes(cx: &mut RuleCx<'_>) {
 /// `RandomState` (SipHash-1-3), which profiling showed dominating the
 /// per-symbol cost of grammar construction (DESIGN.md §13). Hot-path
 /// maps spell an explicit hasher in the type and construct through
-/// `HashMap::default()` — like `sequitur`'s `DigramMap` with
+/// `HashMap::default()` — like `sequitur`'s intern map with
 /// `FxBuildHasher` — so the fast hasher cannot silently regress back
 /// to SipHash. The same applies to `HashSet`. Test code is exempt:
 /// differential tests deliberately build SipHash maps to compare

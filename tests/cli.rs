@@ -729,6 +729,7 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
     let doc = std::fs::read_to_string(&json).unwrap();
     assert!(doc.contains("grammar.rules.offset"), "{doc}");
     assert!(doc.contains("grammar.symbols.instruction"), "{doc}");
+    assert!(doc.contains("grammar.heap_bytes.offset"), "{doc}");
     for key in [
         "grammar.workers",
         "grammar.batches.object",
@@ -868,6 +869,7 @@ fn sequential_grammar_runs_also_report_grammar_shape() {
     let doc = std::fs::read_to_string(&json).unwrap();
     assert!(doc.contains("grammar.rules.records"), "{doc}");
     assert!(doc.contains("grammar.symbols.records"), "{doc}");
+    assert!(doc.contains("grammar.heap_bytes.records"), "{doc}");
     assert!(!doc.contains("grammar.workers"), "{doc}");
     let schema = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("schemas/run_report.schema");
     xtask::validate_report(&json, &schema).unwrap_or_else(|problems| panic!("{problems:#?}"));

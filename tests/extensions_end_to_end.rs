@@ -73,7 +73,7 @@ fn hot_streams_cover_the_traversal() {
     }
     let mut cdc = Cdc::new(Omc::new(), ObjectStream::default());
     run(&micro::LinkedList::new(64, 6), &cfg, &mut cdc);
-    let grammar = cdc.into_parts().1 .0.grammar();
+    let grammar = cdc.into_parts().1 .0.into_grammar();
     let streams = hot_streams(&grammar, 4, 3);
     assert!(
         !streams.is_empty(),

@@ -7,16 +7,17 @@
 //! component itself, and `record_metrics(&mut dyn Recorder)` publishes
 //! those fields only at phase boundaries. So "metrics disabled" is the
 //! same loop plus a periodic `NoopRecorder` publication — this harness
-//! measures that pair interleaved (best-of, identical query stream)
-//! and asserts the ratio stays inside the 2% budget. A `StatsRecorder`
+//! measures that pair interleaved (identical query stream), tests the
+//! best-of ratio against the 2% budget and publishes each
+//! configuration's min/median/max beside it. A `StatsRecorder`
 //! configuration is reported alongside for scale: even the *enabled*
 //! path only pays at publication points, never per event.
 
 #![forbid(unsafe_code)]
 
 use std::hint::black_box;
-use std::time::Instant;
 
+use orp_bench::measure_interleaved;
 use orp_core::{Omc, Timestamp};
 use orp_obs::{NoopRecorder, StatsRecorder};
 use orp_trace::{AllocSiteId, InstrId};
@@ -31,9 +32,10 @@ const QUERIES: usize = 400_000;
 /// Queries between `record_metrics` publications — the batch geometry
 /// the CLI uses (publish at phase boundaries, not per event).
 const PUBLISH_EVERY: usize = 4096;
-/// Timing repetitions per configuration (best-of).
+/// Interleaved timing rounds per configuration (odd, so the median is
+/// one of them); the acceptance bit reads the best of them.
 const REPS: usize = 7;
-/// Minimum measured interval per repetition.
+/// Minimum measured interval per round.
 const MIN_SECS: f64 = 0.2;
 /// Acceptance budget: disabled-recorder throughput must stay within
 /// this fraction of the plain loop.
@@ -68,37 +70,6 @@ fn build_queries() -> Vec<(InstrId, u64)> {
             }
         })
         .collect()
-}
-
-/// One timed repetition: repeats `sweep` until at least `MIN_SECS`
-/// elapses, returning queries/second.
-fn time_round(per_sweep: u64, sweep: &mut dyn FnMut() -> u64) -> f64 {
-    let mut done = 0u64;
-    let t0 = Instant::now();
-    loop {
-        black_box(sweep());
-        done += per_sweep;
-        if t0.elapsed().as_secs_f64() >= MIN_SECS {
-            break;
-        }
-    }
-    done as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// Best-of-`REPS`, interleaved so every configuration samples every
-/// load regime: the reported number is a *ratio*, and round-robin
-/// sampling keeps background drift from biasing it.
-fn measure_interleaved(per_sweep: u64, sweeps: &mut [&mut dyn FnMut() -> u64]) -> Vec<f64> {
-    for sweep in sweeps.iter_mut() {
-        black_box(sweep()); // warm-up
-    }
-    let mut best = vec![0f64; sweeps.len()];
-    for _ in 0..REPS {
-        for (slot, sweep) in best.iter_mut().zip(sweeps.iter_mut()) {
-            *slot = slot.max(time_round(per_sweep, *sweep));
-        }
-    }
-    best
 }
 
 fn main() -> std::process::ExitCode {
@@ -141,8 +112,9 @@ fn main() -> std::process::ExitCode {
         hits + rec.counter_value("omc.memo_hits")
     };
 
-    let eps = measure_interleaved(n, &mut [&mut plain, &mut noop, &mut stats]);
-    let (plain_eps, noop_eps, stats_eps) = (eps[0], eps[1], eps[2]);
+    let spreads = measure_interleaved(REPS, MIN_SECS, n, &mut [&mut plain, &mut noop, &mut stats]);
+    // Best-of: each configuration's fastest round.
+    let (plain_eps, noop_eps, stats_eps) = (spreads[0].max, spreads[1].max, spreads[2].max);
     let noop_overhead = 1.0 - noop_eps / plain_eps;
     let stats_overhead = 1.0 - stats_eps / plain_eps;
     let ok = noop_overhead < BUDGET;
@@ -157,6 +129,12 @@ fn main() -> std::process::ExitCode {
         pct(noop_overhead),
         stats_eps / 1e6,
         pct(stats_overhead),
+    );
+    println!(
+        "spread, median (min-max) Mq/s: plain {}, noop {}, stats {}",
+        spreads[0].meps(),
+        spreads[1].meps(),
+        spreads[2].meps(),
     );
     println!(
         "\nacceptance: disabled-recorder overhead < {}%: {ok}",
@@ -174,6 +152,11 @@ fn main() -> std::process::ExitCode {
             "  \"stats_recorder_meps\": {:.2},\n",
             "  \"noop_overhead_pct\": {},\n",
             "  \"stats_overhead_pct\": {},\n",
+            "  \"spread_meps\": {{\n",
+            "    \"plain\": {},\n",
+            "    \"noop_recorder\": {},\n",
+            "    \"stats_recorder\": {}\n",
+            "  }},\n",
             "  \"acceptance\": {{\n",
             "    \"disabled_recorder_under_2pct\": {}\n",
             "  }}\n",
@@ -186,6 +169,9 @@ fn main() -> std::process::ExitCode {
         stats_eps / 1e6,
         pct(noop_overhead),
         pct(stats_overhead),
+        spreads[0].meps_json(),
+        spreads[1].meps_json(),
+        spreads[2].meps_json(),
         ok,
     );
     match orp_bench::write_result_artifacts("obs_overhead", &json) {

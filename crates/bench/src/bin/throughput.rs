@@ -1,51 +1,49 @@
-//! Events-per-second throughput for the OMC translation fast path and
-//! the sharded collection pipeline, written to
-//! `results/BENCH_throughput.json` (the tracked benchmark trajectory).
+//! Events-per-second throughput of the OMC translation tiers and of
+//! collection on the calling thread against collection on sharded lanes
+//! and grammar workers, written to `results/BENCH_throughput.json`.
 //!
 //! The workload is a pointer-chasing traversal of a scrambled linked
 //! list with a field scan at every node: chasing `->next` lands each
-//! step on an unpredictable node — the shape that makes the seed's
-//! per-event `BTreeMap` predecessor query hurt while the page-granular
-//! index stays cheap — and the payload scan re-touches the node just
-//! reached with one loop instruction, the repeated-operand shape the
-//! per-instruction MRU memo exists for.
+//! step on an unpredictable node — the shape that makes an ordered-map
+//! predecessor query hurt while the page-granular index stays cheap —
+//! and the payload scan re-touches the node just reached with one loop
+//! instruction, the repeated-operand shape the per-instruction MRU memo
+//! exists for.
 //!
 //! Sections:
 //!
-//! * **raw translate** — the three translation paths head-to-head on
-//!   that query stream, plus a hot-field stream where the memo is
-//!   essentially always hot;
-//! * **WHOMP collection** — the collection stage proper: translate,
-//!   decompose by instruction, deliver the or-tuple streams
-//!   (`VecOrSink`), at 1/2/4/8 shards;
-//! * **WHOMP grammar collection** — end-to-end into the per-instruction
+//! * **raw translate** — the three translation tiers head-to-head
+//!   (`Omc::translate_reference`, the `BTreeMap` oracle; the page
+//!   index; the MRU memo) on that query stream, plus a hot-field stream
+//!   where the memo is essentially always hot;
+//! * **WHOMP collection** — translate, decompose by instruction and
+//!   deliver the or-tuple streams (`VecOrSink`);
+//! * **WHOMP grammar collection** — the same into the per-instruction
 //!   hybrid grammars;
+//! * **LEAP collection** — the same into the LMAD profiler;
 //! * **WHOMP grammar pipeline** — end-to-end OMSG grammar mode with the
-//!   four dimension grammars built inline vs on 1/2/4 pipelined grammar
-//!   workers (`PipelinedWhomp::spawn(n)`; `run --profiler whomp` takes
-//!   `PipelinedWhomp::default_workers()`), including the
-//!   grammar-vs-collection gap;
-//! * **LEAP collection** — the same stream into the LMAD profiler.
+//!   four dimension grammars built inline vs on 1/2/4 `PipelinedWhomp`
+//!   grammar workers.
 //!
-//! The collection baseline ("single shard") is the **seed-equivalent**
-//! pipeline: a single worker on a bounded channel — the seed's
-//! one-worker collection thread, reproduced here — translating through
-//! `Omc::translate_reference`,
-//! the ordered-map path the seed used. Inline (non-pipelined) reference
-//! and fast-path collectors are reported alongside. Grammar construction (the sink) is identical compression work
-//! in every configuration, so on a single-core host (this harness
-//! records `available_parallelism`) the grammar-bound modes sit near 1x
-//! by construction — the fast path's win shows in the collection-stage
-//! numbers, and on a multi-core box the sharded numbers additionally
-//! reflect true parallelism.
+//! Every collection section's baseline is the inline fast path: a
+//! `Cdc` on the calling thread, the best serial path a run has. The
+//! collection sections put it beside `ShardedCdc` at 1/2/4/8 lanes, the
+//! grammar pipeline beside 1/2/4 workers, and every ratio is a median
+//! over the inline median. Each configuration is timed in `REPS`
+//! interleaved rounds (`orp_bench::measure_interleaved`) and reported
+//! as min, median and max. The threaded configurations only gain where
+//! the host has CPUs to spare, so the run records
+//! `available_parallelism`; where extra lanes are slower than inline,
+//! the curve says so.
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::hint::black_box;
-use std::time::Instant;
 
-use orp_core::sharded::ShardedCdc;
-use orp_core::{Cdc, Omc, OrSink, OrTuple, Session, Timestamp, VecOrSink};
+use orp_bench::{measure_interleaved, Spread};
+use orp_core::sharded::{ShardableSink, ShardedCdc};
+use orp_core::{Cdc, Omc, Session, Timestamp, VecOrSink};
 use orp_leap::LeapProfiler;
 use orp_trace::{AccessEvent, AllocSiteId, InstrId, ProbeEvent, ProbeSink, RawAddress};
 use orp_whomp::{HybridProfiler, PipelinedWhomp, WhompProfiler};
@@ -68,9 +66,10 @@ const HEAP_BASE: u64 = 0x10_0000;
 /// (grammar construction is ~10x the per-event cost of stream
 /// collection; a prefix keeps the harness runtime bounded).
 const GRAMMAR_EVENTS: usize = 150_000;
-/// Timing repetitions per configuration (best-of).
+/// Interleaved timing rounds per configuration (odd, so the median is
+/// one of them).
 const REPS: usize = 5;
-/// Minimum measured interval per repetition.
+/// Minimum measured interval per round.
 const MIN_SECS: f64 = 0.15;
 
 fn node_base(node: u64) -> u64 {
@@ -112,44 +111,6 @@ fn build_events() -> Vec<ProbeEvent> {
         }
     }
     events
-}
-
-/// One timed repetition: repeats `sweep` (processing `per_sweep`
-/// events per call) until at least `MIN_SECS` elapses, returning
-/// events/second.
-fn time_round(per_sweep: u64, sweep: &mut dyn FnMut() -> u64) -> f64 {
-    let mut done = 0u64;
-    let t0 = Instant::now();
-    loop {
-        black_box(sweep());
-        done += per_sweep;
-        if t0.elapsed().as_secs_f64() >= MIN_SECS {
-            break;
-        }
-    }
-    done as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// Best-of-`REPS` for several configurations measured *interleaved*:
-/// each round times every configuration once before the next round
-/// starts. The reported numbers are ratios between configurations, and
-/// the configurations together take minutes to measure — sequential
-/// best-of lets background load drift bias a ratio even when every
-/// individual number is sound. Round-robin sampling gives every
-/// configuration a repetition in every load regime, so the per-config
-/// minima land in the same (quietest) regime and the ratios hold
-/// still.
-fn measure_interleaved(per_sweep: u64, sweeps: &mut [&mut dyn FnMut() -> u64]) -> Vec<f64> {
-    for sweep in sweeps.iter_mut() {
-        black_box(sweep()); // warm-up
-    }
-    let mut best = vec![0f64; sweeps.len()];
-    for _ in 0..REPS {
-        for (slot, sweep) in best.iter_mut().zip(sweeps.iter_mut()) {
-            *slot = slot.max(time_round(per_sweep, *sweep));
-        }
-    }
-    best
 }
 
 // ---------------------------------------------------------------------
@@ -196,17 +157,15 @@ fn hot_field_queries() -> Vec<(InstrId, u64)> {
         .collect()
 }
 
-struct TranslateEps {
-    reference_btreemap: f64,
-    page_index: f64,
-    mru_memo: f64,
-}
+/// The translation tiers, slowest first: the `BTreeMap` oracle, the
+/// page index, the MRU memo.
+const TIERS: [&str; 3] = ["reference_btreemap", "page_index", "mru_memo"];
 
-fn measure_translate(omc: &Omc, queries: &[(InstrId, u64)]) -> TranslateEps {
-    let omc = std::cell::RefCell::new(omc.clone());
-    let n = queries.len() as u64;
+/// Each of [`TIERS`]' query rates on `queries`.
+fn measure_translate(omc: &Omc, queries: &[(InstrId, u64)]) -> Vec<Spread> {
+    let omc = RefCell::new(omc.clone());
     let mut reference = || {
-        let omc = omc.borrow_mut();
+        let omc = omc.borrow();
         let mut hits = 0u64;
         for &(_, addr) in queries {
             hits += u64::from(omc.translate_reference(black_box(addr)).is_some());
@@ -214,7 +173,7 @@ fn measure_translate(omc: &Omc, queries: &[(InstrId, u64)]) -> TranslateEps {
         hits
     };
     let mut page = || {
-        let omc = omc.borrow_mut();
+        let omc = omc.borrow();
         let mut hits = 0u64;
         for &(_, addr) in queries {
             hits += u64::from(omc.translate(black_box(addr)).is_some());
@@ -229,229 +188,128 @@ fn measure_translate(omc: &Omc, queries: &[(InstrId, u64)]) -> TranslateEps {
         }
         hits
     };
-    let eps = measure_interleaved(n, &mut [&mut reference, &mut page, &mut memo]);
-    TranslateEps {
-        reference_btreemap: eps[0],
-        page_index: eps[1],
-        mru_memo: eps[2],
-    }
+    measure_interleaved(
+        REPS,
+        MIN_SECS,
+        queries.len() as u64,
+        &mut [&mut reference, &mut page, &mut memo],
+    )
 }
 
 // ---------------------------------------------------------------------
 // Collection
 // ---------------------------------------------------------------------
 
-/// The seed-equivalent collector: inline CDC logic, but translating
-/// through the `BTreeMap` reference path — what collection cost before
-/// this change.
-struct ReferenceCdc<S> {
-    omc: Omc,
-    sink: S,
-    time: u64,
-    untracked: u64,
-    anomalies: u64,
-}
-
-impl<S: OrSink> ReferenceCdc<S> {
-    fn new(omc: Omc, sink: S) -> Self {
-        ReferenceCdc {
-            omc,
-            sink,
-            time: 0,
-            untracked: 0,
-            anomalies: 0,
-        }
-    }
-
-    fn event(&mut self, ev: &ProbeEvent) {
-        match *ev {
-            ProbeEvent::Access(a) => match self.omc.translate_reference(a.addr.0) {
-                Some((group, object, offset)) => {
-                    let tuple = OrTuple {
-                        instr: a.instr,
-                        kind: a.kind,
-                        group,
-                        object,
-                        offset,
-                        time: Timestamp(self.time),
-                        size: a.size,
-                    };
-                    self.time += 1;
-                    self.sink.tuple(&tuple);
-                }
-                None => self.untracked += 1,
-            },
-            ProbeEvent::Alloc(a) => {
-                if self
-                    .omc
-                    .on_alloc(a.site, a.base.0, a.size, Timestamp(self.time))
-                    .is_err()
-                {
-                    self.anomalies += 1;
-                }
-            }
-            ProbeEvent::Free(f) => {
-                if self.omc.on_free(f.base.0, Timestamp(self.time)).is_err() {
-                    self.anomalies += 1;
-                }
-            }
-        }
-    }
-}
-
-/// The seed's collection pipeline: one worker on a bounded channel —
-/// the seed's one-worker collection thread — with the worker translating
-/// through the `BTreeMap` reference path. This is the "single shard"
-/// the sharded collector is measured against, pipeline for pipeline.
-struct ThreadedReferenceCdc<S> {
-    tx: Option<std::sync::mpsc::SyncSender<Vec<ProbeEvent>>>,
-    batch: Vec<ProbeEvent>,
-    handle: Option<std::thread::JoinHandle<ReferenceCdc<S>>>,
-}
-
-/// Same batching geometry as the sharded pipeline's probe side.
-const BASELINE_BATCH: usize = 4096;
-const BASELINE_QUEUE: usize = 8;
-
-impl<S: OrSink + Send + 'static> ThreadedReferenceCdc<S> {
-    fn spawn(omc: Omc, sink: S) -> Self {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<ProbeEvent>>(BASELINE_QUEUE);
-        let handle = std::thread::spawn(move || {
-            let mut cdc = ReferenceCdc::new(omc, sink);
-            while let Ok(batch) = rx.recv() {
-                for ev in &batch {
-                    cdc.event(ev);
-                }
-            }
-            cdc
-        });
-        ThreadedReferenceCdc {
-            tx: Some(tx),
-            batch: Vec::with_capacity(BASELINE_BATCH),
-            handle: Some(handle),
-        }
-    }
-
-    fn event(&mut self, ev: &ProbeEvent) {
-        self.batch.push(*ev);
-        if self.batch.len() >= BASELINE_BATCH {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let full = std::mem::replace(&mut self.batch, Vec::with_capacity(BASELINE_BATCH));
-        self.tx
-            .as_ref()
-            .expect("pipeline open")
-            .send(full)
-            .expect("worker alive");
-    }
-
-    fn join(mut self) -> ReferenceCdc<S> {
-        self.flush();
-        drop(self.tx.take());
-        self.handle
-            .take()
-            .expect("not yet joined")
-            .join()
-            .expect("worker healthy")
-    }
-}
-
-fn replay<P: ProbeSink>(probe: &mut P, events: &[ProbeEvent]) {
-    for ev in events {
-        match *ev {
-            ProbeEvent::Access(a) => probe.access(a),
-            ProbeEvent::Alloc(a) => probe.alloc(a),
-            ProbeEvent::Free(f) => probe.free(f),
-        }
+fn replay(probe: &mut impl ProbeSink, events: &[ProbeEvent]) {
+    for &ev in events {
+        probe.event(ev);
     }
 }
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const GRAMMAR_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-struct CollectionEps {
-    /// Seed-equivalent baseline: single-worker channel pipeline,
-    /// reference translation in the worker.
-    single_shard_reference: f64,
-    /// Inline (no pipeline) with reference translation.
-    inline_reference: f64,
-    /// Inline with the fast path — the pure translation win.
-    inline_fastpath: f64,
-    /// `ShardedCdc` at each entry of [`SHARD_COUNTS`].
-    sharded: Vec<f64>,
+/// The seed's end-to-end grammar-mode throughput (Mev/s), the fixed
+/// figure the 5x acceptance bit is taken against.
+const SEED_GRAMMAR_MEPS: f64 = 0.44;
+
+/// One section's rates: the inline fast-path `Cdc` (the baseline) and
+/// the same collection at each lane or worker count.
+struct Curve {
+    inline: Spread,
+    threaded: Vec<(usize, Spread)>,
 }
 
-impl CollectionEps {
-    fn sharded_at(&self, shards: usize) -> f64 {
-        self.sharded[SHARD_COUNTS
+impl Curve {
+    /// `spreads` holds the inline rate, then one per entry of `counts`.
+    fn new(counts: &[usize], spreads: &[Spread]) -> Curve {
+        Curve {
+            inline: spreads[0],
+            threaded: counts.iter().copied().zip(spreads[1..].to_vec()).collect(),
+        }
+    }
+
+    fn at(&self, count: usize) -> Spread {
+        self.threaded
             .iter()
-            .position(|&s| s == shards)
-            .expect("measured shard count")]
+            .find(|&&(c, _)| c == count)
+            .expect("measured count")
+            .1
+    }
+
+    /// The section's rate and ratio fields, the threaded ones under
+    /// `<kind>_meps` and `<kind>_speedup_over_inline`.
+    fn json_fields(&self, kind: &str) -> String {
+        let rates: Vec<String> = self
+            .threaded
+            .iter()
+            .map(|(n, s)| format!("\"{n}\": {}", s.meps_json()))
+            .collect();
+        let ratios: Vec<String> = self
+            .threaded
+            .iter()
+            .map(|(n, s)| format!("\"{n}\": {}", ratio(s.median, self.inline.median)))
+            .collect();
+        format!(
+            concat!(
+                "    \"inline_meps\": {},\n",
+                "    \"{kind}_meps\": {{\n      {}\n    }},\n",
+                "    \"{kind}_speedup_over_inline\": {{ {} }}"
+            ),
+            self.inline.meps_json(),
+            rates.join(",\n      "),
+            ratios.join(", "),
+            kind = kind,
+        )
+    }
+
+    fn print(&self, name: &str, kind: &str) {
+        println!("{name:>14}: inline {:>22} Mev/s", self.inline.meps());
+        for (n, s) in &self.threaded {
+            println!(
+                "{:>14}  {kind} x{n}: {:>22} Mev/s ({}x inline)",
+                "",
+                s.meps(),
+                ratio(s.median, self.inline.median),
+            );
+        }
     }
 }
 
-/// Measures one sink kind across the collector configurations. The
+/// Measures one sink kind inline and at each of [`SHARD_COUNTS`]. The
 /// timed stream contains no alloc/free probes, so one OMC is threaded
 /// through every sweep (only its MRU memo mutates — a warm memo is the
-/// steady state being measured) instead of cloning the million-object
+/// steady state being measured) instead of cloning the heap's object
 /// table inside the timed region.
-fn measure_collection<S, M>(omc: &Omc, events: &[ProbeEvent], make_sink: M) -> CollectionEps
+fn measure_collection<S, M>(omc: &Omc, events: &[ProbeEvent], make_sink: M) -> Curve
 where
-    S: orp_core::ShardableSink,
+    S: ShardableSink,
     M: Fn() -> S + Copy,
 {
-    let n = events.len() as u64;
-
-    // Every configuration must collect the same number of tuples.
+    // Every configuration must collect the inline run's tuples.
     let want = {
-        let mut cdc = ReferenceCdc::new(omc.clone(), make_sink());
-        for ev in events {
-            cdc.event(ev);
-        }
-        assert!(cdc.time > 0 && cdc.untracked == 0 && cdc.anomalies == 0);
-        cdc.time
+        let mut cdc = Cdc::new(omc.clone(), make_sink());
+        replay(&mut cdc, events);
+        assert!(cdc.time().0 > 0 && cdc.untracked() == 0 && cdc.probe_anomalies() == 0);
+        cdc.time().0
     };
     let check = move |collected: u64| {
         assert_eq!(collected, want, "configs must collect identical streams");
         collected
     };
 
-    let slot = std::cell::RefCell::new(Some(omc.clone()));
+    let slot = RefCell::new(Some(omc.clone()));
     let take = || slot.borrow_mut().take().expect("omc threaded");
     let put = |omc: Omc| *slot.borrow_mut() = Some(omc);
 
-    let mut single_shard_reference = || {
-        let mut probe = ThreadedReferenceCdc::spawn(take(), make_sink());
-        for ev in events {
-            probe.event(ev);
-        }
-        let cdc = probe.join();
-        let collected = cdc.time;
-        put(cdc.omc);
-        check(collected)
-    };
-    let mut inline_reference = || {
-        let mut cdc = ReferenceCdc::new(take(), make_sink());
-        for ev in events {
-            cdc.event(ev);
-        }
-        let collected = cdc.time;
-        put(cdc.omc);
-        check(collected)
-    };
-    let mut inline_fastpath = || {
+    let mut inline = || {
         let mut cdc = Cdc::new(take(), make_sink());
         replay(&mut cdc, events);
         let collected = cdc.time().0;
         put(cdc.into_parts().0);
         check(collected)
     };
-    let mut sharded_runs: Vec<Box<dyn FnMut() -> u64 + '_>> = SHARD_COUNTS
+    let mut sharded: Vec<Box<dyn FnMut() -> u64 + '_>> = SHARD_COUNTS
         .iter()
         .map(|&shards| {
             Box::new(move || {
@@ -466,52 +324,22 @@ where
         })
         .collect();
 
-    let mut sweeps: Vec<&mut dyn FnMut() -> u64> = vec![
-        &mut single_shard_reference,
-        &mut inline_reference,
-        &mut inline_fastpath,
-    ];
-    for run in &mut sharded_runs {
-        sweeps.push(run.as_mut());
-    }
-    let eps = measure_interleaved(n, &mut sweeps);
-    CollectionEps {
-        single_shard_reference: eps[0],
-        inline_reference: eps[1],
-        inline_fastpath: eps[2],
-        sharded: eps[3..].to_vec(),
-    }
-}
-
-const GRAMMAR_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// The seed's end-to-end grammar-mode throughput (MEPS), the fixed
-/// baseline the pipelined acceptance ratio is taken against.
-const SEED_GRAMMAR_MEPS: f64 = 0.44;
-
-struct GrammarPipelineEps {
-    /// Grammars built inline on the collection thread (the sequential
-    /// `--profiler whomp` default).
-    inline: f64,
-    /// `PipelinedWhomp` at each entry of [`GRAMMAR_WORKER_COUNTS`].
-    pipelined: Vec<f64>,
-}
-
-impl GrammarPipelineEps {
-    fn pipelined_at(&self, workers: usize) -> f64 {
-        self.pipelined[GRAMMAR_WORKER_COUNTS
-            .iter()
-            .position(|&w| w == workers)
-            .expect("measured worker count")]
-    }
+    let mut sweeps: Vec<&mut dyn FnMut() -> u64> = vec![&mut inline];
+    sweeps.extend(
+        sharded
+            .iter_mut()
+            .map(|run| run.as_mut() as &mut dyn FnMut() -> u64),
+    );
+    let spreads = measure_interleaved(REPS, MIN_SECS, events.len() as u64, &mut sweeps);
+    Curve::new(&SHARD_COUNTS, &spreads)
 }
 
 /// End-to-end OMSG grammar mode: translation plus all four dimension
-/// grammars, inline vs pipelined. The timed region includes the final
-/// drain and join — the cost a real run pays before it can serialize.
-fn measure_grammar_pipeline(omc: &Omc, events: &[ProbeEvent]) -> GrammarPipelineEps {
-    let n = events.len() as u64;
-    let slot = std::cell::RefCell::new(Some(omc.clone()));
+/// grammars, inline and at each of [`GRAMMAR_WORKER_COUNTS`]. The timed
+/// region includes the final drain and join — the cost a real run pays
+/// before it can serialize.
+fn measure_grammar_pipeline(omc: &Omc, events: &[ProbeEvent]) -> Curve {
+    let slot = RefCell::new(Some(omc.clone()));
     let take = || slot.borrow_mut().take().expect("omc threaded");
     let put = |omc: Omc| *slot.borrow_mut() = Some(omc);
 
@@ -524,7 +352,7 @@ fn measure_grammar_pipeline(omc: &Omc, events: &[ProbeEvent]) -> GrammarPipeline
         put(omc);
         collected
     };
-    let mut pipelined_runs: Vec<Box<dyn FnMut() -> u64 + '_>> = GRAMMAR_WORKER_COUNTS
+    let mut pipelined: Vec<Box<dyn FnMut() -> u64 + '_>> = GRAMMAR_WORKER_COUNTS
         .iter()
         .map(|&workers| {
             Box::new(move || {
@@ -541,139 +369,57 @@ fn measure_grammar_pipeline(omc: &Omc, events: &[ProbeEvent]) -> GrammarPipeline
         .collect();
 
     let mut sweeps: Vec<&mut dyn FnMut() -> u64> = vec![&mut inline];
-    for run in &mut pipelined_runs {
-        sweeps.push(run.as_mut());
-    }
-    let eps = measure_interleaved(n, &mut sweeps);
-    GrammarPipelineEps {
-        inline: eps[0],
-        pipelined: eps[1..].to_vec(),
-    }
+    sweeps.extend(
+        pipelined
+            .iter_mut()
+            .map(|run| run.as_mut() as &mut dyn FnMut() -> u64),
+    );
+    let spreads = measure_interleaved(REPS, MIN_SECS, events.len() as u64, &mut sweeps);
+    Curve::new(&GRAMMAR_WORKER_COUNTS, &spreads)
 }
 
 // ---------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------
 
-fn meps(eps: f64) -> String {
-    format!("{:.2}", eps / 1e6)
-}
-
 fn ratio(num: f64, den: f64) -> String {
     format!("{:.2}", num / den)
 }
 
-fn translate_json(t: &TranslateEps) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "      \"reference_btreemap_meps\": {},\n",
-            "      \"page_index_meps\": {},\n",
-            "      \"mru_memo_meps\": {},\n",
-            "      \"page_index_speedup\": {},\n",
-            "      \"mru_memo_speedup\": {}\n",
-            "    }}"
-        ),
-        meps(t.reference_btreemap),
-        meps(t.page_index),
-        meps(t.mru_memo),
-        ratio(t.page_index, t.reference_btreemap),
-        ratio(t.mru_memo, t.reference_btreemap),
-    )
-}
-
-fn collection_json(c: &CollectionEps, events: usize) -> String {
-    let sharded: Vec<String> = SHARD_COUNTS
+fn translate_json(tiers: &[Spread]) -> String {
+    let rates: Vec<String> = TIERS
         .iter()
-        .zip(&c.sharded)
-        .map(|(shards, eps)| format!("\"{shards}\": {}", meps(*eps)))
+        .zip(tiers)
+        .map(|(name, s)| format!("      \"{name}_meps\": {},\n", s.meps_json()))
         .collect();
     format!(
-        concat!(
-            "{{\n",
-            "    \"timed_events\": {},\n",
-            "    \"single_shard_reference_meps\": {},\n",
-            "    \"inline_reference_meps\": {},\n",
-            "    \"inline_fastpath_meps\": {},\n",
-            "    \"sharded_meps\": {{ {} }},\n",
-            "    \"inline_fastpath_speedup\": {},\n",
-            "    \"sharded_4_speedup\": {}\n",
-            "  }}"
-        ),
-        events,
-        meps(c.single_shard_reference),
-        meps(c.inline_reference),
-        meps(c.inline_fastpath),
-        sharded.join(", "),
-        ratio(c.inline_fastpath, c.inline_reference),
-        ratio(c.sharded_at(4), c.single_shard_reference),
+        "{{\n{}      \"page_index_speedup\": {},\n      \"mru_memo_speedup\": {}\n    }}",
+        rates.concat(),
+        ratio(tiers[1].median, tiers[0].median),
+        ratio(tiers[2].median, tiers[0].median),
     )
 }
 
-fn grammar_pipeline_json(
-    g: &GrammarPipelineEps,
-    collection_fastpath: f64,
-    events: usize,
-) -> String {
-    let pipelined: Vec<String> = GRAMMAR_WORKER_COUNTS
+fn print_translate(name: &str, tiers: &[Spread]) {
+    let cols: Vec<String> = TIERS
         .iter()
-        .zip(&g.pipelined)
-        .map(|(workers, eps)| format!("\"{workers}\": {}", meps(*eps)))
+        .zip(tiers)
+        .map(|(tier, s)| {
+            format!(
+                "{tier} {} Mq/s ({}x)",
+                s.meps(),
+                ratio(s.median, tiers[0].median)
+            )
+        })
         .collect();
+    println!("translate/{name}: {}", cols.join(" | "));
+}
+
+fn collection_json(c: &Curve, events: usize) -> String {
     format!(
-        concat!(
-            "{{\n",
-            "    \"timed_events\": {},\n",
-            "    \"seed_grammar_meps\": {},\n",
-            "    \"inline_meps\": {},\n",
-            "    \"pipelined_meps\": {{ {} }},\n",
-            "    \"pipelined_4_speedup_over_inline\": {},\n",
-            "    \"pipelined_4_speedup_over_seed\": {},\n",
-            "    \"collection_gap_4\": {}\n",
-            "  }}"
-        ),
-        events,
-        SEED_GRAMMAR_MEPS,
-        meps(g.inline),
-        pipelined.join(", "),
-        ratio(g.pipelined_at(4), g.inline),
-        ratio(g.pipelined_at(4), SEED_GRAMMAR_MEPS * 1e6),
-        ratio(collection_fastpath, g.pipelined_at(4)),
+        "{{\n    \"timed_events\": {events},\n{}\n  }}",
+        c.json_fields("sharded")
     )
-}
-
-fn print_grammar_pipeline(g: &GrammarPipelineEps, collection_fastpath: f64) {
-    println!("whomp grammar pipeline: inline {:>7} Mev/s", meps(g.inline));
-    for (workers, eps) in GRAMMAR_WORKER_COUNTS.iter().zip(&g.pipelined) {
-        println!(
-            "             workers x{workers}: {:>7} Mev/s ({}x over inline, {}x over the {} Mev/s seed)",
-            meps(*eps),
-            ratio(*eps, g.inline),
-            ratio(*eps, SEED_GRAMMAR_MEPS * 1e6),
-            SEED_GRAMMAR_MEPS,
-        );
-    }
-    println!(
-        "             grammar-vs-collection gap at x4: {}x",
-        ratio(collection_fastpath, g.pipelined_at(4)),
-    );
-}
-
-fn print_collection(name: &str, c: &CollectionEps) {
-    println!(
-        "{name:>14}: baseline pipeline {:>7} Mev/s | inline ref {:>7} Mev/s | inline fast {:>7} Mev/s ({}x)",
-        meps(c.single_shard_reference),
-        meps(c.inline_reference),
-        meps(c.inline_fastpath),
-        ratio(c.inline_fastpath, c.inline_reference),
-    );
-    for (shards, eps) in SHARD_COUNTS.iter().zip(&c.sharded) {
-        println!(
-            "                sharded x{shards}: {:>7} Mev/s ({}x over baseline)",
-            meps(*eps),
-            ratio(*eps, c.single_shard_reference),
-        );
-    }
 }
 
 fn main() -> std::process::ExitCode {
@@ -683,7 +429,8 @@ fn main() -> std::process::ExitCode {
     let events = build_events();
     let grammar_events = &events[..GRAMMAR_EVENTS.min(events.len())];
     println!(
-        "== Throughput: {} live objects, {}-node chase x{} fields, {} timed events, {} core(s) ==\n",
+        "== Throughput: {} live objects, {}-node chase x{} fields, {} timed events, {} core(s); \
+         median (min-max) of {REPS} interleaved rounds ==\n",
         NODES,
         CHASED,
         FIELDS,
@@ -692,39 +439,32 @@ fn main() -> std::process::ExitCode {
     );
 
     let chase = measure_translate(&omc, &chase_queries(&events));
+    print_translate("chase", &chase);
     let hot = measure_translate(&omc, &hot_field_queries());
-    println!(
-        "translate/chase: reference {} Mq/s | page index {} Mq/s ({}x) | memo {} Mq/s ({}x)",
-        meps(chase.reference_btreemap),
-        meps(chase.page_index),
-        ratio(chase.page_index, chase.reference_btreemap),
-        meps(chase.mru_memo),
-        ratio(chase.mru_memo, chase.reference_btreemap),
-    );
-    println!(
-        "translate/hot:   reference {} Mq/s | page index {} Mq/s ({}x) | memo {} Mq/s ({}x)\n",
-        meps(hot.reference_btreemap),
-        meps(hot.page_index),
-        ratio(hot.page_index, hot.reference_btreemap),
-        meps(hot.mru_memo),
-        ratio(hot.mru_memo, hot.reference_btreemap),
-    );
+    print_translate("hot", &hot);
+    println!();
 
     let whomp = measure_collection(&omc, &events, VecOrSink::new);
-    print_collection("whomp", &whomp);
+    whomp.print("whomp", "sharded");
     let whomp_grammar = measure_collection(&omc, grammar_events, HybridProfiler::new);
-    print_collection("whomp+grammar", &whomp_grammar);
+    whomp_grammar.print("whomp+grammar", "sharded");
     let leap = measure_collection(&omc, &events, LeapProfiler::new);
-    print_collection("leap", &leap);
+    leap.print("leap", "sharded");
     let gpipe = measure_grammar_pipeline(&omc, grammar_events);
-    print_grammar_pipeline(&gpipe, whomp.inline_fastpath);
-
-    let translate_ok = chase.mru_memo >= 3.0 * chase.reference_btreemap;
-    let whomp_ok = whomp.sharded_at(4) >= 2.0 * whomp.single_shard_reference;
-    let gpipe_ok = gpipe.pipelined_at(4) >= 5.0 * SEED_GRAMMAR_MEPS * 1e6;
+    gpipe.print("whomp grammar", "workers");
+    let seed_eps = SEED_GRAMMAR_MEPS * 1e6;
     println!(
-        "\nacceptance: fast-path translate >= 3x reference: {translate_ok}; \
-         4-shard WHOMP collection >= 2x single-shard baseline: {whomp_ok}; \
+        "{:>14}  workers x4 over the {SEED_GRAMMAR_MEPS} Mev/s seed: {}x; \
+         inline collection over workers x4: {}x",
+        "",
+        ratio(gpipe.at(4).median, seed_eps),
+        ratio(whomp.inline.median, gpipe.at(4).median),
+    );
+
+    let translate_ok = chase[2].median >= 3.0 * chase[0].median;
+    let gpipe_ok = gpipe.at(4).median >= 5.0 * seed_eps;
+    println!(
+        "\nacceptance: memo translate >= 3x reference: {translate_ok}; \
          4-worker grammar pipeline >= 5x the {SEED_GRAMMAR_MEPS} Mev/s seed: {gpipe_ok}"
     );
 
@@ -733,8 +473,9 @@ fn main() -> std::process::ExitCode {
             "{{\n",
             "  \"benchmark\": \"throughput\",\n",
             "  \"available_parallelism\": {},\n",
-            "  \"baseline\": \"seed-equivalent single-worker collection pipeline (the bench's ThreadedReferenceCdc: one worker on a bounded channel translating via Omc::translate_reference); inline reference and fast-path collectors reported alongside\",\n",
-            "  \"note\": \"the whomp_grammar_pipeline section measures end-to-end OMSG grammar mode with construction moved off the collection thread (PipelinedWhomp grammar workers) plus the arena-keyed digram index, packed symbols and batched push; the sharded collection sections isolate the translation/collection stages; on a host with available_parallelism=1 the pipelined path degrades to inline by design, so the speedup-over-seed there reflects the serial Sequitur rewrite alone\",\n",
+            "  \"reps\": {},\n",
+            "  \"baseline\": \"inline fast-path collection: one orp_core::Cdc on the calling thread translating through Omc::translate_cached; every sharded and pipelined ratio is its median over the inline median\",\n",
+            "  \"note\": \"each *_meps entry is min, median and max Mev/s (raw_translate: Mq/s) over reps interleaved rounds of at least {} s; raw_translate ratios are medians over the reference_btreemap oracle's median; sharded_meps runs ShardedCdc (a translator thread plus N lane threads), pipelined_meps runs PipelinedWhomp on N grammar workers; the 5x bit compares the 4-worker median with the seed's fixed {} Mev/s\",\n",
             "  \"workload\": {{ \"live_objects\": {}, \"chased_nodes\": {}, \"fields_per_node\": {}, \"timed_events\": {} }},\n",
             "  \"raw_translate\": {{\n",
             "    \"pointer_chase\": {},\n",
@@ -743,15 +484,23 @@ fn main() -> std::process::ExitCode {
             "  \"whomp_collection\": {},\n",
             "  \"whomp_grammar_collection\": {},\n",
             "  \"leap_collection\": {},\n",
-            "  \"whomp_grammar_pipeline\": {},\n",
+            "  \"whomp_grammar_pipeline\": {{\n",
+            "    \"timed_events\": {},\n",
+            "    \"seed_grammar_meps\": {},\n",
+            "{},\n",
+            "    \"pipelined_4_speedup_over_seed\": {},\n",
+            "    \"collection_gap_4\": {}\n",
+            "  }},\n",
             "  \"acceptance\": {{\n",
             "    \"fastpath_translate_3x_reference\": {},\n",
-            "    \"whomp_4_shards_2x_single_shard\": {},\n",
             "    \"grammar_pipeline_4_workers_5x_seed\": {}\n",
             "  }}\n",
             "}}\n"
         ),
         cores,
+        REPS,
+        MIN_SECS,
+        SEED_GRAMMAR_MEPS,
         NODES,
         CHASED,
         FIELDS,
@@ -761,13 +510,14 @@ fn main() -> std::process::ExitCode {
         collection_json(&whomp, events.len()),
         collection_json(&whomp_grammar, grammar_events.len()),
         collection_json(&leap, events.len()),
-        grammar_pipeline_json(&gpipe, whomp.inline_fastpath, grammar_events.len()),
+        grammar_events.len(),
+        SEED_GRAMMAR_MEPS,
+        gpipe.json_fields("pipelined"),
+        ratio(gpipe.at(4).median, seed_eps),
+        ratio(whomp.inline.median, gpipe.at(4).median),
         translate_ok,
-        whomp_ok,
         gpipe_ok,
     );
-    // The benchmark trajectory is tracked at the repo root; refresh
-    // that copy too, regardless of the invocation directory.
     match orp_bench::write_result_artifacts("throughput", &json) {
         Ok(path) => {
             println!();

@@ -5,6 +5,24 @@
 //! running a workload through a profiler configuration and collecting
 //! the metrics — lives here so binaries stay declarative and the logic
 //! is unit-testable.
+//!
+//! # What the committed `results/BENCH_*.json` figures are
+//!
+//! * `BENCH_throughput.json` — every `*_meps` entry but the fixed
+//!   `seed_grammar_meps` is a `{ "min", "median", "max" }` object in
+//!   millions of events (raw translate: queries) per second, over the
+//!   interleaved rounds of [`measure_interleaved`]; every ratio is
+//!   median over median, and the collection ratios are taken over the
+//!   inline fast-path `Cdc`.
+//! * `BENCH_obs_overhead.json` — the flat `*_meps` figures and the
+//!   overhead percentages are best-of (the [`Spread::max`] of the same
+//!   rounds), which is what `disabled_recorder_under_2pct` tests; the
+//!   `spread_meps` object publishes min, median and max beside them.
+//! * `BENCH_service.json` — one run: rates are counts over that run's
+//!   wall time, the ingest latency is the p99 over all its frames, and
+//!   the recovery time is a single kill-and-resume.
+//! * `BENCH_sampling.json` and `BENCH_layout.json` — deterministic
+//!   counts, fractions and simulated miss rates; no timing.
 
 #![forbid(unsafe_code)]
 
@@ -242,6 +260,108 @@ pub fn dependence_errors(
 }
 
 // ---------------------------------------------------------------------
+// Interleaved timing
+// ---------------------------------------------------------------------
+
+/// Min, median and max of one configuration's rate (per second) over
+/// the rounds of [`measure_interleaved`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Slowest round.
+    pub min: f64,
+    /// Middle round.
+    pub median: f64,
+    /// Fastest round: the best-of figure.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`. The count must be odd, so the median is
+    /// one of the samples rather than an average of two.
+    ///
+    /// # Panics
+    ///
+    /// On an empty or even-sized sample set.
+    #[must_use]
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(
+            samples.len() % 2 == 1,
+            "the median needs an odd sample count"
+        );
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        Spread {
+            min: sorted[0],
+            median: sorted[sorted.len() / 2],
+            max: sorted[sorted.len() - 1],
+        }
+    }
+
+    /// `median (min-max)` in millions per second, for console tables.
+    #[must_use]
+    pub fn meps(&self) -> String {
+        format!(
+            "{:.2} ({:.2}-{:.2})",
+            self.median / 1e6,
+            self.min / 1e6,
+            self.max / 1e6
+        )
+    }
+
+    /// `{ "min", "median", "max" }` in millions per second, for the
+    /// committed JSON.
+    #[must_use]
+    pub fn meps_json(&self) -> String {
+        format!(
+            "{{ \"min\": {:.2}, \"median\": {:.2}, \"max\": {:.2} }}",
+            self.min / 1e6,
+            self.median / 1e6,
+            self.max / 1e6
+        )
+    }
+}
+
+/// Times several configurations *interleaved* and returns each one's
+/// [`Spread`] in units per second.
+///
+/// After one warm-up call each, every round times every configuration
+/// once before the next round starts; a configuration's time in a round
+/// repeats its `sweep` (which handles `per_sweep` units per call) until
+/// at least `min_secs` elapse. The reported figures are mostly ratios
+/// between configurations, and the configurations together take minutes
+/// to measure: timing them one after another lets background load drift
+/// bias a ratio even when every figure is sound. Round-robin timing
+/// gives each configuration one round in every load regime, so the
+/// spreads are comparable rank for rank.
+///
+/// # Panics
+///
+/// When `reps` is even (see [`Spread::of`]).
+pub fn measure_interleaved(
+    reps: usize,
+    min_secs: f64,
+    per_sweep: u64,
+    sweeps: &mut [&mut dyn FnMut() -> u64],
+) -> Vec<Spread> {
+    for sweep in sweeps.iter_mut() {
+        std::hint::black_box(sweep()); // warm-up
+    }
+    let mut rounds = vec![Vec::with_capacity(reps); sweeps.len()];
+    for _ in 0..reps {
+        for (samples, sweep) in rounds.iter_mut().zip(sweeps.iter_mut()) {
+            let mut done = 0u64;
+            let t0 = Instant::now();
+            while done == 0 || t0.elapsed().as_secs_f64() < min_secs {
+                std::hint::black_box(sweep());
+                done += per_sweep;
+            }
+            samples.push(done as f64 / t0.elapsed().as_secs_f64());
+        }
+    }
+    rounds.iter().map(|samples| Spread::of(samples)).collect()
+}
+
+// ---------------------------------------------------------------------
 // Result-artifact persistence
 // ---------------------------------------------------------------------
 
@@ -361,6 +481,57 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), payload.as_bytes());
         assert!(!root.join("BENCH_writer_selftest.json").exists());
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn spread_pins_min_median_and_max() {
+        let s = Spread::of(&[3e6, 1e6, 5e6, 2e6, 4e6]);
+        assert_eq!(
+            s,
+            Spread {
+                min: 1e6,
+                median: 3e6,
+                max: 5e6
+            }
+        );
+        assert_eq!(s.meps(), "3.00 (1.00-5.00)");
+        assert_eq!(
+            s.meps_json(),
+            "{ \"min\": 1.00, \"median\": 3.00, \"max\": 5.00 }"
+        );
+        assert_eq!(Spread::of(&[7.0]).median, 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "odd sample count")]
+    fn spread_refuses_an_even_sample_count() {
+        let _ = Spread::of(&[1.0, 2.0]);
+    }
+
+    #[test]
+    fn interleaved_rounds_time_every_configuration() {
+        let (mut a, mut b) = (0u64, 0u64);
+        let spreads = measure_interleaved(
+            3,
+            0.0,
+            10,
+            &mut [
+                &mut || {
+                    a += 1;
+                    a
+                },
+                &mut || {
+                    b += 1;
+                    b
+                },
+            ],
+        );
+        assert_eq!(spreads.len(), 2);
+        for s in &spreads {
+            assert!(0.0 < s.min && s.min <= s.median && s.median <= s.max);
+        }
+        // One warm-up plus one sweep per round each.
+        assert_eq!((a, b), (4, 4));
     }
 
     #[test]

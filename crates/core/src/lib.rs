@@ -71,7 +71,7 @@ pub use cdc::Cdc;
 pub use lane::PipelineError;
 pub use omc::{FastU64Map, ObjectRecord, Omc, OmcError, TranslateStats, U64Hasher};
 pub use sample::{RateController, SampleStats, Sampler, SamplingPolicy};
-pub use session::{ResumeError, ResumeLedger, Session, SessionSink, SessionStats};
+pub use session::{Session, SessionSink, SessionStats};
 pub use sharded::{PipelineStats, ShardStats, ShardableSink, ShardedCdc, ShardedJoin};
 pub use sink::{NullOrSink, OrSink, VecOrSink};
 

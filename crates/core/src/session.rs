@@ -34,7 +34,6 @@
 //! died, in which case [`Session::checkpoint`] refuses: the dead lane's
 //! keys are partial, and a checkpoint would pass them off as complete.
 
-use std::fmt;
 use std::io::{self, Read, Write};
 
 use orp_format::{
@@ -489,32 +488,6 @@ impl<S: SessionSink> Session<S> {
         Ok(session)
     }
 
-    /// [`Session::resume`] with double-resume protection: registers the
-    /// checkpoint in `ledger` and refuses to restore a checkpoint the
-    /// ledger has already handed out. A recovery driver that resumes
-    /// one snapshot twice would silently fork the profile (two sessions
-    /// both believing they own the stream's continuation); with a
-    /// ledger that is a loud [`ResumeError::AlreadyResumed`] instead.
-    ///
-    /// Reads the stream to its end — a checkpoint file holds exactly
-    /// one container.
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError::Format`] as [`Session::resume`];
-    /// [`ResumeError::AlreadyResumed`] on the second resume of the same
-    /// checkpoint bytes.
-    pub fn resume_tracked(
-        r: &mut impl Read,
-        ledger: &mut ResumeLedger,
-    ) -> Result<Self, ResumeError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes).map_err(FormatError::from)?;
-        let session = Self::resume(&mut bytes.as_slice())?;
-        ledger.claim(&bytes)?;
-        Ok(session)
-    }
-
     /// Finishes the session and writes the sink's profile container.
     ///
     /// # Errors
@@ -524,92 +497,6 @@ impl<S: SessionSink> Session<S> {
         ProbeSink::finish(&mut self.cdc);
         let (_omc, sink) = self.cdc.into_parts();
         sink.finalize_profile(w)
-    }
-}
-
-/// Tracks which checkpoints a recovery driver has already resumed, so
-/// the same snapshot cannot silently fork into two live sessions.
-///
-/// Identity is a 64-bit FNV-1a fingerprint of the checkpoint bytes:
-/// ledger state stays O(resumes), and byte-identical snapshots (the
-/// fork hazard) collide by construction. Deliberately opt-in — tests
-/// and harnesses that *want* to replay one snapshot several ways (e.g.
-/// at different shard counts) use the untracked `resume` entry points.
-#[derive(Debug, Default)]
-pub struct ResumeLedger {
-    seen: std::collections::HashSet<u64>,
-}
-
-impl ResumeLedger {
-    /// An empty ledger.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checkpoints claimed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// True when no checkpoint has been claimed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-
-    fn claim(&mut self, bytes: &[u8]) -> Result<(), ResumeError> {
-        if self.seen.insert(fnv1a(bytes)) {
-            Ok(())
-        } else {
-            Err(ResumeError::AlreadyResumed)
-        }
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Why a tracked resume failed.
-#[derive(Debug)]
-pub enum ResumeError {
-    /// The checkpoint container is damaged or mismatched.
-    Format(FormatError),
-    /// This ledger already resumed the same checkpoint; a second
-    /// session from it would fork the profile.
-    AlreadyResumed,
-}
-
-impl fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResumeError::Format(e) => write!(f, "{e}"),
-            ResumeError::AlreadyResumed => {
-                f.write_str("checkpoint was already resumed; refusing to fork the session")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ResumeError::Format(e) => Some(e),
-            ResumeError::AlreadyResumed => None,
-        }
-    }
-}
-
-impl From<FormatError> for ResumeError {
-    fn from(e: FormatError) -> Self {
-        ResumeError::Format(e)
     }
 }
 

@@ -1,18 +1,17 @@
-//! Degenerate checkpoint cut points and double-resume protection.
+//! Degenerate checkpoint cut points.
 //!
 //! The loom harness (`loom_pipeline.rs`) model-checks the *schedules*
 //! of a resumed pipeline; these tests pin the *cut points* it takes for
 //! granted: a checkpoint taken before any event, a checkpoint taken
 //! when the session is already finalize-eligible (every object freed),
-//! and the ledger that keeps one snapshot from being resumed into two
-//! live sessions.
+//! and one snapshot resumed twice on purpose. Keeping two writers off
+//! one checkpoint is the daemon's tenant claim, not the session's.
 
 use std::io::{self, Read, Write};
 
 use orp_core::sharded::{ShardableSink, ShardedCdc};
 use orp_core::{
-    Cdc, GroupId, ObjectSerial, OrSink, OrTuple, ResumeError, ResumeLedger, Session, SessionSink,
-    Timestamp, VecOrSink,
+    Cdc, GroupId, ObjectSerial, OrSink, OrTuple, Session, SessionSink, Timestamp, VecOrSink,
 };
 use orp_format::{read_varint, write_varint, ProfileKind};
 use orp_trace::{
@@ -152,100 +151,6 @@ fn checkpoint_at_finalize_eligible_state_finalizes_identically() {
         Session::<ReplaySink>::resume(&mut ckpt.as_slice()).expect("resume full checkpoint");
     assert_eq!(resumed.events(), session.events());
     assert_eq!(finalize_bytes(resumed), finalize_bytes(session));
-}
-
-#[test]
-fn double_resume_from_the_same_checkpoint_errors() {
-    let mut session = Session::new(ReplaySink::default());
-    session.feed(&script()[..3]);
-    let mut ckpt = Vec::new();
-    session
-        .checkpoint(&mut ckpt)
-        .expect("checkpoint mid-stream");
-
-    let mut ledger = ResumeLedger::new();
-    let first = Session::<ReplaySink>::resume_tracked(&mut ckpt.as_slice(), &mut ledger)
-        .expect("first resume");
-    assert_eq!(first.events(), 3);
-    assert_eq!(ledger.len(), 1);
-
-    // The same snapshot again: must refuse, not hand out a fork.
-    let second = Session::<ReplaySink>::resume_tracked(&mut ckpt.as_slice(), &mut ledger);
-    assert!(
-        matches!(second, Err(ResumeError::AlreadyResumed)),
-        "second resume of one checkpoint must error, got {second:?}"
-    );
-    assert_eq!(
-        ledger.len(),
-        1,
-        "the refused resume must not grow the ledger"
-    );
-}
-
-#[test]
-fn tracked_resume_distinguishes_different_checkpoints() {
-    let mut session = Session::new(ReplaySink::default());
-    session.feed(&script()[..2]);
-    let mut early = Vec::new();
-    session.checkpoint(&mut early).expect("early checkpoint");
-    session.feed(&script()[2..]);
-    let mut late = Vec::new();
-    session.checkpoint(&mut late).expect("late checkpoint");
-
-    let mut ledger = ResumeLedger::new();
-    assert!(ledger.is_empty());
-    Session::<ReplaySink>::resume_tracked(&mut early.as_slice(), &mut ledger)
-        .expect("early resume");
-    Session::<ReplaySink>::resume_tracked(&mut late.as_slice(), &mut ledger)
-        .expect("a different checkpoint is not a fork");
-    assert_eq!(ledger.len(), 2);
-}
-
-#[test]
-fn double_resume_onto_the_sharded_pipeline_errors() {
-    let mut session = Session::new(ReplaySink::default());
-    session.feed(&script()[..3]);
-    let mut ckpt = Vec::new();
-    session
-        .checkpoint(&mut ckpt)
-        .expect("checkpoint mid-stream");
-
-    let mut ledger = ResumeLedger::new();
-    let resumed = Session::<ReplaySink>::resume_tracked(&mut ckpt.as_slice(), &mut ledger)
-        .expect("first sharded resume");
-    let pipeline = ShardedCdc::spawn(resumed, 2, |_| ReplaySink::default());
-    drop(pipeline.join().expect("pipeline healthy"));
-
-    // A second resume — sharded or not — of the same snapshot forks.
-    let again = Session::<ReplaySink>::resume_tracked(&mut ckpt.as_slice(), &mut ledger);
-    assert!(matches!(again, Err(ResumeError::AlreadyResumed)));
-}
-
-#[test]
-fn corrupt_checkpoint_does_not_burn_the_ledger_entry() {
-    let mut session = Session::new(ReplaySink::default());
-    session.feed(&script()[..3]);
-    let mut ckpt = Vec::new();
-    session
-        .checkpoint(&mut ckpt)
-        .expect("checkpoint mid-stream");
-
-    let mut ledger = ResumeLedger::new();
-    let mut damaged = ckpt.clone();
-    let mid = damaged.len() / 2;
-    damaged[mid] ^= 0x40;
-    assert!(matches!(
-        Session::<ReplaySink>::resume_tracked(&mut damaged.as_slice(), &mut ledger),
-        Err(ResumeError::Format(_))
-    ));
-    assert!(
-        ledger.is_empty(),
-        "a failed resume must not claim the snapshot"
-    );
-
-    // The intact snapshot still resumes once.
-    Session::<ReplaySink>::resume_tracked(&mut ckpt.as_slice(), &mut ledger)
-        .expect("intact checkpoint resumes after a failed attempt");
 }
 
 #[test]

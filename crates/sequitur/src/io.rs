@@ -403,7 +403,53 @@ impl Sequitur {
         if start_guard == NIL || (start_guard as usize) >= node_count {
             return Err(bad_data("start rule has no guard node"));
         }
+        seq.check_rule_lists()?;
         Ok(seq)
+    }
+
+    /// Walks every live rule's circular body list from its guard: each
+    /// `next` link must be non-`NIL` and mirrored by its target's `prev`
+    /// (which, once the walk closes, covers every `prev`), the guard must
+    /// carry its own rule's guard symbol, the body only live non-guard
+    /// symbols, and the walk must come back to the guard. `push` and the rule rewrites follow these links without
+    /// checks, so a list broken anywhere would index `nodes[NIL]` on
+    /// the first push instead of failing here. No node may sit on two
+    /// lists, which also bounds the whole walk by the node count.
+    fn check_rule_lists(&self) -> io::Result<()> {
+        let mut seen = vec![false; self.nodes.len()];
+        for (rule, slot) in (0u32..).zip(&self.rules) {
+            if slot.guard == NIL {
+                continue;
+            }
+            let mut at = slot.guard;
+            loop {
+                let (Some(node), Some(visited)) =
+                    (self.nodes.get(at as usize), seen.get_mut(at as usize))
+                else {
+                    return Err(bad_data("rule list link is NIL"));
+                };
+                if std::mem::replace(visited, true) {
+                    return Err(bad_data("rule list does not close at its guard"));
+                }
+                let sym_ok = if at == slot.guard {
+                    node.sym == Sym::guard(rule)
+                } else {
+                    node.sym != Sym::FREE && !node.sym.is_guard()
+                };
+                if !sym_ok {
+                    return Err(bad_data("rule list holds a foreign symbol"));
+                }
+                let mirrored = self.nodes.get(node.next as usize).map(|n| n.prev) == Some(at);
+                if !mirrored {
+                    return Err(bad_data("rule list links do not mirror"));
+                }
+                at = node.next;
+                if at == slot.guard {
+                    break;
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -633,6 +679,27 @@ mod tests {
         let free = seq.free_nodes[0];
         let state = state_with_digrams(&seq, &[((Sym(1), Sym(2)), free)]);
         assert_rejected(&state, "names a free node");
+    }
+
+    #[test]
+    fn nil_guard_prev_is_rejected() {
+        // The first push appends after the start guard's `prev`.
+        let (mut seq, _, _) = hostile_base();
+        let guard = seq.rules[0].guard;
+        seq.nodes[guard as usize].prev = NIL;
+        let mut state = Vec::new();
+        seq.save_state(&mut state).unwrap();
+        assert_rejected(&state, "do not mirror");
+    }
+
+    #[test]
+    fn unmirrored_next_link_is_rejected() {
+        // `first.next` skips a node whose `prev` still names `first`.
+        let (mut seq, first, last) = hostile_base();
+        seq.nodes[first as usize].next = last;
+        let mut state = Vec::new();
+        seq.save_state(&mut state).unwrap();
+        assert_rejected(&state, "do not mirror");
     }
 
     #[test]

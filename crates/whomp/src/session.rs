@@ -85,6 +85,8 @@ impl SessionSink for PipelinedWhomp {
 #[cfg(test)]
 mod tests {
     use orp_core::{Session, SessionSink};
+    use orp_format::{write_varint, ChunkTag, ContainerReader, ContainerWriter};
+    use orp_sequitur::Sequitur;
     use orp_trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeEvent, RawAddress};
 
     use crate::WhompProfiler;
@@ -156,5 +158,54 @@ mod tests {
         // grammar states behind it.
         state[0] ^= 0x01;
         assert!(WhompProfiler::restore_state(&mut state.as_slice()).is_err());
+    }
+
+    #[test]
+    fn resume_refuses_a_grammar_whose_rule_list_is_broken() {
+        // An empty grammar's state ends with its guard's `prev` and
+        // `next` (node 0), no free nodes, one rule (guard 0, no uses),
+        // no free rules and no digrams.
+        let mut empty = Vec::new();
+        Sequitur::new().save_state(&mut empty).unwrap();
+        let tail = empty.len() - 8;
+        assert_eq!(empty[tail..], [0, 0, 0, 1, 0, 0, 0, 0]);
+        let mut nil_prev = empty[..tail].to_vec();
+        write_varint(&mut nil_prev, u64::from(u32::MAX)).unwrap();
+        nil_prev.extend_from_slice(&empty[tail + 1..]);
+
+        // An empty session's checkpoint, re-encoded with valid CRCs
+        // around `instr` as the instruction grammar's state.
+        let mut ckpt = Vec::new();
+        Session::new(WhompProfiler::new())
+            .checkpoint(&mut ckpt)
+            .unwrap();
+        let reencode = |instr: &[u8]| {
+            let mut snks = Vec::new();
+            write_varint(&mut snks, WhompProfiler::STATE_NAME.len() as u64).unwrap();
+            snks.extend_from_slice(WhompProfiler::STATE_NAME.as_bytes());
+            write_varint(&mut snks, 0).unwrap(); // tuples
+            snks.extend_from_slice(instr);
+            for _ in 1..4 {
+                snks.extend_from_slice(&empty);
+            }
+            let mut reader = ContainerReader::new(ckpt.as_slice()).unwrap();
+            let mut writer = ContainerWriter::new(Vec::new()).unwrap();
+            while let Some(chunk) = reader.next_chunk().unwrap() {
+                let payload = if chunk.tag == ChunkTag::SINK_STATE {
+                    &snks
+                } else {
+                    &chunk.payload
+                };
+                writer.chunk(chunk.tag, payload).unwrap();
+            }
+            writer.finish().unwrap()
+        };
+        assert_eq!(reencode(&empty), ckpt, "re-encoding is faithful");
+
+        let hostile = reencode(&nil_prev);
+        let Err(err) = Session::<WhompProfiler>::resume(&mut hostile.as_slice()) else {
+            panic!("a NIL guard link must not resume");
+        };
+        assert!(err.to_string().contains("rule list"), "{err}");
     }
 }

@@ -78,13 +78,13 @@ fn usage() -> &'static str {
      [--allocator ..] [--seed <n>] [--plan-out <file>] [--top <n>] \
      [--stats] [--metrics-out <file.json>] [--fault-plan <spec>]\n  \
      orprof-cli serve --socket <path> --dir <path> [--checkpoint-events <n>] \
-     [--stats] [--metrics-out <file.json>] [--fault-plan <spec>]\n  \
+     [--stats] [--metrics-out <file.json>]\n  \
      orprof-cli inspect <file>\n  orprof-cli report <file>\n\n\
      shards: leap and hybrid collect on N key-partitioned lanes, byte-identical to \
      --shards 1; sharded runs checkpoint and resume like inline ones\n\
      grammars: whomp grows its four dimension grammars on worker threads on a \
      multi-CPU host and inline on one CPU; rasg grows its record grammar inline\n\
-     fault plans (also via ORP_FAULT_PLAN): io-error@n=K, short-write@n=K, \
+     fault plans (run, record, optimize; also via ORP_FAULT_PLAN): io-error@n=K, short-write@n=K, \
      interrupt@n=K[xT], would-block@n=K[xT], crash@byte=B"
 }
 
@@ -207,13 +207,7 @@ const OPTIMIZE_FLAGS: FlagSpec = FlagSpec {
 };
 
 const SERVE_FLAGS: FlagSpec = FlagSpec {
-    values: &[
-        "--socket",
-        "--dir",
-        "--checkpoint-events",
-        "--metrics-out",
-        "--fault-plan",
-    ],
+    values: &["--socket", "--dir", "--checkpoint-events", "--metrics-out"],
     switches: &["--stats"],
     positionals: 0,
 };
@@ -761,7 +755,13 @@ fn emit_report(parsed: &Parsed, ctx: &mut IoCtx, report: &RunReport) -> Result<(
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let parsed = parse_flags(args, &SERVE_FLAGS)?;
     let clock = Stopwatch::start();
-    let mut ctx = IoCtx::from_flags(&parsed)?;
+    // The daemon writes tenant checkpoints and profiles through its own
+    // durable path, so no fault plan applies: a plan here would reach
+    // only the report below.
+    let mut ctx = IoCtx {
+        plan: None,
+        retries: 0,
+    };
     let socket = parsed
         .value("--socket")
         .ok_or("missing --socket")?
@@ -786,7 +786,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let mut rec = StatsRecorder::default();
     stats.record_metrics(&mut rec);
-    rec.counter("io.retries", ctx.retries);
     let mut report = RunReport::new("serve");
     report.shards = 1;
     report.events = OrpdStats::get(&stats.events);

@@ -261,6 +261,27 @@ fn misspelled_flag_is_an_error_not_silently_ignored() {
 }
 
 #[test]
+fn serve_refuses_a_fault_plan() {
+    // The daemon's checkpoints and profiles never saw the plan; only
+    // the report write did, so the flag is not offered at all.
+    let out = cli()
+        .args([
+            "serve",
+            "--socket",
+            "unused.sock",
+            "--dir",
+            "unused",
+            "--fault-plan",
+            "io-error@n=1",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag --fault-plan"), "{err}");
+}
+
+#[test]
 fn value_flag_at_end_without_a_value_is_an_error() {
     // Regression: the old parser returned None for a trailing value
     // flag, silently running without an output file.
@@ -1237,6 +1258,7 @@ fn serve_streams_a_tenant_and_reports_orpd_metrics() {
     ] {
         assert!(doc.contains(needle), "missing {needle} in:\n{doc}");
     }
+    assert!(!doc.contains("\"io.retries\""), "{doc}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

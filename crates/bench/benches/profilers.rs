@@ -314,6 +314,19 @@ fn bench_sequitur_push(c: &mut Criterion) {
             black_box(seq.size())
         });
     });
+
+    // One terminal repeated: the object stream of gzip, mcf, crafty and
+    // bzip2 is a single value. Every digram it forms repeats, so pushes
+    // keep taking the rule-reuse, overlap and run-restoration paths
+    // rather than the plain index miss.
+    let constant = vec![7u64; n as usize];
+    group.bench_function("push_batch_constant", |b| {
+        b.iter(|| {
+            let mut seq = Sequitur::new();
+            seq.push_batch(&constant);
+            black_box(seq.size())
+        });
+    });
     group.finish();
 }
 

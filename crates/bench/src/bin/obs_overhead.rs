@@ -7,9 +7,13 @@
 //! component itself, and `record_metrics(&mut dyn Recorder)` publishes
 //! those fields only at phase boundaries. So "metrics disabled" is the
 //! same loop plus a periodic `NoopRecorder` publication — this harness
-//! measures that pair interleaved (identical query stream), tests the
-//! best-of ratio against the 2% budget and publishes each
-//! configuration's min/median/max beside it. A `StatsRecorder`
+//! measures that pair interleaved (identical query stream) and tests the
+//! median over rounds of the paired overhead, `1 - noop/plain` within
+//! one round, against the 2% budget. The rounds spread far wider than
+//! 2% under host load, so a ratio of best-of figures taken from
+//! different rounds cannot resolve the budget; a ratio within a round
+//! cancels the load both sides of it saw. The best-of figures and each
+//! configuration's min/median/max are published beside it. A `StatsRecorder`
 //! configuration is reported alongside for scale: even the *enabled*
 //! path only pays at publication points, never per event.
 
@@ -17,7 +21,7 @@
 
 use std::hint::black_box;
 
-use orp_bench::measure_interleaved;
+use orp_bench::{measure_interleaved, Spread};
 use orp_core::{Omc, Timestamp};
 use orp_obs::{NoopRecorder, StatsRecorder};
 use orp_trace::{AllocSiteId, InstrId};
@@ -33,7 +37,7 @@ const QUERIES: usize = 400_000;
 /// the CLI uses (publish at phase boundaries, not per event).
 const PUBLISH_EVERY: usize = 4096;
 /// Interleaved timing rounds per configuration (odd, so the median is
-/// one of them); the acceptance bit reads the best of them.
+/// one of them); the acceptance bit reads the median paired round.
 const REPS: usize = 7;
 /// Minimum measured interval per round.
 const MIN_SECS: f64 = 0.2;
@@ -112,23 +116,39 @@ fn main() -> std::process::ExitCode {
         hits + rec.counter_value("omc.memo_hits")
     };
 
-    let spreads = measure_interleaved(REPS, MIN_SECS, n, &mut [&mut plain, &mut noop, &mut stats]);
+    let rounds = measure_interleaved(REPS, MIN_SECS, n, &mut [&mut plain, &mut noop, &mut stats]);
+    let spreads = rounds.spreads();
     // Best-of: each configuration's fastest round.
     let (plain_eps, noop_eps, stats_eps) = (spreads[0].max, spreads[1].max, spreads[2].max);
     let noop_overhead = 1.0 - noop_eps / plain_eps;
     let stats_overhead = 1.0 - stats_eps / plain_eps;
-    let ok = noop_overhead < BUDGET;
+    // Paired: each configuration over the plain loop within each round.
+    let noop_paired = Spread::of(&rounds.paired_ratios(1, 0));
+    let stats_paired = Spread::of(&rounds.paired_ratios(2, 0));
+    let ok = 1.0 - noop_paired.median < BUDGET;
 
     let pct = |x: f64| format!("{:.2}", x * 100.0);
+    // Overhead range over the rounds: the fastest paired round is the
+    // smallest overhead.
+    let paired_pct = |r: Spread| {
+        format!(
+            "{{ \"min\": {}, \"median\": {}, \"max\": {} }}",
+            pct(1.0 - r.max),
+            pct(1.0 - r.median),
+            pct(1.0 - r.min)
+        )
+    };
     println!(
         "plain loop:        {:.2} Mq/s\n\
-         noop recorder:     {:.2} Mq/s ({}% overhead)\n\
-         stats recorder:    {:.2} Mq/s ({}% overhead)",
+         noop recorder:     {:.2} Mq/s ({}% overhead best-of, {}% paired median)\n\
+         stats recorder:    {:.2} Mq/s ({}% overhead best-of, {}% paired median)",
         plain_eps / 1e6,
         noop_eps / 1e6,
         pct(noop_overhead),
+        pct(1.0 - noop_paired.median),
         stats_eps / 1e6,
         pct(stats_overhead),
+        pct(1.0 - stats_paired.median),
     );
     println!(
         "spread, median (min-max) Mq/s: plain {}, noop {}, stats {}",
@@ -137,7 +157,12 @@ fn main() -> std::process::ExitCode {
         spreads[2].meps(),
     );
     println!(
-        "\nacceptance: disabled-recorder overhead < {}%: {ok}",
+        "paired overhead per round, min/median/max %: noop {}, stats {}",
+        paired_pct(noop_paired),
+        paired_pct(stats_paired),
+    );
+    println!(
+        "\nacceptance: disabled-recorder paired median overhead < {}%: {ok}",
         pct(BUDGET)
     );
 
@@ -152,6 +177,12 @@ fn main() -> std::process::ExitCode {
             "  \"stats_recorder_meps\": {:.2},\n",
             "  \"noop_overhead_pct\": {},\n",
             "  \"stats_overhead_pct\": {},\n",
+            "  \"noop_overhead_paired_median_pct\": {},\n",
+            "  \"stats_overhead_paired_median_pct\": {},\n",
+            "  \"paired_overhead_pct\": {{\n",
+            "    \"noop_recorder\": {},\n",
+            "    \"stats_recorder\": {}\n",
+            "  }},\n",
             "  \"spread_meps\": {{\n",
             "    \"plain\": {},\n",
             "    \"noop_recorder\": {},\n",
@@ -169,6 +200,10 @@ fn main() -> std::process::ExitCode {
         stats_eps / 1e6,
         pct(noop_overhead),
         pct(stats_overhead),
+        pct(1.0 - noop_paired.median),
+        pct(1.0 - stats_paired.median),
+        paired_pct(noop_paired),
+        paired_pct(stats_paired),
         spreads[0].meps_json(),
         spreads[1].meps_json(),
         spreads[2].meps_json(),

@@ -194,6 +194,7 @@ fn measure_translate(omc: &Omc, queries: &[(InstrId, u64)]) -> Vec<Spread> {
         queries.len() as u64,
         &mut [&mut reference, &mut page, &mut memo],
     )
+    .spreads()
 }
 
 // ---------------------------------------------------------------------
@@ -330,7 +331,7 @@ where
             .iter_mut()
             .map(|run| run.as_mut() as &mut dyn FnMut() -> u64),
     );
-    let spreads = measure_interleaved(REPS, MIN_SECS, events.len() as u64, &mut sweeps);
+    let spreads = measure_interleaved(REPS, MIN_SECS, events.len() as u64, &mut sweeps).spreads();
     Curve::new(&SHARD_COUNTS, &spreads)
 }
 
@@ -374,7 +375,7 @@ fn measure_grammar_pipeline(omc: &Omc, events: &[ProbeEvent]) -> Curve {
             .iter_mut()
             .map(|run| run.as_mut() as &mut dyn FnMut() -> u64),
     );
-    let spreads = measure_interleaved(REPS, MIN_SECS, events.len() as u64, &mut sweeps);
+    let spreads = measure_interleaved(REPS, MIN_SECS, events.len() as u64, &mut sweeps).spreads();
     Curve::new(&GRAMMAR_WORKER_COUNTS, &spreads)
 }
 

@@ -14,10 +14,14 @@
 //!   interleaved rounds of [`measure_interleaved`]; every ratio is
 //!   median over median, and the collection ratios are taken over the
 //!   inline fast-path `Cdc`.
-//! * `BENCH_obs_overhead.json` — the flat `*_meps` figures and the
-//!   overhead percentages are best-of (the [`Spread::max`] of the same
-//!   rounds), which is what `disabled_recorder_under_2pct` tests; the
-//!   `spread_meps` object publishes min, median and max beside them.
+//! * `BENCH_obs_overhead.json` — `disabled_recorder_under_2pct` tests
+//!   `noop_overhead_paired_median_pct`: the median over rounds of
+//!   `1 - noop/plain` within one round ([`Rounds::paired_ratios`]);
+//!   `paired_overhead_pct` gives each recorder's range over the rounds.
+//!   The flat `*_meps` figures and `noop_overhead_pct` /
+//!   `stats_overhead_pct` are best-of (the [`Spread::max`] of the same
+//!   rounds), and the `spread_meps` object publishes min, median and
+//!   max beside them.
 //! * `BENCH_service.json` — one run: rates are counts over that run's
 //!   wall time, the ingest latency is the p99 over all its frames, and
 //!   the recovery time is a single kill-and-resume.
@@ -321,8 +325,45 @@ impl Spread {
     }
 }
 
-/// Times several configurations *interleaved* and returns each one's
-/// [`Spread`] in units per second.
+/// Every configuration's rate in every round of one
+/// [`measure_interleaved`] run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rounds {
+    /// `rates[config][round]`, in units per second.
+    pub rates: Vec<Vec<f64>>,
+}
+
+impl Rounds {
+    /// Each configuration's [`Spread`] over the rounds.
+    ///
+    /// # Panics
+    ///
+    /// When the round count is even (see [`Spread::of`]).
+    #[must_use]
+    pub fn spreads(&self) -> Vec<Spread> {
+        self.rates
+            .iter()
+            .map(|samples| Spread::of(samples))
+            .collect()
+    }
+
+    /// Per round, the rate of configuration `config` over the rate of
+    /// configuration `baseline` in that same round. Both were timed
+    /// back to back, so a load swing that moves a whole round cancels
+    /// out of its ratio, where it stays in a ratio of best-of figures
+    /// taken from different rounds.
+    #[must_use]
+    pub fn paired_ratios(&self, config: usize, baseline: usize) -> Vec<f64> {
+        self.rates[config]
+            .iter()
+            .zip(&self.rates[baseline])
+            .map(|(x, base)| x / base)
+            .collect()
+    }
+}
+
+/// Times several configurations *interleaved* and returns every
+/// configuration's rate, in units per second, in every round.
 ///
 /// After one warm-up call each, every round times every configuration
 /// once before the next round starts; a configuration's time in a round
@@ -332,23 +373,21 @@ impl Spread {
 /// to measure: timing them one after another lets background load drift
 /// bias a ratio even when every figure is sound. Round-robin timing
 /// gives each configuration one round in every load regime, so the
-/// spreads are comparable rank for rank.
-///
-/// # Panics
-///
-/// When `reps` is even (see [`Spread::of`]).
+/// spreads are comparable rank for rank, and
+/// [`Rounds::paired_ratios`] compares two configurations round by
+/// round.
 pub fn measure_interleaved(
     reps: usize,
     min_secs: f64,
     per_sweep: u64,
     sweeps: &mut [&mut dyn FnMut() -> u64],
-) -> Vec<Spread> {
+) -> Rounds {
     for sweep in sweeps.iter_mut() {
         std::hint::black_box(sweep()); // warm-up
     }
-    let mut rounds = vec![Vec::with_capacity(reps); sweeps.len()];
+    let mut rates = vec![Vec::with_capacity(reps); sweeps.len()];
     for _ in 0..reps {
-        for (samples, sweep) in rounds.iter_mut().zip(sweeps.iter_mut()) {
+        for (samples, sweep) in rates.iter_mut().zip(sweeps.iter_mut()) {
             let mut done = 0u64;
             let t0 = Instant::now();
             while done == 0 || t0.elapsed().as_secs_f64() < min_secs {
@@ -358,7 +397,7 @@ pub fn measure_interleaved(
             samples.push(done as f64 / t0.elapsed().as_secs_f64());
         }
     }
-    rounds.iter().map(|samples| Spread::of(samples)).collect()
+    Rounds { rates }
 }
 
 // ---------------------------------------------------------------------
@@ -525,13 +564,35 @@ mod tests {
                     b
                 },
             ],
-        );
+        )
+        .spreads();
         assert_eq!(spreads.len(), 2);
         for s in &spreads {
             assert!(0.0 < s.min && s.min <= s.median && s.median <= s.max);
         }
         // One warm-up plus one sweep per round each.
         assert_eq!((a, b), (4, 4));
+    }
+
+    #[test]
+    fn paired_ratios_divide_within_each_round() {
+        // Round 2 ran under load for both configurations and still
+        // pairs at 0.9. The median pair reads 0.9, where best-of over
+        // best-of reads 1.0: its two maxima come from different rounds.
+        let rounds = Rounds {
+            rates: vec![
+                vec![50.0, 20.0, 40.0],
+                vec![45.0, 18.0, 50.0],
+                vec![100.0, 40.0, 80.0],
+            ],
+        };
+        assert_eq!(rounds.paired_ratios(1, 0), vec![0.9, 0.9, 1.25]);
+        assert_eq!(rounds.paired_ratios(2, 0), vec![2.0, 2.0, 2.0]);
+        assert_eq!(rounds.paired_ratios(0, 0), vec![1.0, 1.0, 1.0]);
+        assert_eq!(Spread::of(&rounds.paired_ratios(1, 0)).median, 0.9);
+        let spreads = rounds.spreads();
+        assert_eq!(spreads[1].max / spreads[0].max, 1.0);
+        assert_eq!(spreads[2].min, 40.0);
     }
 
     #[test]

@@ -20,9 +20,32 @@
 //! entry's node is live and its current digram equals the key it was
 //! stored under. [`Sequitur`](crate::Sequitur) keeps this: every change
 //! to a `.next` link goes through `Sequitur::join`, which unindexes the
-//! left node's digram before relinking, and a node is unindexed before
-//! it is freed. `Sequitur::assert_invariants` checks it, and a restored
-//! checkpoint validates each entry before inserting it.
+//! left node's digram before relinking, or through `Sequitur::relink`,
+//! which skips that unindex where the digram cannot be indexed at the
+//! left node; and a node is unindexed before it is freed.
+//! `Sequitur::assert_invariants` checks it, and a restored checkpoint
+//! validates each entry before inserting it.
+//!
+//! `join` never indexes at its left node: its run restoration indexes
+//! at `right` or at `left`'s predecessor. So a digram that a node
+//! gained from a `join` at that node is not indexed there until
+//! `check` indexes it, and five unindex probes of the substitution and
+//! inlining paths can never hit. They are skipped, each under a
+//! `debug_assert!`:
+//!
+//! * `substitute`, deleting `first`: its digram `a c`, gained from
+//!   `join(first, c)`;
+//! * `substitute`, inserting the rule use after `q`: `q`'s digram
+//!   `q c`, gained from `join(q, c)`;
+//! * `expand`, splicing the body in: `left right` at `left`, gained
+//!   from `join(left, right)`;
+//! * `expand`: `l f` at the body's last node `l`, gained from
+//!   `join(l, f)`;
+//! * `substitute`, deleting `second` on `match_found`'s rule-reuse
+//!   branch: `a b` at `first`, which `check` has just found indexed at
+//!   another node. On the new-rule branch `a b` is, or may be, indexed
+//!   at the node being substituted, so both of its `substitute` calls
+//!   keep the full `join`.
 
 use std::hash::Hasher;
 

@@ -266,10 +266,10 @@ impl Sequitur {
     /// [`Sequitur::push`] — the grammar (and any later checkpoint)
     /// comes out byte-for-byte the same, which the differential tests
     /// pin down. The batch entry point only front-loads capacity
-    /// management: the node arena and the digram index grow once per
-    /// batch instead of rehashing/reallocating mid-stream, which is
-    /// where a per-symbol call spends much of its time on grammar-heavy
-    /// workloads.
+    /// management: the node arena grows once per batch instead of
+    /// reallocating mid-stream. The digram index is left to grow by
+    /// doubling as entries arrive; reserving it for the batch was
+    /// measured slower (see the body).
     pub fn push_batch(&mut self, terminals: &[u64]) {
         // Each pushed terminal appends one node; rule formation adds
         // three more (guard + two body symbols) but unlinks two, so
@@ -565,14 +565,37 @@ impl Sequitur {
         }
     }
 
-    /// Links `left -> right`, maintaining the digram index (including the
-    /// triple special case for runs of equal symbols, e.g. `aaa`).
+    /// Whether the digram starting at `n` is indexed at `n`.
+    fn indexed_at(&self, n: u32) -> bool {
+        self.digram_at(n)
+            .is_some_and(|d| self.digrams.get(&self.nodes, d) == Some(n))
+    }
+
+    /// Links `left -> right`, maintaining the digram index: unindexes
+    /// the digram `left` starts now, then relinks as
+    /// [`Sequitur::relink`] does.
     fn join(&mut self, left: u32, right: u32) {
         if self.nodes[left as usize].next != NIL {
             self.delete_digram(left);
+        }
+        self.relink(left, right);
+    }
 
+    /// Links `left -> right` like [`Sequitur::join`], including the
+    /// triple special case for runs of equal symbols (e.g. `aaa`), but
+    /// without unindexing the digram `left` starts now. For callers
+    /// that know that digram is not indexed at `left`: `join` never
+    /// indexes at its left node, so a digram `left` gained from an
+    /// earlier `join(left, _)` is never indexed there.
+    fn relink(&mut self, left: u32, right: u32) {
+        debug_assert!(
+            !self.indexed_at(left),
+            "relink skipped the unindex of a digram indexed at its left node {left}"
+        );
+        if self.nodes[left as usize].next != NIL {
             // If `right` sits in the middle of a run of equal symbols, its
-            // digram entry may have been the one just removed; restore it.
+            // digram entry may have been the one the caller removed;
+            // restore it.
             let (rp, rn) = (
                 self.nodes[right as usize].prev,
                 self.nodes[right as usize].next,
@@ -611,12 +634,8 @@ impl Sequitur {
         self.join(pos, node);
     }
 
-    /// Unlinks and frees `n`, removing its digram and releasing its rule
-    /// reference.
-    fn delete_node(&mut self, n: u32) {
-        let (p, nx) = (self.nodes[n as usize].prev, self.nodes[n as usize].next);
-        self.join(p, nx);
-        self.delete_digram(n);
+    /// Frees an unlinked, unindexed node, releasing its rule reference.
+    fn release_node(&mut self, n: u32) {
         if let Some(r) = self.sym(n).as_rule() {
             self.rules[r as usize].uses -= 1;
         }
@@ -664,7 +683,7 @@ impl Sequitur {
                 // analyze: allow(panic-reachability): the branch condition just checked is_guard(), so as_guard() cannot fail
                 unreachable!()
             };
-            self.substitute(first, r);
+            self.substitute(first, r, true);
             r
         } else {
             // Create a new rule from the digram and substitute both
@@ -677,8 +696,8 @@ impl Sequitur {
             self.insert_after(guard, na);
             let nb = self.new_node(b);
             self.insert_after(na, nb);
-            self.substitute(m, r);
-            self.substitute(first, r);
+            self.substitute(m, r, false);
+            self.substitute(first, r, false);
             let body_first = self.nodes[self.rules[r as usize].guard as usize].next;
             if let Some(d) = self.digram_at(body_first) {
                 self.digrams.insert(&self.nodes, d, body_first);
@@ -700,14 +719,38 @@ impl Sequitur {
         }
     }
 
-    /// Replaces the digram starting at `first` with a use of rule `r`.
-    fn substitute(&mut self, first: u32, r: u32) {
+    /// Replaces the digram `a b` starting at `first` with a use of rule
+    /// `r`. `indexed_elsewhere` says `check` found `a b` indexed at
+    /// another node, so it is not indexed at `first`.
+    ///
+    /// The unlinking and relinking skip every unindex that cannot hit,
+    /// and make the same index operations, in the same order, as
+    /// deleting both nodes and inserting the use through `join`.
+    fn substitute(&mut self, first: u32, r: u32, indexed_elsewhere: bool) {
         let q = self.nodes[first as usize].prev;
         let second = self.nodes[first as usize].next;
-        self.delete_node(second);
-        self.delete_node(first);
+        let c = self.nodes[second as usize].next;
+        // Delete `second`.
+        if indexed_elsewhere {
+            self.relink(first, c);
+        } else {
+            self.join(first, c);
+        }
+        self.delete_digram(second);
+        self.release_node(second);
+        // Delete `first`: it now starts `a c`, which linking it to `c`
+        // did not index at `first`.
+        self.join(q, c);
+        debug_assert!(
+            !self.indexed_at(first),
+            "digram at the substituted node {first} is indexed"
+        );
+        self.release_node(first);
+        // Insert the use after `q`, whose digram `q c` the `join(q, c)`
+        // above did not index at `q`.
         let node = self.new_node(Sym::rule(r));
-        self.insert_after(q, node);
+        self.join(node, c);
+        self.relink(q, node);
         if !self.check(q) {
             let qn = self.nodes[q as usize].next;
             self.check(qn);
@@ -747,9 +790,11 @@ impl Sequitur {
         self.join(left, right);
         self.free_node(node);
 
-        // Splice the body in place of the deleted node.
-        self.join(left, f);
-        self.join(l, right);
+        // Splice the body in place of the deleted node. `left` now
+        // starts `left right` and `l` starts `l f`, each gained from a
+        // `join` at that left node, so neither is indexed there.
+        self.relink(left, f);
+        self.relink(l, right);
         if let Some(d) = self.digram_at(l) {
             self.digrams.insert(&self.nodes, d, l);
         }

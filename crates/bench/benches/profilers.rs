@@ -271,7 +271,7 @@ fn bench_threaded_pipeline(c: &mut Criterion) {
         group.bench_function(format!("sharded_{shards}"), |b| {
             b.iter(|| {
                 let session = Session::new(HybridProfiler::new());
-                let mut probe = ShardedCdc::spawn(session, shards, |_| HybridProfiler::new());
+                let mut probe = ShardedCdc::spawn(session, shards);
                 drive(&workload, &cfg, &mut probe);
                 let joined = probe.join().expect("pipeline healthy");
                 black_box(joined.session.cdc().sink().tuples())

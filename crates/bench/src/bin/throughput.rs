@@ -315,7 +315,7 @@ where
         .map(|&shards| {
             Box::new(move || {
                 let session = Session::with_omc(take(), make_sink());
-                let mut probe = ShardedCdc::spawn(session, shards, move |_| make_sink());
+                let mut probe = ShardedCdc::spawn(session, shards);
                 replay(&mut probe, events);
                 let cdc = probe.join().expect("pipeline healthy").session.into_cdc();
                 let collected = cdc.time().0;

@@ -232,6 +232,15 @@ impl<R> Worker<R> {
     }
 }
 
+/// Whether the host has at least two CPUs to overlap worker threads on.
+/// Every engine the host picks — grammar workers, collection lanes —
+/// asks this one probe; on a one-CPU host a worker thread only adds
+/// hand-off cost, so engines stay inline there.
+#[must_use]
+pub fn multi_cpu() -> bool {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) >= 2
+}
+
 /// Spawns the worker `name` behind a lane `depth` batches deep, whose
 /// feed side allocates buffers of `batch` items. `work` receives the
 /// worker's end and returns the worker's result once it drained the

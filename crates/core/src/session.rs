@@ -682,7 +682,7 @@ mod tests {
 
         for shards in [1, 2, 4] {
             let resumed = Session::<VecOrSink>::resume(&mut snapshot.as_slice()).unwrap();
-            let mut sharded = crate::ShardedCdc::spawn(resumed, shards, |_| VecOrSink::new());
+            let mut sharded = crate::ShardedCdc::spawn(resumed, shards);
             drive(&mut sharded, &events[cut..]);
             let joined = sharded.join().expect("pipeline healthy");
             assert_eq!(joined.session.events(), events.len() as u64, "{shards}");

@@ -6,7 +6,7 @@
 //! [`ShardedCdc`] is that pipeline, generalized to N profiler lanes:
 //!
 //! ```text
-//! probe side ──batches──▶ translator ──per-lane batches──▶ lane 0 (the stem)
+//! probe side ──batches──▶ translator ──per-lane batches──▶ lane 0
 //!                         (a Session:                  ├──▶ lane 1
 //!                          OMC translate, sampler,     ├──▶ …
 //!                          time-stamps, event count,   └──▶ lane N-1
@@ -29,13 +29,23 @@
 //! # One constructor, one join
 //!
 //! [`ShardedCdc::spawn`] starts from a [`Session`]: a fresh one, or one
-//! resumed from a checkpoint (a fresh run is a resume from empty
-//! state). The session's profiler becomes lane 0's sink — the *stem* —
-//! and every key already in it ([`ShardableSink::state_keys`]) is pinned
-//! to lane 0, so each key's stream stays in one part. [`ShardedCdc::join`]
-//! hands back the merged [`Session`], which checkpoints and finalizes
-//! like any other, plus the per-lane [`PipelineStats`] and the lanes
-//! that died.
+//! that already holds state (resumed from a checkpoint, or fed inline
+//! until it proved long). The session's profiler is *split* over the
+//! lanes ([`ShardableSink::split`], the inverse of the merge): each key
+//! it holds goes to the lane the router would have sent its first tuple
+//! to, so each key's stream stays in one part and a resumed session
+//! spreads over every lane. [`ShardedCdc::join`] hands back the merged
+//! [`Session`], which checkpoints and finalizes like any other, plus the
+//! per-lane [`PipelineStats`] and the lanes that died.
+//!
+//! # The host picks the engine
+//!
+//! [`PromotingCdc`] is how a tool collects: it feeds the session inline
+//! and, on a host with at least two CPUs, hands it to
+//! [`ShardedCdc::spawn`] on [`PROMOTE_LANES`] lanes once the session has
+//! fed [`PROMOTE_EVENTS`] events. Short runs never pay for the threads
+//! or the lane buffers; long ones overlap translation with profiling.
+//! Its join is the pipeline's, whether or not the session promoted.
 //!
 //! # Dead lanes
 //!
@@ -87,8 +97,12 @@ pub const TUPLE_BATCH: usize = 2;
 /// interact in the sink's state, and [`ShardableSink::merge`] over
 /// parts that each consumed a *disjoint key set* (every key's tuples
 /// complete and in collection order) must equal the state of a single
-/// sink that consumed the whole stream. Under that contract the sharded
-/// pipeline's output is byte-identical to single-threaded collection.
+/// sink that consumed the whole stream. [`ShardableSink::split`] is the
+/// inverse: `merge(split(p))` is `p`, and parts split from `p` that each
+/// go on to consume their own keys' remaining tuples merge into the
+/// state `p` would have reached consuming them all. Under that contract
+/// the sharded pipeline's output is byte-identical to single-threaded
+/// collection.
 pub trait ShardableSink: OrSink + Send + Sized + 'static {
     /// The vertical-decomposition key partitioning this sink's state.
     fn shard_key(t: &OrTuple) -> u64;
@@ -97,17 +111,12 @@ pub trait ShardableSink: OrSink + Send + Sized + 'static {
     /// state. `parts` is ordered by shard index.
     fn merge(parts: Vec<Self>) -> Self;
 
-    /// The shard keys present in this profiler's state. A pipeline
-    /// started from a session whose profiler already holds state (a
-    /// resumed checkpoint) pins these keys to lane 0, which holds that
-    /// state, so the merge sees every key's stream in one piece.
-    ///
-    /// Sinks whose merge re-establishes a global order regardless of
-    /// routing (like [`VecOrSink`](crate::VecOrSink)) keep the default
-    /// empty list.
-    fn state_keys(&self) -> Vec<u64> {
-        Vec::new()
-    }
+    /// Splits this sink into `parts` sinks configured like it, moving
+    /// each key's state to part `route(key)` (always `< parts`). Parts
+    /// no key routes to come back empty. Sinks call `route` for their
+    /// keys in ascending order, so a round-robin `route` balances the
+    /// same way for the same state.
+    fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self>;
 }
 
 /// Fuses an `(instr, group)` pair into a shard key.
@@ -171,6 +180,21 @@ impl ShardableSink for crate::VecOrSink {
         }
         all.sort_unstable_by_key(|t| t.time);
         crate::VecOrSink::from_tuples(all)
+    }
+
+    /// Deals the tuples out by [`ShardableSink::shard_key`], each part
+    /// keeping collection order.
+    fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+        let tuples = self.into_tuples();
+        let mut keys: Vec<u64> = tuples.iter().map(Self::shard_key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let to: FastU64Map<usize> = keys.into_iter().map(|key| (key, route(key))).collect();
+        let mut out = vec![Vec::new(); parts];
+        for t in tuples {
+            out[to[&Self::shard_key(&t)]].push(t);
+        }
+        out.into_iter().map(crate::VecOrSink::from_tuples).collect()
     }
 }
 
@@ -278,21 +302,36 @@ struct Router<S> {
     fallback: Option<S>,
 }
 
+/// First-seen round-robin: `key`'s lane, assigning the next lane in
+/// turn to a key seen for the first time.
+fn first_seen(
+    routes: &mut FastU64Map<usize>,
+    next_shard: &mut usize,
+    lanes: usize,
+    key: u64,
+) -> usize {
+    *routes.entry(key).or_insert_with(|| {
+        let s = *next_shard;
+        *next_shard = (s + 1) % lanes;
+        s
+    })
+}
+
 impl<S: ShardableSink> Router<S> {
-    /// Spawns a worker per sink — `stem` on lane 0 with its
-    /// [`ShardableSink::state_keys`] pinned there, `make_sink(i)` on lane
-    /// `i` — plus the fallback `make_sink(shards)`.
-    fn spawn(
-        stem: S,
-        shards: usize,
-        mut make_sink: impl FnMut(usize) -> S,
-    ) -> (Self, Vec<Worker<S>>) {
+    /// Splits `stem` over `shards` lane workers plus the fallback — one
+    /// more part, which no key routes to — and spawns a worker per
+    /// lane. The stem's keys take their lanes in ascending order, the
+    /// way the router assigns keys it has not seen yet.
+    fn spawn(stem: S, shards: usize) -> (Self, Vec<Worker<S>>) {
         let mut routes = FastU64Map::default();
-        for key in stem.state_keys() {
-            routes.insert(key, 0);
-        }
-        let sinks = std::iter::once(stem).chain((1..shards).map(&mut make_sink));
+        let mut next_shard = 0;
+        let mut sinks = stem.split(shards + 1, &mut |key| {
+            first_seen(&mut routes, &mut next_shard, shards, key)
+        });
+        debug_assert_eq!(sinks.len(), shards + 1, "split returns every part");
+        let fallback = sinks.pop();
         let (lanes, workers) = sinks
+            .into_iter()
             .enumerate()
             .map(|(shard, mut sink)| {
                 let name = format!("shard {shard}");
@@ -317,10 +356,10 @@ impl<S: ShardableSink> Router<S> {
         let router = Router {
             lanes,
             routes,
-            next_shard: 0,
+            next_shard,
             route_memo: [(u64::MAX, 0); 4],
             memo_slot: 0,
-            fallback: Some(make_sink(shards)),
+            fallback,
         };
         (router, workers)
     }
@@ -329,13 +368,12 @@ impl<S: ShardableSink> Router<S> {
         if let Some(&(_, shard)) = self.route_memo.iter().find(|(k, _)| *k == key) {
             return shard;
         }
-        let lanes = self.lanes.len();
-        let next_shard = &mut self.next_shard;
-        let shard = *self.routes.entry(key).or_insert_with(|| {
-            let s = *next_shard;
-            *next_shard = (s + 1) % lanes;
-            s
-        });
+        let shard = first_seen(
+            &mut self.routes,
+            &mut self.next_shard,
+            self.lanes.len(),
+            key,
+        );
         self.route_memo[self.memo_slot] = (key, shard);
         self.memo_slot = (self.memo_slot + 1) % self.route_memo.len();
         shard
@@ -399,7 +437,7 @@ type Translated<S> = (Session<Router<S>>, Vec<ShardStats>);
 /// use orp_core::{Session, VecOrSink};
 /// use orp_trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeSink, RawAddress};
 ///
-/// let mut probe = ShardedCdc::spawn(Session::new(VecOrSink::new()), 2, |_| VecOrSink::new());
+/// let mut probe = ShardedCdc::spawn(Session::new(VecOrSink::new()), 2);
 /// probe.alloc(AllocEvent { site: AllocSiteId(0), base: RawAddress(0x100), size: 16 });
 /// probe.access(AccessEvent::load(InstrId(0), RawAddress(0x108), 8));
 /// let joined = probe.join().unwrap();
@@ -417,22 +455,19 @@ pub struct ShardedCdc<S: ShardableSink> {
 
 impl<S: ShardableSink> ShardedCdc<S> {
     /// Continues `session` on the translator thread plus `shards` lane
-    /// workers. The session's profiler becomes lane 0's sink with its
-    /// [`ShardableSink::state_keys`] pinned to lane 0; `make_sink(i)`
-    /// builds the empty sinks of lanes `1..shards` and, as
-    /// `make_sink(shards)`, the fallback for dead lanes. All must be
-    /// configured like the session's profiler for the merge to be
-    /// meaningful.
+    /// workers. The session's profiler is split over the lanes
+    /// ([`ShardableSink::split`]) and over the fallback for dead lanes,
+    /// so every part is configured like it.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero or a thread cannot be spawned.
     #[must_use]
-    pub fn spawn(session: Session<S>, shards: usize, make_sink: impl FnMut(usize) -> S) -> Self {
+    pub fn spawn(session: Session<S>, shards: usize) -> Self {
         assert!(shards > 0, "at least one shard lane is required");
         let mut workers = Vec::new();
         let mut session = session.map_sink(|stem| {
-            let (router, lanes) = Router::spawn(stem, shards, make_sink);
+            let (router, lanes) = Router::spawn(stem, shards);
             workers = lanes;
             router
         });
@@ -579,6 +614,165 @@ impl<S: ShardableSink> Drop for ShardedCdc<S> {
     }
 }
 
+/// Events a [`PromotingCdc::for_host`] collection feeds inline before it
+/// moves onto lanes. On the measured 2-CPU host lanes sped the hybrid
+/// profiler up at every run length, but they cost LEAP 4–5 MiB of peak
+/// RSS at any length — more than doubling a short run's — for a small
+/// gain, so only runs longer than any job of the replay benchmarks (at
+/// most 356,097 events) promote (EXPERIMENTS.md, "Promotion onto
+/// lanes").
+pub const PROMOTE_EVENTS: u64 = 1 << 19;
+
+/// Lanes a promoted collection runs on. On the measured 2-CPU host the
+/// hybrid profiler was fastest at 4 lanes and LEAP flat from 2 to 4.
+pub const PROMOTE_LANES: usize = 4;
+
+/// A probe sink that collects inline and moves onto lanes once the run
+/// has proven long (module docs, "The host picks the engine").
+///
+/// Until promotion, events go straight into the [`Session`]; at the
+/// first event after the session has fed `promote_at` events, the
+/// session is handed to [`ShardedCdc::spawn`] — a resumed session
+/// already past that count promotes at its first event. Promotion
+/// depends on the event count alone, and the merge is exact, so the
+/// profile and checkpoint bytes are the inline run's either way.
+///
+/// # Examples
+///
+/// ```
+/// use orp_core::sharded::PromotingCdc;
+/// use orp_core::{Session, VecOrSink};
+/// use orp_trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeSink, RawAddress};
+///
+/// // Promote onto 2 lanes after the first event.
+/// let mut probe = PromotingCdc::new(Session::new(VecOrSink::new()), 2, 1);
+/// probe.alloc(AllocEvent { site: AllocSiteId(0), base: RawAddress(0x100), size: 16 });
+/// probe.access(AccessEvent::load(InstrId(0), RawAddress(0x108), 8));
+/// let joined = probe.join().unwrap();
+/// assert_eq!(joined.stats.shards.len(), 2);
+/// assert_eq!(joined.session.events(), 2);
+/// ```
+#[derive(Debug)]
+pub struct PromotingCdc<S: ShardableSink> {
+    /// The session while it runs inline; `None` once promoted.
+    inline: Option<Session<S>>,
+    pipeline: Option<ShardedCdc<S>>,
+    /// `None` asks the host at promotion.
+    lanes: Option<usize>,
+    promote_at: u64,
+}
+
+impl<S: ShardableSink> PromotingCdc<S> {
+    /// Collects `session` inline until it has fed `promote_at` events,
+    /// then on `lanes` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
+    #[must_use]
+    pub fn new(session: Session<S>, lanes: usize, promote_at: u64) -> Self {
+        assert!(lanes > 0, "at least one shard lane is required");
+        PromotingCdc {
+            inline: Some(session),
+            pipeline: None,
+            lanes: Some(lanes),
+            promote_at,
+        }
+    }
+
+    /// The host's engine: [`PROMOTE_LANES`] lanes after
+    /// [`PROMOTE_EVENTS`] events on a multi-CPU host, inline throughout
+    /// on one CPU. The CPUs ([`lane::multi_cpu`]) are probed only when
+    /// a run reaches the threshold: the probe raised a short LEAP
+    /// replay's peak RSS by about 0.1 MiB.
+    #[must_use]
+    pub fn for_host(session: Session<S>) -> Self {
+        PromotingCdc {
+            lanes: None,
+            ..Self::new(session, PROMOTE_LANES, PROMOTE_EVENTS)
+        }
+    }
+
+    /// Where events go once the session has fed `promote_at` of them:
+    /// the pipeline, spawned from the inline session on first use, or
+    /// the session itself when the host has one CPU.
+    #[cold]
+    fn promote(&mut self) -> &mut dyn ProbeSink {
+        if let Some(session) = self.inline.take() {
+            let lanes = self
+                .lanes
+                .or_else(|| lane::multi_cpu().then_some(PROMOTE_LANES));
+            match lanes {
+                Some(lanes) => self.pipeline = Some(ShardedCdc::spawn(session, lanes)),
+                None => {
+                    self.promote_at = u64::MAX;
+                    self.inline = Some(session);
+                }
+            }
+        }
+        match (&mut self.inline, &mut self.pipeline) {
+            (Some(session), _) => session,
+            (None, Some(pipeline)) => pipeline,
+            (None, None) => unreachable!("a collection runs inline or on lanes"),
+        }
+    }
+
+    /// Ends the collection like [`ShardedCdc::join`]: the finished
+    /// session (its sink has seen `finish`), the lanes' totals — no
+    /// lanes when the session never promoted — and the dead lanes.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedCdc::join`]; an inline collection cannot fail.
+    pub fn join(self) -> Result<ShardedJoin<S>, PipelineError> {
+        let Some(mut session) = self.inline else {
+            return self
+                .pipeline
+                .expect("a collection runs inline or on lanes")
+                .join();
+        };
+        ProbeSink::finish(&mut session);
+        Ok(ShardedJoin {
+            session,
+            stats: PipelineStats::default(),
+            degraded: Vec::new(),
+        })
+    }
+}
+
+/// Each method calls the session's own: routing every event through one
+/// `ProbeEvent` dispatch instead slowed inline LEAP replay by a third.
+impl<S: ShardableSink> ProbeSink for PromotingCdc<S> {
+    fn access(&mut self, ev: AccessEvent) {
+        match &mut self.inline {
+            Some(session) if session.events() < self.promote_at => session.access(ev),
+            _ => self.promote().access(ev),
+        }
+    }
+
+    fn alloc(&mut self, ev: AllocEvent) {
+        match &mut self.inline {
+            Some(session) if session.events() < self.promote_at => session.alloc(ev),
+            _ => self.promote().alloc(ev),
+        }
+    }
+
+    fn free(&mut self, ev: FreeEvent) {
+        match &mut self.inline {
+            Some(session) if session.events() < self.promote_at => session.free(ev),
+            _ => self.promote().free(ev),
+        }
+    }
+
+    /// Ships a promoted collection's pending events; the profiler
+    /// itself sees `finish` at [`PromotingCdc::join`], as on lanes.
+    fn finish(&mut self) {
+        if let Some(pipeline) = &mut self.pipeline {
+            pipeline.finish();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,7 +812,7 @@ mod tests {
     }
 
     fn spawn_vec(shards: usize) -> ShardedCdc<VecOrSink> {
-        ShardedCdc::spawn(Session::new(VecOrSink::new()), shards, |_| VecOrSink::new())
+        ShardedCdc::spawn(Session::new(VecOrSink::new()), shards)
     }
 
     #[test]
@@ -684,11 +878,14 @@ mod tests {
         fn merge(_: Vec<Self>) -> Self {
             Grenade
         }
+        fn split(self, parts: usize, _: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+            (0..parts).map(|_| Grenade).collect()
+        }
     }
 
     #[test]
     fn panicking_shard_worker_is_reported_by_name() {
-        let mut sharded = ShardedCdc::spawn(Session::new(Grenade), 2, |_| Grenade);
+        let mut sharded = ShardedCdc::spawn(Session::new(Grenade), 2);
         sharded.alloc(AllocEvent {
             site: AllocSiteId(0),
             base: RawAddress(0x100),
@@ -711,7 +908,7 @@ mod tests {
     fn batches_keep_flowing_after_lane_death() {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let driver = std::thread::spawn(move || {
-            let mut sharded = ShardedCdc::spawn(Session::new(Grenade), 1, |_| Grenade);
+            let mut sharded = ShardedCdc::spawn(Session::new(Grenade), 1);
             sharded.alloc(AllocEvent {
                 site: AllocSiteId(0),
                 base: RawAddress(0x100),
@@ -732,11 +929,13 @@ mod tests {
     }
 
     /// A sink that panics on its first tuple when armed, recording
-    /// into a [`VecOrSink`] otherwise. Deterministic: shard 1's worker
-    /// always dies on its first delivered batch.
+    /// into a [`VecOrSink`] otherwise. Split, it arms part `fuse`:
+    /// deterministically, that lane's worker dies on its first
+    /// delivered batch.
     #[derive(Debug)]
     struct FusedVec {
         armed: bool,
+        fuse: Option<usize>,
         inner: VecOrSink,
     }
     impl OrSink for FusedVec {
@@ -752,8 +951,20 @@ mod tests {
         fn merge(parts: Vec<Self>) -> Self {
             FusedVec {
                 armed: false,
+                fuse: None,
                 inner: VecOrSink::merge(parts.into_iter().map(|p| p.inner).collect()),
             }
+        }
+        fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+            let fuse = self.fuse;
+            let parts = self.inner.split(parts, route).into_iter().enumerate();
+            parts
+                .map(|(i, inner)| FusedVec {
+                    armed: fuse == Some(i),
+                    fuse,
+                    inner,
+                })
+                .collect()
         }
     }
     impl SessionSink for FusedVec {
@@ -765,6 +976,7 @@ mod tests {
             let inner = VecOrSink::restore_state(r)?;
             Ok(FusedVec {
                 armed: false,
+                fuse: None,
                 inner,
             })
         }
@@ -773,9 +985,11 @@ mod tests {
         }
     }
 
-    fn fused_lane_two(i: usize) -> FusedVec {
+    /// A stem whose split arms lane `fuse`.
+    fn fused(fuse: Option<usize>) -> FusedVec {
         FusedVec {
-            armed: i == 1,
+            armed: false,
+            fuse,
             inner: VecOrSink::new(),
         }
     }
@@ -812,7 +1026,7 @@ mod tests {
         wave(&mut inline);
         inline.finish();
 
-        let mut sharded = ShardedCdc::spawn(Session::new(fused_lane_two(0)), 2, fused_lane_two);
+        let mut sharded = ShardedCdc::spawn(Session::new(fused(Some(1))), 2);
         sharded.alloc(ALLOC);
         wave(&mut sharded);
         // Ship wave 1 to the translator, then give shard 1's worker time to
@@ -860,7 +1074,7 @@ mod tests {
     /// the inline session.
     #[test]
     fn degraded_join_never_checkpoints() {
-        let mut sharded = ShardedCdc::spawn(Session::new(fused_lane_two(0)), 2, fused_lane_two);
+        let mut sharded = ShardedCdc::spawn(Session::new(fused(Some(1))), 2);
         sharded.alloc(ALLOC);
         wave(&mut sharded);
         let mut joined = sharded.join().expect("translator survived");
@@ -876,13 +1090,12 @@ mod tests {
         }
         assert_eq!(joined.session.session_stats().checkpoints, 0);
 
-        let disarmed = |_| fused_lane_two(0);
-        let mut clean = ShardedCdc::spawn(Session::new(disarmed(0)), 2, disarmed);
+        let mut clean = ShardedCdc::spawn(Session::new(fused(None)), 2);
         clean.alloc(ALLOC);
         wave(&mut clean);
         let mut clean = clean.join().expect("pipeline healthy");
         assert!(clean.degraded.is_empty());
-        let mut inline = Session::new(disarmed(0));
+        let mut inline = Session::new(fused(None));
         inline.alloc(ALLOC);
         wave(&mut inline);
         let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -913,6 +1126,13 @@ mod tests {
         }
         fn merge(parts: Vec<Self>) -> Self {
             Sluggish(VecOrSink::merge(parts.into_iter().map(|p| p.0).collect()))
+        }
+        fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+            self.0
+                .split(parts, route)
+                .into_iter()
+                .map(Sluggish)
+                .collect()
         }
     }
 
@@ -947,7 +1167,7 @@ mod tests {
         };
 
         // Tuple lanes, fed straight from this thread.
-        let (mut router, workers) = Router::spawn(Sluggish::default(), 2, |_| Sluggish::default());
+        let (mut router, workers) = Router::spawn(Sluggish::default(), 2);
         let mut t = OrTuple {
             instr: InstrId(0),
             kind: orp_trace::AccessKind::Load,
@@ -973,9 +1193,7 @@ mod tests {
         }
 
         // The probe lane: a sluggish tuple lane backs the translator up.
-        let mut sharded = ShardedCdc::spawn(Session::new(Sluggish::default()), 1, |_| {
-            Sluggish::default()
-        });
+        let mut sharded = ShardedCdc::spawn(Session::new(Sluggish::default()), 1);
         sharded.alloc(ALLOC);
         for i in 0..(24 * EVENT_BATCH as u64) {
             sharded.access(AccessEvent::load(
@@ -987,6 +1205,80 @@ mod tests {
         within_budget(sharded.probe.stats(), "probe lane");
         let joined = sharded.join().expect("pipeline healthy");
         assert_eq!(joined.session.cdc().sink().0.len(), 24 * EVENT_BATCH);
+    }
+
+    #[test]
+    fn promoting_collection_is_identical_to_inline_at_every_threshold() {
+        let mut inline = Session::new(VecOrSink::new());
+        churn_run(&mut inline, 50, 40);
+        let events = inline.events();
+
+        for lanes in [1, 2, 3] {
+            for promote_at in [0, 1, 777, events - 1, events, u64::MAX] {
+                let mut probe =
+                    PromotingCdc::new(Session::new(VecOrSink::new()), lanes, promote_at);
+                churn_run(&mut probe, 50, 40);
+                let joined = probe.join().expect("pipeline healthy");
+                let promoted = promote_at < events;
+                let what = format!("{lanes} lanes from event {promote_at}");
+                assert_eq!(
+                    joined.stats.shards.len(),
+                    if promoted { lanes } else { 0 },
+                    "{what}"
+                );
+                assert!(joined.degraded.is_empty(), "{what}");
+                let session = joined.session;
+                assert_eq!(session.events(), events, "{what}");
+                assert_eq!(
+                    session.cdc().sink().tuples(),
+                    inline.cdc().sink().tuples(),
+                    "{what}"
+                );
+                assert_eq!(session.cdc().time(), inline.cdc().time(), "{what}");
+            }
+        }
+    }
+
+    /// A session that already holds state spreads over every lane: its
+    /// keys are split round-robin, so their later tuples reach every
+    /// lane instead of following the state onto lane 0.
+    #[test]
+    fn a_stem_with_state_is_split_over_every_lane() {
+        let mut inline = Session::new(VecOrSink::new());
+        churn_run(&mut inline, 50, 40);
+
+        let mut probe = PromotingCdc::new(Session::new(VecOrSink::new()), 3, 500);
+        churn_run(&mut probe, 50, 40);
+        let joined = probe.join().expect("pipeline healthy");
+        for lane in &joined.stats.shards {
+            assert!(lane.tuples > 0, "lane {} got no tuples", lane.shard);
+        }
+        assert_eq!(
+            joined.session.cdc().sink().tuples(),
+            inline.cdc().sink().tuples()
+        );
+    }
+
+    #[test]
+    fn vec_sink_split_is_the_inverse_of_merge() {
+        let mut session = Session::new(VecOrSink::new());
+        churn_run(&mut session, 20, 10);
+        let tuples = session.cdc().sink().tuples().to_vec();
+        let mut order = Vec::new();
+        let parts = VecOrSink::from_tuples(tuples.clone()).split(4, &mut |key| {
+            order.push(key);
+            (key % 3) as usize
+        });
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "keys routed once, ascending"
+        );
+        assert_eq!(parts.len(), 4);
+        assert!(parts[3].is_empty(), "no key routes to part 3");
+        for (i, part) in parts.iter().enumerate() {
+            assert!(part.tuples().iter().all(|t| (t.instr.0 % 3) as usize == i));
+        }
+        assert_eq!(VecOrSink::merge(parts).tuples(), tuples);
     }
 
     #[test]

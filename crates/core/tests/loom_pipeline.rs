@@ -75,8 +75,7 @@ fn sharded_two_workers_match_inline_under_all_schedules() {
 
     let events = events.to_vec();
     loom::model(move || {
-        let mut sharded =
-            ShardedCdc::spawn(Session::new(VecOrSink::new()), 2, |_| VecOrSink::new());
+        let mut sharded = ShardedCdc::spawn(Session::new(VecOrSink::new()), 2);
         drive(&mut sharded, &events);
         let joined = sharded.join().expect("pipeline healthy");
         assert!(joined.degraded.is_empty());
@@ -119,6 +118,16 @@ impl ShardableSink for ReplaySink {
         let mut tuples: Vec<OrTuple> = parts.into_iter().flat_map(|p| p.tuples).collect();
         tuples.sort_unstable_by_key(|t| t.time);
         ReplaySink { tuples }
+    }
+
+    fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+        let parts = VecOrSink::from_tuples(self.tuples).split(parts, route);
+        parts
+            .into_iter()
+            .map(|p| ReplaySink {
+                tuples: p.into_tuples(),
+            })
+            .collect()
     }
 }
 
@@ -194,7 +203,7 @@ fn checkpoint_resume_sharded_finalize_is_byte_identical_under_all_schedules() {
     let tail = tail.to_vec();
     loom::model(move || {
         let resumed = Session::<ReplaySink>::resume(&mut ckpt.as_slice()).expect("resume");
-        let mut sharded = ShardedCdc::spawn(resumed, 2, |_| ReplaySink::default());
+        let mut sharded = ShardedCdc::spawn(resumed, 2);
         drive(&mut sharded, &tail);
         let joined = sharded.join().expect("pipeline healthy");
         assert!(joined.degraded.is_empty());
@@ -222,8 +231,7 @@ fn one_lane_collection_matches_inline_under_all_schedules() {
     let time = inline.time();
 
     loom::model(move || {
-        let mut sharded =
-            ShardedCdc::spawn(Session::new(VecOrSink::new()), 1, |_| VecOrSink::new());
+        let mut sharded = ShardedCdc::spawn(Session::new(VecOrSink::new()), 1);
         drive(&mut sharded, &script());
         let joined = sharded.join().expect("pipeline healthy");
         assert!(joined.degraded.is_empty());

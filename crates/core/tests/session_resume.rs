@@ -42,6 +42,16 @@ impl ShardableSink for ReplaySink {
         tuples.sort_unstable_by_key(|t| t.time);
         ReplaySink { tuples }
     }
+
+    fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+        let parts = VecOrSink::from_tuples(self.tuples).split(parts, route);
+        parts
+            .into_iter()
+            .map(|p| ReplaySink {
+                tuples: p.into_tuples(),
+            })
+            .collect()
+    }
 }
 
 impl SessionSink for ReplaySink {
@@ -192,7 +202,7 @@ fn checkpoint_before_any_event_resumes_onto_the_sharded_pipeline() {
 
     let resumed =
         Session::<ReplaySink>::resume(&mut ckpt.as_slice()).expect("resume empty checkpoint");
-    let mut pipeline = ShardedCdc::spawn(resumed, 3, |_| ReplaySink::default());
+    let mut pipeline = ShardedCdc::spawn(resumed, 3);
     {
         use orp_trace::ProbeSink;
         for &ev in &script() {

@@ -48,8 +48,8 @@ fn split_key(key: u64) -> (InstrId, GroupId) {
 /// The hot path is one [`FastU64Map`] lookup per tuple: the
 /// [`instr_group_key`] maps to a stream slot, and the slot carries its
 /// instruction's slot index. Slots stay in first-seen order; every
-/// published form (profile, checkpoint, state keys) is sorted when it
-/// is produced.
+/// published form (profile, checkpoint, split) is sorted when it is
+/// produced.
 #[derive(Debug, Clone)]
 pub struct LeapProfiler {
     budget: usize,
@@ -301,12 +301,34 @@ impl orp_core::ShardableSink for LeapProfiler {
         merged
     }
 
-    /// The per-stream partition keys in ascending order, matching
-    /// [`ShardableSink::shard_key`](orp_core::ShardableSink::shard_key).
-    fn state_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.streams.iter().map(|s| s.key).collect();
-        keys.sort_unstable();
-        keys
+    /// Deals the streams out by key, in ascending key order. Each
+    /// instruction slot goes with the streams that use it, and its
+    /// executions are counted in the first part that receives it —
+    /// exactly once, since the merge sums them. An instruction without
+    /// streams (a restored state may hold one) stays in part 0.
+    fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+        let mut out: Vec<LeapProfiler> = (0..parts)
+            .map(|_| LeapProfiler::with_budget(self.budget))
+            .collect();
+        let mut counted = vec![false; self.instrs.len()];
+        let mut streams = self.streams;
+        streams.sort_unstable_by_key(|s| s.key);
+        for slot in streams {
+            let part = &mut out[route(slot.key)];
+            let InstrSlot { instr, kind, execs } = self.instrs[slot.instr];
+            let at = part.instr_slot(instr, kind);
+            if !std::mem::replace(&mut counted[slot.instr], true) {
+                part.instrs[at].execs = execs;
+            }
+            part.open_stream(slot.key, at, slot.stream);
+        }
+        for (slot, counted) in self.instrs.iter().zip(counted) {
+            if !counted {
+                let at = out[0].instr_slot(slot.instr, slot.kind);
+                out[0].instrs[at].execs = slot.execs;
+            }
+        }
+        out
     }
 }
 
@@ -454,13 +476,6 @@ mod tests {
             w
         }
 
-        fn keys(&self) -> Vec<u64> {
-            self.streams
-                .keys()
-                .map(|&(instr, group)| instr_group_key(instr, group))
-                .collect()
-        }
-
         fn merge(parts: Vec<Self>) -> Self {
             let mut merged = Reference::new(parts[0].budget);
             for part in parts {
@@ -527,7 +542,6 @@ mod tests {
                 reference.tuple(t);
             }
             prop_assert_eq!(state_of(&p), reference.state());
-            prop_assert_eq!(p.state_keys(), reference.keys());
 
             // Restore mid-stream and keep feeding.
             let mut p = LeapProfiler::restore_state(&mut reference.state().as_slice()).unwrap();
@@ -536,7 +550,6 @@ mod tests {
                 reference.tuple(t);
             }
             prop_assert_eq!(state_of(&p), reference.state());
-            prop_assert_eq!(p.state_keys(), reference.keys());
 
             // Shard by stream key and merge back.
             let mut parts: Vec<LeapProfiler> =
@@ -555,6 +568,72 @@ mod tests {
             prop_assert_eq!(profile_of(merged), reference_merged.profile());
             prop_assert_eq!(profile_of(p), reference.profile());
         }
+    }
+
+    /// A route that is a function of the key alone, different per seed.
+    fn route_by(seed: u64, parts: usize) -> impl FnMut(u64) -> usize {
+        move |key| ((key ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize % parts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn split_is_the_inverse_of_merge(
+            tuples in arb_tuples(),
+            budget in 1usize..6,
+            cut in 0usize..300,
+            parts in 1usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            let cut = cut.min(tuples.len());
+            let mut straight = LeapProfiler::with_budget(budget);
+            for t in &tuples[..cut] {
+                straight.tuple(t);
+            }
+            let at_cut = state_of(&straight);
+
+            // merge(split(p)) is p, and keys are routed once, ascending.
+            let mut keys = Vec::new();
+            let mut route = route_by(seed, parts);
+            let split = straight.clone().split(parts, &mut |key| {
+                keys.push(key);
+                route(key)
+            });
+            prop_assert_eq!(split.len(), parts);
+            prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(keys.len(), straight.stream_count());
+            prop_assert_eq!(state_of(&LeapProfiler::merge(split)), at_cut.clone());
+
+            // Split at the cut, each part fed its own keys' remaining
+            // tuples, merges into the straight run's state and profile.
+            let mut route = route_by(seed, parts);
+            let mut split = LeapProfiler::restore_state(&mut at_cut.as_slice())
+                .unwrap()
+                .split(parts, &mut route);
+            for t in &tuples[cut..] {
+                straight.tuple(t);
+                split[route(<LeapProfiler as ShardableSink>::shard_key(t))].tuple(t);
+            }
+            let merged = LeapProfiler::merge(split);
+            prop_assert_eq!(state_of(&merged), state_of(&straight));
+            prop_assert_eq!(profile_of(merged), profile_of(straight));
+        }
+    }
+
+    #[test]
+    fn split_keeps_a_restored_instruction_without_streams() {
+        let mut state = Vec::new();
+        write_varint(&mut state, 4).unwrap();
+        write_varint(&mut state, 1).unwrap();
+        write_varint(&mut state, 7).unwrap();
+        state.push(1);
+        write_varint(&mut state, 42).unwrap();
+        write_varint(&mut state, 0).unwrap();
+        let lonely = LeapProfiler::restore_state(&mut state.as_slice()).unwrap();
+        let parts = lonely.split(3, &mut |_| unreachable!("no stream to route"));
+        assert_eq!(state_of(&parts[0]), state);
+        assert_eq!(state_of(&LeapProfiler::merge(parts)), state);
     }
 
     #[test]
@@ -609,7 +688,7 @@ mod tests {
 
         for shards in [1, 2, 4] {
             let resumed = Session::<LeapProfiler>::resume(&mut snapshot.as_slice()).unwrap();
-            let mut sharded = orp_core::ShardedCdc::spawn(resumed, shards, |_| LeapProfiler::new());
+            let mut sharded = orp_core::ShardedCdc::spawn(resumed, shards);
             for &ev in &events[cut..] {
                 sharded.event(ev);
             }

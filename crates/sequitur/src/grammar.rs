@@ -21,6 +21,12 @@ pub enum GrammarSymbol {
 
 use orp_format::varint_len;
 
+/// A terminal's value in the tagged-varint encoding, `2t + 1`; `None`
+/// for a terminal of 2^63 or more, whose tag does not fit a `u64`.
+pub(crate) fn tagged_terminal(t: u64) -> Option<u64> {
+    t.checked_mul(2).map(|x| x | 1)
+}
+
 /// An immutable context-free grammar generating exactly one string.
 ///
 /// Produced by [`Sequitur::grammar`](crate::Sequitur::grammar); rule 0 is
@@ -102,9 +108,9 @@ impl Grammar {
             total += varint_len(body.len() as u64);
             for sym in body {
                 total += match sym {
-                    GrammarSymbol::Terminal(t) => {
-                        t.checked_shl(1).map_or(10, |x| varint_len(x | 1))
-                    }
+                    // Such a grammar cannot be written: count the
+                    // 10-byte varint its 65-bit tag would take.
+                    GrammarSymbol::Terminal(t) => tagged_terminal(*t).map_or(10, varint_len),
                     GrammarSymbol::Rule(RuleId(r)) => varint_len(u64::from(*r) << 1),
                 };
             }

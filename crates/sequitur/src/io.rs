@@ -96,12 +96,12 @@ impl Grammar {
             for sym in body {
                 match sym {
                     GrammarSymbol::Terminal(t) => {
-                        let tagged = t.checked_shl(1).ok_or_else(|| {
+                        let tagged = crate::grammar::tagged_terminal(*t).ok_or_else(|| {
                             io::Error::new(
                                 io::ErrorKind::InvalidInput,
                                 "terminal exceeds the tagged-varint space",
                             )
-                        })? | 1;
+                        })?;
                         write_varint(w, tagged)?;
                     }
                     GrammarSymbol::Rule(RuleId(r)) => write_varint(w, u64::from(*r) << 1)?,
@@ -457,6 +457,34 @@ impl Sequitur {
 mod tests {
     use super::*;
     use crate::Sequitur;
+
+    /// Regression: the terminal tag was guarded by `checked_shl(1)`,
+    /// which never fails, so a terminal of 2^63 or more lost its top
+    /// bit and the write still returned `Ok`.
+    #[test]
+    fn terminals_past_the_tag_space_are_refused_and_the_largest_roundtrips() {
+        let over = Grammar::from_rules(vec![vec![GrammarSymbol::Terminal((1 << 63) + 5)]]);
+        let mut buf = Vec::new();
+        let err = over
+            .write_to(&mut buf)
+            .expect_err("2^63+5 has no tagged varint");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+
+        let max = Grammar::from_rules(vec![vec![
+            GrammarSymbol::Terminal((1 << 63) - 1),
+            GrammarSymbol::Terminal(0),
+        ]]);
+        let mut buf = Vec::new();
+        max.write_to(&mut buf).unwrap();
+        assert_eq!(
+            buf.len() as u64,
+            max.serialized_len(),
+            "size model is exact"
+        );
+        let back = Grammar::read_from(&mut buf.as_slice()).unwrap();
+        assert_eq!(back, max);
+        assert_eq!(back.expand(), vec![(1 << 63) - 1, 0]);
+    }
 
     #[test]
     fn grammar_roundtrip_preserves_expansion() {

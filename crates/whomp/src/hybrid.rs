@@ -199,10 +199,17 @@ impl orp_core::ShardableSink for HybridProfiler {
         merged
     }
 
-    /// The per-instruction partition keys, matching
-    /// [`ShardableSink::shard_key`](orp_core::ShardableSink::shard_key).
-    fn state_keys(&self) -> Vec<u64> {
-        self.streams.keys().map(|i| u64::from(i.0)).collect()
+    /// Deals the per-instruction map out by instruction, in ascending
+    /// order; each part counts the tuples its instructions' streams
+    /// hold.
+    fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+        let mut out: Vec<HybridProfiler> = (0..parts).map(|_| HybridProfiler::new()).collect();
+        for (instr, streams) in self.streams {
+            let part = &mut out[route(u64::from(instr.0))];
+            part.tuples += streams.group.input_len();
+            part.streams.insert(instr, streams);
+        }
+        out
     }
 }
 
@@ -412,6 +419,7 @@ mod tests {
     use super::*;
     use orp_core::{GroupId, ObjectSerial, ShardableSink, Timestamp};
     use orp_trace::AccessKind;
+    use proptest::prelude::*;
 
     fn feed(p: &mut HybridProfiler, instr: u32, obj: u64, off: u64, time: u64) {
         p.tuple(&OrTuple {
@@ -506,11 +514,86 @@ mod tests {
         let mut again = Vec::new();
         restored.save_state(&mut again).unwrap();
         assert_eq!(state, again);
-        assert_eq!(
-            restored.state_keys(),
-            vec![0, 1],
-            "one key per instruction stream"
-        );
+    }
+
+    fn state_of(p: &HybridProfiler) -> Vec<u8> {
+        let mut w = Vec::new();
+        p.save_state(&mut w).unwrap();
+        w
+    }
+
+    fn profile_of(p: HybridProfiler) -> Vec<u8> {
+        let mut w = Vec::new();
+        p.into_profile().write_to(&mut w).unwrap();
+        w
+    }
+
+    /// A route that is a function of the key alone, different per seed.
+    fn route_by(seed: u64, parts: usize) -> impl FnMut(u64) -> usize {
+        move |key| ((key ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize % parts
+    }
+
+    fn arb_tuples() -> impl Strategy<Value = Vec<OrTuple>> {
+        let access = (0u32..7, 0u32..3, 0u64..6, 0u64..4);
+        proptest::collection::vec(access, 0..200).prop_map(|raw| {
+            raw.into_iter()
+                .enumerate()
+                .map(|(time, (instr, group, object, field))| OrTuple {
+                    instr: InstrId(instr),
+                    kind: AccessKind::Load,
+                    group: GroupId(group),
+                    object: ObjectSerial(object),
+                    offset: 8 * field,
+                    time: Timestamp(time as u64),
+                    size: 8,
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn split_is_the_inverse_of_merge(
+            tuples in arb_tuples(),
+            cut in 0usize..200,
+            parts in 1usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            let cut = cut.min(tuples.len());
+            let mut straight = HybridProfiler::new();
+            for t in &tuples[..cut] {
+                straight.tuple(t);
+            }
+            let at_cut = state_of(&straight);
+
+            // merge(split(p)) is p, and keys are routed once, ascending.
+            let mut keys = Vec::new();
+            let mut route = route_by(seed, parts);
+            let split = straight.clone().split(parts, &mut |key| {
+                keys.push(key);
+                route(key)
+            });
+            prop_assert_eq!(split.len(), parts);
+            prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(state_of(&HybridProfiler::merge(split)), at_cut.clone());
+
+            // Split at the cut, each part fed its own keys' remaining
+            // tuples, merges into the straight run's state and profile.
+            let mut route = route_by(seed, parts);
+            let mut split = HybridProfiler::restore_state(&mut at_cut.as_slice())
+                .unwrap()
+                .split(parts, &mut route);
+            for t in &tuples[cut..] {
+                straight.tuple(t);
+                split[route(<HybridProfiler as ShardableSink>::shard_key(t))].tuple(t);
+            }
+            let merged = HybridProfiler::merge(split);
+            prop_assert_eq!(merged.tuples(), straight.tuples());
+            prop_assert_eq!(state_of(&merged), state_of(&straight));
+            prop_assert_eq!(profile_of(merged), profile_of(straight));
+        }
     }
 
     fn probe_events() -> Vec<orp_trace::ProbeEvent> {
@@ -560,13 +643,12 @@ mod tests {
         resumed.finalize(&mut profile).unwrap();
         assert_eq!(profile, reference, "single-threaded resume");
 
-        // Sharded resume: the restored state becomes shard 0, its
-        // instruction keys stay pinned there, and the merge reproduces
-        // the single-threaded container byte for byte.
+        // Sharded resume: the restored state is split over the lanes,
+        // and the merge reproduces the single-threaded container byte
+        // for byte.
         for shards in [1, 2, 4] {
             let resumed = Session::<HybridProfiler>::resume(&mut snapshot.as_slice()).unwrap();
-            let mut sharded =
-                orp_core::ShardedCdc::spawn(resumed, shards, |_| HybridProfiler::new());
+            let mut sharded = orp_core::ShardedCdc::spawn(resumed, shards);
             for &ev in &events[cut..] {
                 sharded.event(ev);
             }

@@ -20,8 +20,8 @@
 //! The hybrid profiler needs no pipeline of its own: it is partitioned
 //! by instruction, a [`ShardableSink`](orp_core::ShardableSink), so it
 //! grows its grammars in parallel on the lanes of
-//! [`ShardedCdc`](orp_core::ShardedCdc) (`run --shards N`), which
-//! checkpoint, resume and salvage like any sharded run.
+//! [`ShardedCdc`](orp_core::ShardedCdc), onto which `run` promotes a
+//! long run; they checkpoint, resume and salvage like any sharded run.
 //!
 //! # Batching contract
 //!
@@ -308,8 +308,7 @@ impl PipelinedWhomp {
     /// where worker threads would only add hand-off cost.
     #[must_use]
     pub fn default_workers() -> usize {
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        if cpus >= 2 {
+        if orp_core::lane::multi_cpu() {
             DIMS.len()
         } else {
             0

@@ -78,8 +78,8 @@ fn pipelined_whomp_omsg_bytes_match_sequential() {
 }
 
 /// The hybrid profiler grows its grammars in parallel on the sharded
-/// collection pipeline's lanes (`run --shards N`): every lane count
-/// must reproduce the inline container.
+/// collection pipeline's lanes (where `run` promotes a long run): every
+/// lane count must reproduce the inline container.
 #[test]
 fn pipelined_hybrid_bytes_match_sequential() {
     let events = probe_events();
@@ -96,7 +96,7 @@ fn pipelined_hybrid_bytes_match_sequential() {
 
     for lanes in [1, 2, 3, 4] {
         let session = Session::new(HybridProfiler::new());
-        let mut sharded = ShardedCdc::spawn(session, lanes, |_| HybridProfiler::new());
+        let mut sharded = ShardedCdc::spawn(session, lanes);
         drive(&mut sharded, &events);
         let joined = sharded.join().expect("pipeline healthy");
         assert!(joined.degraded.is_empty(), "{lanes} lanes");

@@ -7,7 +7,6 @@
 //! orprof-cli run --workload micro.matrix --profiler whomp --allocator buddy
 //! orprof-cli run --from-trace gzip.orpt --profiler leap --out gzip.orp
 //! orprof-cli run --from-trace rest.orpt --resume ckpt.orp --profiler leap
-//! orprof-cli run --workload micro.matrix --profiler leap --shards 4
 //! orprof-cli run --workload micro.matrix --profiler whomp --stats --metrics-out m.json
 //! orprof-cli record --workload 164.gzip --out gzip.orpt
 //! orprof-cli optimize --workload micro.linked-list --plan-out ll.plan.orp --stats
@@ -44,9 +43,10 @@ use std::process::ExitCode;
 
 use orprof::allocsim::AllocatorKind;
 use orprof::cache::evaluate::{evaluate_plan, extents_from_records, EvalConfig};
+use orprof::core::sharded::PromotingCdc;
 use orprof::core::{
     Cdc, Omc, OrSink, OrTuple, PipelineStats, RateController, SampleStats, Sampler, SamplingPolicy,
-    Session, SessionSink, ShardableSink, ShardedCdc,
+    Session, SessionSink, ShardableSink,
 };
 use orprof::format::{
     read_varint, AtomicFile, ChunkTag, ContainerReader, FailingRead, FaultPlan, Hello, IoStats,
@@ -68,7 +68,7 @@ use orprof::workloads::{micro_suite, spec_suite, RunConfig, Tracer, Workload};
 fn usage() -> &'static str {
     "usage:\n  orprof-cli list\n  orprof-cli run (--workload <name> | --from-trace <file>) \
      --profiler <whomp|rasg|leap|hybrid> [--out <file>] [--scale <n>] \
-     [--allocator <bump|free-list|buddy|randomizing>] [--seed <n>] [--shards <n>] [--salvage] \
+     [--allocator <bump|free-list|buddy|randomizing>] [--seed <n>] [--salvage] \
      [--resume <checkpoint.orp>] [--checkpoint <file>] \
      [--sample rate=<n>|budget=<p>%|reservoir=<k>] \
      [--stats] [--metrics-out <file.json>] [--embed-report] [--fault-plan <spec>]\n  \
@@ -80,8 +80,8 @@ fn usage() -> &'static str {
      orprof-cli serve --socket <path> --dir <path> [--checkpoint-events <n>] \
      [--stats] [--metrics-out <file.json>]\n  \
      orprof-cli inspect <file>\n  orprof-cli report <file>\n\n\
-     shards: leap and hybrid collect on N key-partitioned lanes, byte-identical to \
-     --shards 1; sharded runs checkpoint and resume like inline ones\n\
+     lanes: on a multi-CPU host, leap and hybrid move a long run onto key-partitioned \
+     lanes, byte-identical to inline; --salvage keeps a run whose lane died\n\
      grammars: whomp grows its four dimension grammars on worker threads on a \
      multi-CPU host and inline on one CPU; rasg grows its record grammar inline\n\
      fault plans (run, record, optimize; also via ORP_FAULT_PLAN): io-error@n=K, short-write@n=K, \
@@ -164,7 +164,6 @@ const RUN_FLAGS: FlagSpec = FlagSpec {
         "--scale",
         "--allocator",
         "--seed",
-        "--shards",
         "--resume",
         "--checkpoint",
         "--sample",
@@ -397,10 +396,6 @@ impl ProbeSink for CountingProbe<'_> {
         self.inner.finish();
     }
 }
-
-/// What a `run` driver hands back: the finished session, how the drive
-/// went, and pipeline stats when sharded.
-type RunOutput<S> = (Session<S>, DriveOutcome, Option<PipelineStats>);
 
 /// A parsed `--sample` argument: a fixed periodic rate, or an adaptive
 /// overhead budget the session's [`RateController`] holds at run time.
@@ -643,26 +638,22 @@ fn run_session<R: SessionSink, S: SessionSink>(
     Ok((session, outcome))
 }
 
-/// Runs a shardable profiler on `shards` collection lanes (one lane
-/// when `--salvage` asks for the pipeline without `--shards`): the
-/// session opens and checkpoints exactly as [`run_session`]'s does, and
-/// its budget steers the sampler on the translator thread. A dead lane
-/// fails the run, or with `--salvage` degrades it — the dead lane's
-/// later tuples divert to a fallback sink, and a degraded session
-/// writes no checkpoint.
-fn run_sharded<S: SessionSink + ShardableSink>(
+/// Runs a shardable profiler through the host's collector
+/// ([`PromotingCdc::for_host`]): inline, moved onto lanes once the run
+/// proves long on a multi-CPU host. The session opens and checkpoints
+/// exactly as [`run_session`]'s does, and its budget steers the sampler
+/// wherever the session runs. A dead lane fails the run, or with
+/// `--salvage` degrades it — the dead lane's later tuples divert to a
+/// fallback sink, and a degraded session writes no checkpoint.
+fn run_collected<S: SessionSink + ShardableSink + Default>(
     parsed: &Parsed,
     ctx: &mut IoCtx,
-    shards: usize,
     sample: Option<SampleSpec>,
-    mut fresh: impl FnMut(usize) -> S,
 ) -> Result<(Session<S>, DriveOutcome, PipelineStats), String> {
-    let session = open_session(parsed, ctx, sample, |restored: Option<S>| {
-        restored.unwrap_or_else(|| fresh(0))
-    })?;
-    let mut pipe = ShardedCdc::spawn(session, shards, fresh);
-    let outcome = drive(parsed, ctx, &mut pipe)?;
-    let joined = pipe.join().map_err(|e| e.to_string())?;
+    let session = open_session(parsed, ctx, sample, Option::<S>::unwrap_or_default)?;
+    let mut collector = PromotingCdc::for_host(session);
+    let outcome = drive(parsed, ctx, &mut collector)?;
+    let joined = collector.join().map_err(|e| e.to_string())?;
     let mut session = joined.session;
     for err in &joined.degraded {
         if !parsed.has("--salvage") {
@@ -675,26 +666,6 @@ fn run_sharded<S: SessionSink + ShardableSink>(
     }
     finish_session(parsed, ctx, &mut session, joined.degraded.is_empty())?;
     Ok((session, outcome, joined.stats))
-}
-
-/// [`run_session`] or [`run_sharded`], depending on `shards` (a
-/// `--salvage` run always uses the sharded pipeline — salvage lives in
-/// its translator).
-fn run_maybe_sharded<S: SessionSink + ShardableSink>(
-    parsed: &Parsed,
-    ctx: &mut IoCtx,
-    shards: usize,
-    sample: Option<SampleSpec>,
-    mut fresh: impl FnMut(usize) -> S,
-) -> Result<RunOutput<S>, String> {
-    if shards == 1 && !parsed.has("--salvage") {
-        let (session, outcome) = run_session(parsed, ctx, sample, |restored| {
-            restored.unwrap_or_else(|| fresh(0))
-        })?;
-        Ok((session, outcome, None))
-    } else {
-        run_sharded(parsed, ctx, shards, sample, fresh).map(|(s, o, p)| (s, o, Some(p)))
-    }
 }
 
 /// Publishes a finished session's metrics and returns its budget's
@@ -715,7 +686,14 @@ fn absorb_trace_io(rec: &mut StatsRecorder, outcome: &DriveOutcome) {
     }
 }
 
+/// Publishes the lanes a run collected on: `report.shards` counts them
+/// (1 when the run stayed inline), and a promoted run adds its
+/// `pipeline.*` totals and per-lane counts.
 fn absorb_pipeline(rec: &mut StatsRecorder, report: &mut RunReport, stats: &PipelineStats) {
+    report.shards = stats.shards.len().max(1) as u64;
+    if stats.shards.is_empty() {
+        return;
+    }
     stats.record_metrics(rec);
     report.shard_counts = stats
         .shards
@@ -814,24 +792,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if parsed.has("--embed-report") && out.is_none() {
         return Err("--embed-report requires --out".to_owned());
     }
-    let shards: usize = match parsed.value("--shards") {
-        Some(s) => {
-            let n = s.parse().map_err(|_| "bad --shards")?;
-            if n == 0 {
-                return Err("--shards must be at least 1".to_owned());
-            }
-            n
-        }
-        None => 1,
-    };
-    let no_shards = |name: &str| -> Result<(), String> {
-        if shards > 1 {
-            return Err(format!(
-                "{name} cannot run sharded; --shards applies to leap and hybrid"
-            ));
-        }
-        Ok(())
-    };
     let sample = parse_sample(&parsed)?;
     if sample.is_some() && parsed.value("--resume").is_some() {
         // A sampled checkpoint carries its own admission state; letting
@@ -855,18 +815,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut report = RunReport::new("run");
     report.workload = parsed.value("--workload").map(str::to_owned);
     report.profiler = Some(profiler.clone());
-    report.shards = shards as u64;
+    report.shards = 1;
 
     let profile_bytes = match profiler.as_str() {
         "leap" => {
             let (session, outcome, pstats) =
-                run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| LeapProfiler::new())?;
+                run_collected::<LeapProfiler>(&parsed, &mut ctx, sample)?;
             overhead = record_session(&session, &mut rec);
             report.events = outcome.events;
             absorb_trace_io(&mut rec, &outcome);
-            if let Some(p) = &pstats {
-                absorb_pipeline(&mut rec, &mut report, p);
-            }
+            absorb_pipeline(&mut rec, &mut report, &pstats);
             let profile = session.into_cdc().into_parts().1.into_profile();
             println!(
                 "leap: {} accesses, {} streams, {} bytes ({:.0}x over the raw trace)",
@@ -885,7 +843,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             serialize_profile(|w| profile.write_to(w))?
         }
         "whomp" => {
-            no_shards("whomp's global grammars")?;
             // The host picks the engine (DESIGN.md §13): one grammar
             // worker per dimension on a multi-CPU host, inline on one.
             let workers = PipelinedWhomp::default_workers();
@@ -928,13 +885,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         "hybrid" => {
             let (session, outcome, pstats) =
-                run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| HybridProfiler::new())?;
+                run_collected::<HybridProfiler>(&parsed, &mut ctx, sample)?;
             overhead = record_session(&session, &mut rec);
             report.events = outcome.events;
             absorb_trace_io(&mut rec, &outcome);
-            if let Some(p) = &pstats {
-                absorb_pipeline(&mut rec, &mut report, p);
-            }
+            absorb_pipeline(&mut rec, &mut report, &pstats);
             let profiler = session.into_cdc().into_parts().1;
             profiler.record_grammar_metrics(&mut rec);
             let profile = profiler.into_profile();
@@ -948,7 +903,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             serialize_profile(|w| profile.write_to(w))?
         }
         "rasg" => {
-            no_shards("rasg profiles raw addresses and")?;
             if sample.is_some() {
                 return Err("rasg profiles raw addresses before translation; --sample \
                             filters translated accesses and applies to leap, whomp, hybrid"

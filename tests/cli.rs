@@ -1,6 +1,7 @@
 //! End-to-end subprocess tests for `orprof-cli`: record a trace,
 //! profile it, inspect and report the resulting files.
 
+use orprof::core::lane::multi_cpu;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -382,21 +383,27 @@ fn stats_and_metrics_out_leave_the_profile_byte_identical() {
     let _ = std::fs::remove_file(json);
 }
 
+/// A run long enough to promote moves onto lanes on a multi-CPU host
+/// and stays inline on one. Either way it reports the lanes it used and
+/// writes the inline session's profile, checkpoint and event count byte
+/// for byte — under `--salvage` too, which only decides how a degraded
+/// join is read.
 #[test]
 fn sharded_run_reports_per_shard_counts() {
-    let json = tmp("sharded.json");
+    let (profile, ckpt, json) = (tmp("long.orpl"), tmp("long-ckpt.orp"), tmp("long.json"));
     let out = cli()
         .args([
             "run",
             "--workload",
-            "micro.matrix",
+            "181.mcf",
+            "--scale",
+            "4",
             "--profiler",
             "leap",
-            "--shards",
-            "3",
-            "--metrics-out",
-            json.to_str().unwrap(),
         ])
+        .args(["--salvage", "--out", profile.to_str().unwrap()])
+        .args(["--checkpoint", ckpt.to_str().unwrap()])
+        .args(["--metrics-out", json.to_str().unwrap()])
         .output()
         .expect("spawn");
     assert!(
@@ -404,11 +411,57 @@ fn sharded_run_reports_per_shard_counts() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let inline = {
+        use orprof::core::{Session, SessionSink};
+        let mut session = Session::new(orprof::leap::LeapProfiler::new());
+        drive_workload("181.mcf", 4, &mut session);
+        let mut checkpoint = Vec::new();
+        session.checkpoint(&mut checkpoint).expect("checkpoint");
+        let events = session.events();
+        let mut bytes = Vec::new();
+        let sink = session.into_cdc().into_parts().1;
+        sink.finalize_profile(&mut bytes).expect("profile");
+        (bytes, checkpoint, events)
+    };
+    assert!(
+        inline.2 > orprof::core::sharded::PROMOTE_EVENTS,
+        "the run must be long"
+    );
+    assert!(
+        std::fs::read(&profile).unwrap() == inline.0,
+        "profile differs from inline"
+    );
+    assert!(
+        std::fs::read(&ckpt).unwrap() == inline.1,
+        "checkpoint differs from inline"
+    );
     let doc = std::fs::read_to_string(&json).unwrap();
-    assert!(doc.contains("\"shards\": 3"), "{doc}");
-    assert!(doc.contains("\"shard\": 2"), "{doc}");
-    assert!(doc.contains("pipeline.tuples_routed"), "{doc}");
-    let _ = std::fs::remove_file(json);
+    assert_eq!(counter(&doc, "session.events"), inline.2, "{doc}");
+    if multi_cpu() {
+        let lanes = counter(&doc, "shards");
+        assert!(lanes > 1, "{doc}");
+        assert!(doc.contains(&format!("\"shard\": {}", lanes - 1)), "{doc}");
+        assert!(doc.contains("pipeline.tuples_routed"), "{doc}");
+    } else {
+        assert_eq!(counter(&doc, "shards"), 1, "{doc}");
+        assert!(!doc.contains("pipeline.tuples_routed"), "{doc}");
+    }
+    for p in [profile, ckpt, json] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// `run --shards` is gone: the host picks the lanes.
+#[test]
+fn run_refuses_the_deleted_shards_flag() {
+    let out = cli()
+        .args(["run", "--workload", "micro.matrix", "--profiler", "leap"])
+        .args(["--shards", "2"])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --shards"), "{err}");
 }
 
 /// The value of the integer counter `key` in a run-report document.
@@ -426,13 +479,15 @@ fn counter(doc: &str, key: &str) -> u64 {
 }
 
 /// Regression: the merged session of a sharded run restarted its event
-/// count at the join, so `--shards N` and `--salvage` runs reported
-/// `session.events: 0`.
+/// count at the join, so lane and `--salvage` runs reported
+/// `session.events: 0`. The CLI's counters, with and without
+/// `--salvage`, are those of the same run promoted onto lanes in
+/// process.
 #[test]
 fn sharded_and_salvage_runs_report_the_inline_event_count() {
     let json = tmp("events.json");
     let mut counts = Vec::new();
-    for extra in [&[][..], &["--shards", "3"], &["--salvage"]] {
+    for extra in [&[][..], &["--salvage"]] {
         let out = cli()
             .args(["run", "--workload", "micro.matrix", "--profiler", "leap"])
             .args(["--metrics-out", json.to_str().unwrap()])
@@ -451,8 +506,17 @@ fn sharded_and_salvage_runs_report_the_inline_event_count() {
         ));
     }
     assert!(counts[0].0 > 0, "the inline run counts its events");
-    for (extra, got) in ["--shards 3", "--salvage"].iter().zip(&counts[1..]) {
-        assert_eq!(*got, counts[0], "{extra} changed the session counters");
+    assert_eq!(
+        counts[1], counts[0],
+        "--salvage changed the session counters"
+    );
+    for (lanes, promote_at) in ENGINES {
+        let got = collect_named("leap", "micro.matrix", None, lanes, promote_at);
+        assert_eq!(
+            (got.events, got.accesses),
+            counts[0],
+            "{lanes} lanes from event {promote_at}"
+        );
     }
     let _ = std::fs::remove_file(json);
 }
@@ -478,29 +542,42 @@ fn run_linked_list(profiler: &str, extra: &[&str]) {
     );
 }
 
-/// Sharded runs checkpoint: at every lane count the checkpoint is the
-/// inline run's, byte for byte, and each of them resumes — inline, on
-/// lanes, or under `--salvage` — into the same profile and the same
-/// next checkpoint.
+/// Runs on lanes checkpoint: promoted at any point onto any lane count,
+/// the checkpoint and profile are the inline CLI run's, byte for byte,
+/// and the checkpoint resumes — in the CLI, with or without
+/// `--salvage`, or in process inline or split over lanes — into the
+/// same profile and the same next checkpoint.
 #[test]
 fn sharded_checkpoints_match_inline_and_resume_on_any_engine() {
     let path = |name: String| tmp(&name);
     for profiler in ["leap", "hybrid"] {
-        let ckpt = |shards: &str| path(format!("{profiler}-ckpt-{shards}.orp"));
-        for shards in ["1", "2", "3"] {
-            let to = ckpt(shards);
-            run_linked_list(
-                profiler,
-                &["--shards", shards, "--checkpoint", to.to_str().unwrap()],
+        let (ckpt, first) = (
+            path(format!("{profiler}-ckpt.orp")),
+            path(format!("{profiler}-first.orp")),
+        );
+        run_linked_list(
+            profiler,
+            &[
+                "--checkpoint",
+                ckpt.to_str().unwrap(),
+                "--out",
+                first.to_str().unwrap(),
+            ],
+        );
+        let reference = std::fs::read(&ckpt).unwrap();
+        let reference_profile = std::fs::read(&first).unwrap();
+        for (lanes, promote_at) in ENGINES {
+            let got = collect_named(profiler, "micro.linked_list", None, lanes, promote_at);
+            let what = format!("{profiler}: {lanes} lanes from event {promote_at}");
+            assert!(
+                got.checkpoint == reference,
+                "{what}: the checkpoint differs"
             );
-        }
-        let reference = std::fs::read(ckpt("1")).unwrap();
-        for shards in ["2", "3"] {
-            assert_eq!(
-                std::fs::read(ckpt(shards)).unwrap(),
-                reference,
-                "{profiler}: the {shards}-lane checkpoint differs from the inline one"
+            assert!(
+                got.profile == reference_profile,
+                "{what}: the profile differs"
             );
+            assert_eq!(got.lanes, if promote_at == u64::MAX { 0 } else { lanes });
         }
 
         let (profile, next) = (
@@ -508,33 +585,44 @@ fn sharded_checkpoints_match_inline_and_resume_on_any_engine() {
             path(format!("{profiler}-next.orp")),
         );
         let mut expected: Option<(Vec<u8>, Vec<u8>)> = None;
-        for from in ["1", "2", "3"] {
-            let from_path = ckpt(from);
-            for engine in [&["--shards", "1"][..], &["--shards", "3"], &["--salvage"]] {
-                let mut args = vec![
-                    "--resume",
-                    from_path.to_str().unwrap(),
-                    "--out",
-                    profile.to_str().unwrap(),
-                    "--checkpoint",
-                    next.to_str().unwrap(),
-                ];
-                args.extend(engine);
-                run_linked_list(profiler, &args);
-                let got = (
-                    std::fs::read(&profile).unwrap(),
-                    std::fs::read(&next).unwrap(),
-                );
-                match &expected {
-                    None => expected = Some(got),
-                    Some(want) => assert!(
-                        got == *want,
-                        "{profiler}: resuming the {from}-lane checkpoint with {engine:?} diverged"
-                    ),
-                }
+        for engine in [&[][..], &["--salvage"]] {
+            let mut args = vec![
+                "--resume",
+                ckpt.to_str().unwrap(),
+                "--out",
+                profile.to_str().unwrap(),
+                "--checkpoint",
+                next.to_str().unwrap(),
+            ];
+            args.extend(engine);
+            run_linked_list(profiler, &args);
+            let got = (
+                std::fs::read(&profile).unwrap(),
+                std::fs::read(&next).unwrap(),
+            );
+            match &expected {
+                None => expected = Some(got),
+                Some(want) => assert!(
+                    got == *want,
+                    "{profiler}: resuming with {engine:?} diverged"
+                ),
             }
         }
-        for p in [ckpt("1"), ckpt("2"), ckpt("3"), profile, next] {
+        let expected = expected.expect("the CLI resumed");
+        for (lanes, promote_at) in ENGINES {
+            let got = collect_named(
+                profiler,
+                "micro.linked_list",
+                Some(&reference),
+                lanes,
+                promote_at,
+            );
+            assert!(
+                (got.profile, got.checkpoint) == expected,
+                "{profiler}: resuming onto {lanes} lanes from event {promote_at} diverged"
+            );
+        }
+        for p in [ckpt, first, profile, next] {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -725,9 +813,94 @@ fn inline_whomp(resume: Option<&[u8]>) -> (Vec<u8>, Vec<u8>) {
     (checkpoint, profile)
 }
 
-fn multi_cpu() -> bool {
-    std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
+/// Drives `sink` with the named workload exactly as `run --workload
+/// <name> --scale <scale>` does.
+fn drive_workload(name: &str, scale: u32, sink: &mut dyn orprof::trace::ProbeSink) {
+    use orprof::workloads::{micro_suite, spec_suite, RunConfig, Tracer};
+    let mut all = spec_suite(scale);
+    all.extend(micro_suite());
+    let workload = all
+        .into_iter()
+        .find(|w| w.name() == name)
+        .expect("a bundled workload");
+    let mut tracer = Tracer::new(&RunConfig::default(), sink);
+    workload.run(&mut tracer);
+    tracer.finish();
 }
+
+/// What an in-process collection left: the bytes `run --out` and `run
+/// --checkpoint` would write, the lanes' totals and the session counters.
+struct Collected {
+    profile: Vec<u8>,
+    checkpoint: Vec<u8>,
+    lanes: usize,
+    events: u64,
+    accesses: u64,
+}
+
+/// The engine matrix, in process: collects `workload` into `S` on the
+/// host's collector with a chosen threshold — inline throughout for
+/// `promote_at = u64::MAX`, else onto `lanes` lanes once the session has
+/// fed `promote_at` events — from a fresh session sampled by `sampler`
+/// or from `resume`'s checkpoint.
+fn collect<S>(
+    workload: &str,
+    sampler: orprof::core::Sampler,
+    resume: Option<&[u8]>,
+    lanes: usize,
+    promote_at: u64,
+) -> Collected
+where
+    S: orprof::core::SessionSink + orprof::core::ShardableSink + Default,
+{
+    use orprof::core::sharded::PromotingCdc;
+    use orprof::core::{Cdc, Omc, Session};
+    let session = match resume {
+        Some(mut ckpt) => Session::<S>::resume(&mut ckpt).expect("resume"),
+        None => Session::from_cdc(Cdc::with_sampler(Omc::new(), S::default(), sampler)),
+    };
+    let mut probe = PromotingCdc::new(session, lanes, promote_at);
+    drive_workload(workload, 1, &mut probe);
+    let joined = probe.join().expect("pipeline healthy");
+    assert!(joined.degraded.is_empty());
+    let mut session = joined.session;
+    let mut checkpoint = Vec::new();
+    session.checkpoint(&mut checkpoint).expect("checkpoint");
+    let mut rec = orprof::obs::StatsRecorder::default();
+    session.record_metrics(&mut rec);
+    let events = session.events();
+    let mut profile = Vec::new();
+    session.finalize(&mut profile).expect("profile");
+    Collected {
+        profile,
+        checkpoint,
+        lanes: joined.stats.shards.len(),
+        events,
+        accesses: rec.counters()["cdc.accesses"],
+    }
+}
+
+/// [`collect`] for a profiler named as `run --profiler` names it.
+fn collect_named(
+    profiler: &str,
+    workload: &str,
+    resume: Option<&[u8]>,
+    lanes: usize,
+    promote_at: u64,
+) -> Collected {
+    let off = orprof::core::Sampler::off();
+    match profiler {
+        "leap" => collect::<orprof::leap::LeapProfiler>(workload, off, resume, lanes, promote_at),
+        "hybrid" => {
+            collect::<orprof::whomp::HybridProfiler>(workload, off, resume, lanes, promote_at)
+        }
+        other => panic!("{other} does not collect on lanes"),
+    }
+}
+
+/// Engines the in-process matrix runs: inline, and promoted onto 2 or 3
+/// lanes at the first event or partway through.
+const ENGINES: [(usize, u64); 4] = [(1, u64::MAX), (2, 0), (3, 0), (3, 5000)];
 
 /// The CLI's default WHOMP engine — grammar workers on a multi-CPU
 /// host, inline on one — writes the inline profile byte for byte, and
@@ -900,46 +1073,49 @@ fn sequential_grammar_runs_also_report_grammar_shape() {
 #[test]
 fn sampled_runs_are_byte_identical_across_inline_and_sharded() {
     let inline = tmp("sampled-inline.orpl");
-    let sharded = tmp("sampled-sharded.orpl");
     let json = tmp("sampled.json");
-    let ckpt = |shards: &str| tmp(&format!("sampled-ckpt-{shards}.orp"));
-    for (path, shards) in [(&inline, "1"), (&sharded, "3")] {
-        let out = cli()
-            .args([
-                "run",
-                "--workload",
-                "micro.matrix",
-                "--profiler",
-                "leap",
-                "--sample",
-                "rate=4",
-                "--shards",
-                shards,
-                "--out",
-                path.to_str().unwrap(),
-                "--metrics-out",
-                json.to_str().unwrap(),
-                "--checkpoint",
-                ckpt(shards).to_str().unwrap(),
-            ])
-            .output()
-            .expect("spawn");
+    let ckpt = tmp("sampled-ckpt.orp");
+    let out = cli()
+        .args([
+            "run",
+            "--workload",
+            "micro.matrix",
+            "--profiler",
+            "leap",
+            "--sample",
+            "rate=4",
+            "--out",
+            inline.to_str().unwrap(),
+            "--metrics-out",
+            json.to_str().unwrap(),
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (lanes, promote_at) in ENGINES {
+        let got = collect::<orprof::leap::LeapProfiler>(
+            "micro.matrix",
+            orprof::core::Sampler::periodic(4),
+            None,
+            lanes,
+            promote_at,
+        );
         assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
+            got.profile == std::fs::read(&inline).unwrap(),
+            "fixed-rate sampling must not depend on the collection path \
+             ({lanes} lanes from event {promote_at})"
+        );
+        assert!(
+            got.checkpoint == std::fs::read(&ckpt).unwrap(),
+            "the sampler state checkpointed from {lanes} lanes must match the inline one"
         );
     }
-    assert_eq!(
-        std::fs::read(&inline).unwrap(),
-        std::fs::read(&sharded).unwrap(),
-        "fixed-rate sampling must not depend on the collection path"
-    );
-    assert_eq!(
-        std::fs::read(ckpt("1")).unwrap(),
-        std::fs::read(ckpt("3")).unwrap(),
-        "the sampler state checkpointed from lanes must match the inline one"
-    );
     let doc = std::fs::read_to_string(&json).unwrap();
     for key in [
         "sample.kept",
@@ -949,17 +1125,18 @@ fn sampled_runs_are_byte_identical_across_inline_and_sharded() {
     ] {
         assert!(doc.contains(key), "missing {key} in:\n{doc}");
     }
-    for p in [inline, sharded, json, ckpt("1"), ckpt("3")] {
+    for p in [inline, json, ckpt] {
         let _ = std::fs::remove_file(p);
     }
 }
 
-/// The budget is session state, so it steers inline, on sharded
-/// lanes and under `--salvage` alike.
+/// The budget is session state, so it steers inline and under
+/// `--salvage` in the CLI, and on the translator of a session promoted
+/// onto lanes.
 #[test]
 fn budget_mode_reports_controller_metrics() {
     let json = tmp("budget.json");
-    for engine in [&[][..], &["--shards", "2"], &["--salvage"]] {
+    for engine in [&[][..], &["--salvage"]] {
         let out = cli()
             .args([
                 "run",
@@ -988,6 +1165,28 @@ fn budget_mode_reports_controller_metrics() {
         }
     }
     let _ = std::fs::remove_file(json);
+
+    use orprof::core::sharded::PromotingCdc;
+    use orprof::core::{Cdc, Omc, RateController, Sampler, Session};
+    let cdc = Cdc::with_sampler(
+        Omc::new(),
+        orprof::leap::LeapProfiler::new(),
+        Sampler::periodic(1),
+    );
+    let session = Session::from_cdc(cdc).with_budget(RateController::new(50.0, 20.0));
+    let mut probe = PromotingCdc::new(session, 2, 1000);
+    drive_workload("micro.matrix", 1, &mut probe);
+    let joined = probe.join().expect("pipeline healthy");
+    assert_eq!(joined.stats.shards.len(), 2, "the session promoted");
+    assert!(
+        joined.session.budget_control_steps() > Some(0),
+        "the budget steered on lanes"
+    );
+    let mut rec = orprof::obs::StatsRecorder::default();
+    joined.session.record_metrics(&mut rec);
+    for key in ["sample.adjustments", "sample.control_steps", "sample.kept"] {
+        assert!(rec.counters().contains_key(key), "lanes: missing {key}");
+    }
 }
 
 /// A run shorter than one control interval never measures its overhead:
@@ -1084,7 +1283,7 @@ fn reservoir_sampling_is_reachable_from_the_cli() {
 /// Regression (issue 10): budget runs used to reject `--checkpoint`
 /// because the controller's calibration wasn't serializable. Now the
 /// checkpoint carries the controller and a plain `--resume` keeps
-/// holding the budget, inline or on lanes.
+/// holding the budget, inline or split over lanes.
 #[test]
 fn budget_checkpoint_resumes_with_its_controller() {
     let ckpt = tmp("budget-resume.orp");
@@ -1108,9 +1307,10 @@ fn budget_checkpoint_resumes_with_its_controller() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Resumed inline or onto lanes, the checkpoint's budget steers.
+    // Resumed in the CLI, with or without `--salvage`, the
+    // checkpoint's budget steers.
     let json = tmp("budget-resume.json");
-    for engine in [&[][..], &["--shards", "2"]] {
+    for engine in [&[][..], &["--salvage"]] {
         let out = cli()
             .args([
                 "run",
@@ -1138,6 +1338,25 @@ fn budget_checkpoint_resumes_with_its_controller() {
             assert!(doc.contains(key), "{engine:?}: missing {key} in:\n{doc}");
         }
     }
+
+    // Resumed and split over lanes, it steers on the translator.
+    use orprof::core::sharded::PromotingCdc;
+    let bytes = std::fs::read(&ckpt).unwrap();
+    let resumed =
+        orprof::core::Session::<orprof::leap::LeapProfiler>::resume(&mut bytes.as_slice())
+            .expect("resume");
+    assert!(
+        resumed.budget().is_some(),
+        "the checkpoint carries the budget"
+    );
+    let mut probe = PromotingCdc::new(resumed, 2, 0);
+    drive_workload("micro.matrix", 1, &mut probe);
+    let joined = probe.join().expect("pipeline healthy");
+    assert_eq!(joined.stats.shards.len(), 2, "the resumed session promoted");
+    assert!(
+        joined.session.budget_control_steps() > Some(0),
+        "the budget steered on lanes"
+    );
     for p in [ckpt, json] {
         let _ = std::fs::remove_file(p);
     }

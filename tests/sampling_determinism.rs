@@ -81,7 +81,7 @@ fn fixed_rate_profiles_are_byte_identical_across_collection_paths() {
             LeapProfiler::new(),
             Sampler::periodic(RATE),
         ));
-        let mut sharded = ShardedCdc::spawn(session, shards, |_| LeapProfiler::new());
+        let mut sharded = ShardedCdc::spawn(session, shards);
         feed(&mut sharded, &events);
         let cdc = sharded.join().expect("pipeline healthy").session.into_cdc();
         assert_eq!(
@@ -201,7 +201,7 @@ fn budget_checkpoint_resume_is_byte_identical_to_a_straight_run() {
 
     // The translator thread's session steers its own sampler.
     for lanes in 1..=3 {
-        let mut sharded = ShardedCdc::spawn(budget_session(), lanes, |_| LeapProfiler::new());
+        let mut sharded = ShardedCdc::spawn(budget_session(), lanes);
         feed(&mut sharded, &events);
         let session = sharded.join().expect("pipeline healthy").session;
         let steered = session.budget().expect("the budget survives the join");
@@ -227,7 +227,7 @@ fn reservoir_sampling_is_deterministic_across_paths() {
         VecOrSink::new(),
         Sampler::reservoir(8),
     ));
-    let mut sharded = ShardedCdc::spawn(session, 3, |_| VecOrSink::new());
+    let mut sharded = ShardedCdc::spawn(session, 3);
     feed(&mut sharded, &events);
     let merged = sharded.join().expect("pipeline healthy").session.into_cdc();
 

@@ -32,7 +32,7 @@ fn sharded_tuple_stream_is_identical_to_inline() {
 
     for shards in SHARD_COUNTS {
         let session = Session::new(VecOrSink::new());
-        let mut sharded = ShardedCdc::spawn(session, shards, |_| VecOrSink::new());
+        let mut sharded = ShardedCdc::spawn(session, shards);
         drive(&mut sharded);
         let cdc = sharded.join().expect("pipeline healthy").session.into_cdc();
         assert_eq!(
@@ -65,7 +65,7 @@ fn sharded_leap_profile_serializes_to_identical_bytes() {
 
     for shards in SHARD_COUNTS {
         let session = Session::new(LeapProfiler::new());
-        let mut sharded = ShardedCdc::spawn(session, shards, |_| LeapProfiler::new());
+        let mut sharded = ShardedCdc::spawn(session, shards);
         drive(&mut sharded);
         let profile = sharded
             .join()
@@ -81,10 +81,11 @@ fn sharded_leap_profile_serializes_to_identical_bytes() {
     }
 }
 
-/// A sink that plays three roles in the salvage chain, selected at
-/// construction: `armed` dies on its first tuple (the dead shard
-/// worker), a `Some(fuse)` accepts that many tuples and then dies (the
-/// failing fallback), and the default records quietly.
+/// A sink that plays three roles in the salvage chain, dealt out by
+/// its split: `armed` dies on its first tuple (the dead shard worker,
+/// part 1), a `Some(fuse)` accepts [`FALLBACK_FUSE`] tuples and then
+/// dies (the failing fallback, the last part), and the rest — the stem
+/// among them — record quietly.
 #[derive(Debug)]
 struct SalvageChain {
     armed: bool,
@@ -114,7 +115,21 @@ impl ShardableSink for SalvageChain {
             inner: VecOrSink::merge(parts.into_iter().map(|p| p.inner).collect()),
         }
     }
+    fn split(self, parts: usize, route: &mut dyn FnMut(u64) -> usize) -> Vec<Self> {
+        let split = self.inner.split(parts, route).into_iter().enumerate();
+        split
+            .map(|(i, inner)| SalvageChain {
+                armed: i == 1,
+                fuse: (i + 1 == parts).then_some(FALLBACK_FUSE),
+                inner,
+            })
+            .collect()
+    }
 }
+
+/// Tuples the salvage chain's fallback accepts before it dies: one
+/// full diverted batch, tripping inside the second.
+const FALLBACK_FUSE: usize = TUPLE_BATCH + TUPLE_BATCH / 2;
 
 /// Regression (issue 10): when the salvage *fallback* sink itself dies,
 /// the translator must survive to the join and
@@ -158,13 +173,12 @@ fn salvaged_counter_survives_a_dying_fallback_sink() {
     }
     inline.finish();
 
-    let shards = 2;
-    let chain = |i| SalvageChain {
-        armed: i == 1,
-        fuse: (i == shards).then_some(BATCH + BATCH / 2),
+    let stem = SalvageChain {
+        armed: false,
+        fuse: None,
         inner: VecOrSink::new(),
     };
-    let mut sharded = ShardedCdc::spawn(Session::new(chain(0)), shards, chain);
+    let mut sharded = ShardedCdc::spawn(Session::new(stem), 2);
     sharded.alloc(alloc);
     wave(&mut sharded);
     // Ship wave 1, then give shard 1's worker time to receive its first
@@ -218,7 +232,7 @@ fn sharded_hybrid_profile_has_identical_grammars() {
 
     for shards in SHARD_COUNTS {
         let session = Session::new(HybridProfiler::new());
-        let mut sharded = ShardedCdc::spawn(session, shards, |_| HybridProfiler::new());
+        let mut sharded = ShardedCdc::spawn(session, shards);
         drive(&mut sharded);
         let profile = sharded
             .join()
@@ -245,4 +259,57 @@ fn sharded_hybrid_profile_has_identical_grammars() {
             "{shards} shards"
         );
     }
+}
+
+/// A resumed session that holds state spreads over every lane. Before
+/// `ShardableSink::split`, every key the checkpoint held was pinned to
+/// lane 0, so a resumed `181.mcf` sent all its tuples there.
+#[test]
+fn a_resumed_session_routes_tuples_to_every_lane() {
+    use orprof::core::SessionSink;
+    use orprof::trace::VecSink;
+
+    let mut recorded = VecSink::new();
+    let mcf = orprof::workloads::spec_suite(1)
+        .into_iter()
+        .find(|w| w.name() == "181.mcf")
+        .expect("181.mcf");
+    let mut tracer = Tracer::new(&RunConfig::default(), &mut recorded);
+    mcf.run(&mut tracer);
+    tracer.finish();
+    let events = recorded.events();
+    let (head, tail) = events.split_at(events.len() / 3);
+
+    let mut inline = Session::new(LeapProfiler::new());
+    inline.feed(events);
+    let mut reference = Vec::new();
+    inline
+        .into_cdc()
+        .into_parts()
+        .1
+        .finalize_profile(&mut reference)
+        .expect("reference profile");
+
+    let mut first = Session::new(LeapProfiler::new());
+    first.feed(head);
+    let mut checkpoint = Vec::new();
+    first.checkpoint(&mut checkpoint).expect("checkpoint");
+
+    let lanes = 4;
+    let resumed = Session::<LeapProfiler>::resume(&mut checkpoint.as_slice()).expect("resume");
+    let mut sharded = ShardedCdc::spawn(resumed, lanes);
+    for &ev in tail {
+        sharded.event(ev);
+    }
+    let joined = sharded.join().expect("pipeline healthy");
+    assert_eq!(joined.stats.shards.len(), lanes);
+    for lane in &joined.stats.shards {
+        assert!(lane.tuples > 0, "lane {} got no tuples", lane.shard);
+    }
+    let mut profile = Vec::new();
+    joined.session.finalize(&mut profile).expect("profile");
+    assert!(
+        profile == reference,
+        "the resumed lanes changed the profile"
+    );
 }
